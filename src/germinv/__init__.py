@@ -9,7 +9,8 @@ sign flip) are a necessary condition for bi-Lipschitz contact equivalence.
 
 The numeric side (oracle module) re-derives the same quantities from float
 samples of f on small circles and cross-checks signs, exponents, and branch
-counts against the exact answer.
+counts against the exact answer. It is the only part that needs numpy, and
+is imported on first use of one of its names.
 """
 
 from .bivar import BivarPoly, gcd_bivar, squarefree_part
@@ -23,9 +24,6 @@ from .errors import (BothZeroError, CertificationInconclusiveError,
 from .invariant import (Classification, GermAnalysis, GermInvariant,
                         analyze_germ, classify, equivalent_possible,
                         invariant, negate)
-from .oracle import (CriticalPath, CrosscheckReport, FitResult, SphereExtrema,
-                     critical_paths, crosscheck, estimate_exponent,
-                     sphere_extrema)
 from .parsing import parse_poly, poly_to_string
 from .puiseux import (HalfBranch, NewtonPolygonEdge, PuiseuxSeries,
                       expand_branches, newton_polygon, substitute)
@@ -33,6 +31,18 @@ from .tangency import (ExpansionConfig, Restriction, TangencyCurve,
                        components, restrict, tangency_poly)
 
 __version__ = "0.1.0"
+
+# the oracle needs numpy; it is imported on first use of one of its names
+_ORACLE_NAMES = ("CriticalPath", "CrosscheckReport", "FitResult",
+                 "SphereExtrema", "critical_paths", "crosscheck",
+                 "estimate_exponent", "sphere_extrema")
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BivarPoly", "gcd_bivar", "squarefree_part",

@@ -27,7 +27,6 @@ from .errors import (NonVanishingGermError, ParseError,
                      PathCountUnstableError, ResourceError, UnitGermError,
                      ZeroInputError)
 from .invariant import analyze_germ, equivalent_possible
-from .oracle import crosscheck, sphere_extrema
 from .parsing import parse_poly
 from .tangency import ExpansionConfig
 
@@ -249,9 +248,10 @@ def _ladder(args):
 
 
 def cmd_psi(args, out) -> int:
+    from .oracle import ladder_extrema
     f = parse_poly(args.germ)
     ts = _ladder(args)
-    extrema = [sphere_extrema(f, t, args.grid) for t in ts]
+    extrema = ladder_extrema(f, ts, args.grid)
     if args.format == "json":
         _emit_json(out, {
             "germ": f.to_string(),
@@ -302,6 +302,7 @@ def _prediction_text(pred) -> str:
 
 
 def cmd_crosscheck(args, out) -> int:
+    from .oracle import crosscheck
     f = parse_poly(args.germ)
     analysis = analyze_germ(f, _config(args))
     report = crosscheck(f, analysis, tmin=args.tmin, tmax=args.tmax,

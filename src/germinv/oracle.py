@@ -60,42 +60,46 @@ def _angular_derivative_poly(f: BivarPoly) -> BivarPoly:
     return (BivarPoly.var_y() * f.diff("x")) - (BivarPoly.var_x() * f.diff("y"))
 
 
-def coeff_norm(p: BivarPoly) -> float:
-    """Sum of absolute coefficient values."""
-    return float(sum(abs(float(c)) for c in p.terms.values()))
-
-
-def _critical_angles(hf, t: float, grid: int) -> list[float]:
-    """Sign-change zeros of a -> hf(t cos a, t sin a) in [0, 2pi)."""
-    thetas = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    vals = hf(t * np.cos(thetas), t * np.sin(thetas))
-    # nudge exact grid zeros off the knot so every zero sits in an open bracket
-    bad = np.nonzero(vals == 0.0)[0]
-    if bad.size:
-        step = TWO_PI / grid
-        thetas = thetas.copy()
-        thetas[bad] += step * 1e-6
-        vals = hf(t * np.cos(thetas), t * np.sin(thetas))
-    out = []
-    for k in range(grid):
-        a, b = thetas[k], thetas[(k + 1) % grid] + (TWO_PI if k + 1 == grid else 0.0)
-        va, vb = vals[k], vals[(k + 1) % grid]
-        if va == 0.0 or va * vb >= 0.0:
-            continue
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            vm = float(hf(t * math.cos(m), t * math.sin(m)))
-            if vm == 0.0:
-                a = b = m
-                break
-            if (vm > 0) == (va > 0):
-                a, va = m, vm
-            else:
-                b = m
-            if b - a < 1e-15:
-                break
-        out.append((0.5 * (a + b)) % TWO_PI)
-    return sorted(out)
+def _critical_angles(hf, ts, grid: int) -> list[np.ndarray]:
+    """Sorted sign-change zeros of a -> hf(t cos a, t sin a) in [0, 2pi) per
+    radius t in ts. All brackets are bisected together, each by the scalar
+    rule: midpoint, stop on an exact zero, width < 1e-15 or 200 steps."""
+    if not len(ts):
+        return []
+    base = np.linspace(0.0, TWO_PI, grid, endpoint=False)
+    cos, sin = np.cos(base), np.sin(base)
+    brackets = []
+    for t in ts:
+        thetas = base
+        vals = hf(t * cos, t * sin)
+        # nudge exact grid zeros off the knot, into an open bracket
+        bad = vals == 0.0
+        if bad.any():
+            thetas = np.where(bad, base + TWO_PI / grid * 1e-6, base)
+            vals = hf(t * np.cos(thetas), t * np.sin(thetas))
+        ends = np.append(thetas[1:], thetas[0] + TWO_PI)
+        nxt = np.roll(vals, -1)
+        # signs, not the product: va * vb underflows to 0 below |h| ~ 1e-154
+        hit = (vals != 0.0) & (nxt != 0.0) & ((vals > 0) != (nxt > 0))
+        brackets.append((thetas[hit], ends[hit], vals[hit]))
+    a, b, va = (np.concatenate(c) for c in zip(*brackets))
+    counts = [len(v) for _, _, v in brackets]
+    t = np.repeat(np.asarray(ts, dtype=float), counts)
+    live = np.arange(a.size)
+    for _ in range(200):
+        if not live.size:
+            break
+        m = 0.5 * (a[live] + b[live])
+        vm = hf(t[live] * np.cos(m), t[live] * np.sin(m))
+        zero = vm == 0.0
+        up = ~zero & ((vm > 0) == (va[live] > 0))
+        down = ~zero & ~up
+        a[live[up]], va[live[up]] = m[up], vm[up]
+        b[live[down]] = m[down]
+        a[live[zero]] = b[live[zero]] = m[zero]
+        live = live[~zero & ~(b[live] - a[live] < 1e-15)]
+    angles = (0.5 * (a + b)) % TWO_PI
+    return [np.sort(r) for r in np.split(angles, np.cumsum(counts)[:-1])]
 
 
 class SphereExtrema:
@@ -115,23 +119,30 @@ class SphereExtrema:
                 f"max={self.fmax:.6g}, k={len(self.critical)})")
 
 
-def sphere_extrema(f: BivarPoly, t: float, grid: int = 4096) -> SphereExtrema:
-    """Min and max of f on the circle of radius t.
-
-    Critical angles come from sign changes of the angular derivative; if
-    there are none the derivative vanishes identically (f is radially
-    symmetric) and the grid itself supplies the constant value.
-    """
+def ladder_extrema(f: BivarPoly, ts, grid: int = 4096) -> list[SphereExtrema]:
+    """Min and max of f on each circle of radius t in ts, at the sign changes
+    of the angular derivative. A circle without any has the derivative
+    vanishing identically (f is radially symmetric), and the grid itself
+    supplies the constant value."""
     ff = compile_poly(f)
     hf = compile_poly(_angular_derivative_poly(f))
-    angles = _critical_angles(hf, t, grid)
-    if not angles:
-        thetas = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-        vals = ff(t * np.cos(thetas), t * np.sin(thetas))
-        return SphereExtrema(t, float(vals.min()), float(vals.max()), [])
-    crit = [(a, float(ff(t * math.cos(a), t * math.sin(a)))) for a in angles]
-    vs = [v for _, v in crit]
-    return SphereExtrema(t, min(vs), max(vs), crit)
+    out = []
+    for t, angles in zip(ts, _critical_angles(hf, ts, grid)):
+        if angles.size:
+            vs = ff(t * np.cos(angles), t * np.sin(angles)).tolist()
+            out.append(SphereExtrema(t, min(vs), max(vs),
+                                     list(zip(angles.tolist(), vs))))
+        else:
+            th = np.linspace(0.0, TWO_PI, grid, endpoint=False)
+            vals = ff(t * np.cos(th), t * np.sin(th))
+            out.append(SphereExtrema(t, float(vals.min()), float(vals.max()),
+                                     []))
+    return out
+
+
+def sphere_extrema(f: BivarPoly, t: float, grid: int = 4096) -> SphereExtrema:
+    """Min and max of f on the circle of radius t (see ladder_extrema)."""
+    return ladder_extrema(f, [t], grid)[0]
 
 
 class FitResult:
@@ -205,48 +216,49 @@ def _circ_dist(a: float, b: float) -> float:
     return min(d, TWO_PI - d)
 
 
-def critical_paths(f: BivarPoly, ts, grid: int = 4096) -> list[CriticalPath]:
-    """Track the angular critical points of f across circles of radius ts.
+def _track(rungs: list[SphereExtrema]):
+    """Follow the critical points of ``rungs`` (ascending radii) inward, each
+    to the nearest angle on the next circle, up to the first rung whose angle
+    count changes or where two paths collide. Returns the rungs above it,
+    ascending, as (angle, value) lists in path order, and its error or None."""
+    tracked, exc = [], None
+    for e in reversed(rungs):
+        crit = e.critical
+        if tracked and len(crit) != len(tracked[-1]):
+            exc = PathCountUnstableError(
+                f"critical angle count changed from {len(tracked[-1])} to "
+                f"{len(crit)}", e.t)
+            break
+        if tracked:
+            picks = [min(range(len(crit)),
+                         key=lambda j: _circ_dist(crit[j][0], theta))
+                     for theta, _ in tracked[-1]]
+            if len(set(picks)) < len(picks):
+                exc = PathCountUnstableError(
+                    "critical paths collided during continuation", e.t)
+                break
+            crit = [crit[j] for j in picks]
+        tracked.append(crit)
+    if exc is not None:  # rungs of equal radius above it go too
+        del tracked[sum(e.t > exc.t for e in rungs):]
+    return tracked[::-1], exc
 
-    Continuation runs from the largest radius inward, matching each path to
-    the nearest angle on the next circle. A change in the number of critical
-    angles (or an ambiguous matching) raises PathCountUnstableError: the
-    ladder then spans a radius where the tangency structure changes, and the
-    caller should shrink it.
-    """
-    ts = sorted(float(t) for t in ts)
-    hf = compile_poly(_angular_derivative_poly(f))
-    ff = compile_poly(f)
-    rungs = []
-    count = None
-    for t in reversed(ts):
-        angles = _critical_angles(hf, t, grid)
-        if count is None:
-            count = len(angles)
-            order = list(range(count))
-        elif len(angles) != count:
-            raise PathCountUnstableError(
-                f"critical angle count changed from {count} to "
-                f"{len(angles)}", t)
-        else:
-            prev = rungs[-1]
-            taken: dict[int, int] = {}
-            for pid in range(count):
-                j = min(range(count),
-                        key=lambda j: _circ_dist(angles[j], prev[pid]))
-                if j in taken.values():
-                    raise PathCountUnstableError(
-                        "critical paths collided during continuation", t)
-                taken[pid] = j
-            angles = [angles[taken[pid]] for pid in range(count)]
-        rungs.append(angles)
-    rungs.reverse()  # now aligned with ascending ts
-    paths = []
-    for pid in range(count or 0):
-        th = np.array([r[pid] for r in rungs])
-        vals = ff(np.array(ts) * np.cos(th), np.array(ts) * np.sin(th))
-        paths.append(CriticalPath(pid, th, np.asarray(vals, dtype=float)))
-    return paths
+
+def _paths(tracked) -> list[CriticalPath]:
+    return [CriticalPath(pid, *map(np.array, zip(*pairs)))
+            for pid, pairs in enumerate(zip(*tracked))]
+
+
+def critical_paths(f: BivarPoly, ts, grid: int = 4096) -> list[CriticalPath]:
+    """Track the angular critical points of f across circles of radius ts,
+    from the largest radius inward (see _track). A change in the number of
+    critical angles, or an ambiguous matching, raises PathCountUnstableError:
+    the ladder then spans a radius where the tangency structure changes, and
+    the caller should shrink it."""
+    tracked, exc = _track(ladder_extrema(f, sorted(map(float, ts)), grid))
+    if exc is not None:
+        raise exc
+    return _paths(tracked)
 
 
 class CrosscheckReport:
@@ -346,53 +358,40 @@ def crosscheck(f: BivarPoly, analysis, tmin: float = 1e-4, tmax: float = 1e-1,
     legitimately exceed the half-branch count.
     """
     if floor is None:
-        floor = 1e-14 * max(1.0, coeff_norm(f))
-    ts = np.geomspace(tmin, tmax, ladder)
-    extrema = [sphere_extrema(f, float(t), grid) for t in ts]
-    psi = np.array([e.fmin for e in extrema])
-    psibar = np.array([e.fmax for e in extrema])
+        norm = float(sum(abs(float(c)) for c in f.terms.values()))
+        floor = 1e-14 * max(1.0, norm)
+    ts = [float(t) for t in np.geomspace(tmin, tmax, ladder)]
+    extrema = ladder_extrema(f, ts, grid)
+    psi, psibar = [e.fmin for e in extrema], [e.fmax for e in extrema]
     failures: list[str] = []
-    degenerate = analysis.curve.degenerate
-    paths: list[CriticalPath] = []
-    path_tmin = None
-    if not degenerate:
-        # track on the largest sub-ladder with a stable critical-angle
-        # count: tangent branches become angularly unresolvable below some
-        # radius, so instability trims the bottom rungs instead of failing
-        sub = [float(t) for t in ts]
-        while sub:
-            try:
-                paths = critical_paths(f, sub, grid)
-                break
-            except PathCountUnstableError as exc:
-                sub = [t for t in sub if t > exc.t]
+    paths, path_tmin, path_count = [], None, 0
+    if not analysis.curve.degenerate:
+        # tangent branches become angularly unresolvable below some radius,
+        # so an unstable critical-angle count trims the bottom rungs
+        tracked, _ = _track(extrema)
+        paths = _paths(tracked)
         path_count = len(paths)
-        path_tmin = sub[0] if sub else None
+        offset = len(ts) - len(tracked)
+        path_tmin = ts[offset] if tracked else None
         expected = len(analysis.restrictions)
         if path_count != expected:
             failures.append(f"path count {path_count} != "
                             f"{expected} half-branches")
-        if paths:
-            vals = np.stack([p.values for p in paths])
-            offset = len(ts) - len(sub)
-            for k, t in enumerate(sub):
-                for name, series, col in (
-                        ("psi", psi, vals[:, k].min()),
-                        ("psibar", psibar, vals[:, k].max())):
-                    resid = abs(series[offset + k] - col)
-                    if resid > tol * max(1.0, abs(series[offset + k])):
-                        failures.append(
-                            f"{name} residual {resid:.3g} at t={t:.3g} "
-                            f"exceeds {tol:g} * max(1, |{name}|)")
-    else:
-        path_count = 0
+        for k in range(offset, len(ts)) if paths else ():
+            col = [p.values[k - offset] for p in paths]
+            for name, v, c in (("psi", psi[k], np.min(col)),
+                               ("psibar", psibar[k], np.max(col))):
+                resid = abs(v - c)
+                if resid > tol * max(1.0, abs(v)):
+                    failures.append(
+                        f"{name} residual {resid:.3g} at t={ts[k]:.3g} "
+                        f"exceeds {tol:g} * max(1, |{name}|)")
     pred_psi, pred_psibar = _predictions(analysis.classification)
     fit_psi = estimate_exponent(ts, psi, floor)
     fit_psibar = estimate_exponent(ts, psibar, floor)
     _check_fit("psi", fit_psi, pred_psi, slope_tol, r2_min, failures)
     _check_fit("psibar", fit_psibar, pred_psibar, slope_tol, r2_min, failures)
-    return CrosscheckReport(ts=list(map(float, ts)), psi=list(map(float, psi)),
-                            psibar=list(map(float, psibar)), paths=paths,
+    return CrosscheckReport(ts=ts, psi=psi, psibar=psibar, paths=paths,
                             path_tmin=path_tmin,
                             fit_psi=fit_psi, fit_psibar=fit_psibar,
                             predicted_psi=pred_psi,

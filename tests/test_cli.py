@@ -262,3 +262,21 @@ def test_module_invocation():
         capture_output=True, text=True)
     assert proc.returncode == 1
     assert "verdict: excluded" in proc.stdout
+
+
+def test_symbolic_commands_leave_numpy_unimported():
+    code = (
+        "import contextlib, io, sys\n"
+        "import germinv, germinv.cli\n"
+        "germinv.analyze_germ(germinv.parse_poly('x^3 + y^6'))\n"
+        "for argv in (['inv', 'x^3 + y^6'],\n"
+        "             ['compare', 'x^3 + y^6', 'x^2 + y^4'],\n"
+        "             ['branches', '(x^2 - y^3)^2']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        germinv.cli.main(argv)\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        "from germinv import crosscheck, sphere_extrema\n"
+        "assert 'numpy' in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -10,11 +10,14 @@ import pytest
 
 from germinv import (PathCountUnstableError, analyze_germ, crosscheck,
                      parse_poly)
-from germinv.oracle import (compile_poly, critical_paths, estimate_exponent,
-                            sphere_extrema)
+from germinv.oracle import (TWO_PI, _angular_derivative_poly,
+                            _critical_angles, compile_poly, critical_paths,
+                            estimate_exponent, sphere_extrema)
 from germinv.puiseux import axis_branch
 from germinv.tangency import Restriction
 from germinv.invariant import Classification
+
+from conftest import rotate_germ
 
 
 def test_compile_poly_broadcasting():
@@ -46,6 +49,91 @@ def test_sphere_extrema_against_dense_grid(reference_germs, t):
         # and the dense grid resolves the extrema to second order
         assert gmin - e.fmin <= 1e-7 * scale
         assert e.fmax - gmax <= 1e-7 * scale
+
+
+def _scalar_angles(hf, t, grid):
+    """The per-bracket scalar bisection the ladder search replaced."""
+    thetas = np.linspace(0.0, TWO_PI, grid, endpoint=False)
+    vals = hf(t * np.cos(thetas), t * np.sin(thetas))
+    bad = np.nonzero(vals == 0.0)[0]
+    if bad.size:
+        step = TWO_PI / grid
+        thetas = thetas.copy()
+        thetas[bad] += step * 1e-6
+        vals = hf(t * np.cos(thetas), t * np.sin(thetas))
+    out = []
+    for k in range(grid):
+        a, b = thetas[k], thetas[(k + 1) % grid] + (TWO_PI if k + 1 == grid else 0.0)
+        va, vb = vals[k], vals[(k + 1) % grid]
+        if va == 0.0 or va * vb >= 0.0:
+            continue
+        for _ in range(200):
+            m = 0.5 * (a + b)
+            vm = float(hf(t * math.cos(m), t * math.sin(m)))
+            if vm == 0.0:
+                a = b = m
+                break
+            if (vm > 0) == (va > 0):
+                a, va = m, vm
+            else:
+                b = m
+            if b - a < 1e-15:
+                break
+        out.append((0.5 * (a + b)) % TWO_PI)
+    return sorted(out)
+
+
+def test_ladder_angles_match_scalar_bisection(reference_germs):
+    ts = [float(t) for t in np.geomspace(1e-3, 1e-1, 5)]
+    for g, *_ in reference_germs:
+        for f in (g, rotate_germ(g)):
+            hf = compile_poly(_angular_derivative_poly(f))
+            for t, got in zip(ts, _critical_angles(hf, ts, 1024)):
+                want = _scalar_angles(hf, t, 1024)
+                assert len(got) == len(want) > 0
+                assert np.max(np.abs(got - np.array(want))) <= 1e-15
+
+
+def test_bracket_signs_survive_underflow():
+    # |h| ~ t^2 < 1e-180 here: a product test va * vb underflows to 0 and
+    # misses every sign change
+    f = parse_poly("x^2 - x*y + 2*y^2")
+    report = crosscheck(f, analyze_germ(f), tmin=1e-100, tmax=1e-90,
+                        ladder=6, floor=1e-300)
+    assert report.passed, report.failures
+    assert report.path_count == 4
+
+
+@pytest.mark.parametrize("text, tmax", [("x^2 + y^4", 0.1),
+                                        ("(x^2 - y^3)^2", 0.1),
+                                        ("x^2*y + y^4", 0.5)])
+def test_crosscheck_extrema_match_sphere_extrema(text, tmax):
+    # on x^2*y + y^4 up to 0.5 the critical angles move with t, and the top
+    # rung has 4 of them where the others have 6
+    f = parse_poly(text)
+    report = crosscheck(f, analyze_germ(f), tmin=1e-3, tmax=tmax, ladder=8)
+    for k, t in enumerate(report.ts):
+        e = sphere_extrema(f, t)
+        assert (report.psi[k], report.psibar[k]) == (e.fmin, e.fmax)
+
+
+@pytest.mark.parametrize("rotate, tmin", [(False, 1e-4), (True, 1e-8)])
+def test_trimmed_ladder_is_the_stable_top(rotate, tmin):
+    # the rotated double cusp's branches separate like t^(1/2), so its
+    # ladder resolves them down to 1e-4 and needs smaller radii to trim
+    f = (rotate_germ(parse_poly("(x^2 - y^3)^2")) if rotate
+         else parse_poly("x^3 + y^6"))
+    report = crosscheck(f, analyze_germ(f), tmin=tmin)
+    assert report.passed, report.failures
+    cut = report.ts.index(report.path_tmin)
+    assert cut > 0
+    paths = critical_paths(f, report.ts[cut:])
+    assert len(paths) == len(report.paths)
+    for got, want in zip(report.paths, paths):
+        assert np.array_equal(got.thetas, want.thetas)
+        assert np.array_equal(got.values, want.values)
+    with pytest.raises(PathCountUnstableError):
+        critical_paths(f, report.ts[cut - 1:])
 
 
 def test_sphere_extrema_radial():

@@ -14,8 +14,7 @@ is imported on first use of one of its names.
 """
 
 from .bivar import BivarPoly, gcd_bivar, squarefree_part
-from .errors import (BothZeroError, CertificationInconclusiveError,
-                     GermInvError, IndeterminateSignError,
+from .errors import (BothZeroError, GermInvError, IndeterminateSignError,
                      NegativeExponentError, NonVanishingGermError, ParseError,
                      PathCountUnstableError, PrecisionExceededError,
                      ResourceError, TowerDepthExceededError,
@@ -28,7 +27,7 @@ from .parsing import parse_poly, poly_to_string
 from .puiseux import (HalfBranch, NewtonPolygonEdge, PuiseuxSeries,
                       expand_branches, newton_polygon, substitute)
 from .tangency import (ExpansionConfig, Restriction, TangencyCurve,
-                       components, restrict, tangency_poly)
+                       restrict, tangency_poly)
 
 __version__ = "0.1.0"
 
@@ -49,7 +48,7 @@ __all__ = [
     "parse_poly", "poly_to_string",
     "NewtonPolygonEdge", "newton_polygon", "PuiseuxSeries", "HalfBranch",
     "expand_branches", "substitute",
-    "ExpansionConfig", "TangencyCurve", "tangency_poly", "components",
+    "ExpansionConfig", "TangencyCurve", "tangency_poly",
     "Restriction", "restrict",
     "Classification", "GermInvariant", "GermAnalysis", "classify",
     "invariant", "negate", "equivalent_possible", "analyze_germ",
@@ -59,7 +58,6 @@ __all__ = [
     "NegativeExponentError", "BothZeroError", "ZeroInputError",
     "UnitGermError", "NonVanishingGermError", "ResourceError",
     "PrecisionExceededError", "IndeterminateSignError",
-    "TruncationTooSmallError", "CertificationInconclusiveError",
-    "TowerDepthExceededError", "PathCountUnstableError",
+    "TruncationTooSmallError", "TowerDepthExceededError", "PathCountUnstableError",
     "__version__",
 ]

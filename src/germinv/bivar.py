@@ -187,7 +187,8 @@ class BivarPoly:
 
     def shift_down(self, a: int, b: int) -> "BivarPoly":
         """Exact division by x^a * y^b."""
-        assert all(i >= a and j >= b for i, j in self.terms)
+        if not all(i >= a and j >= b for i, j in self.terms):
+            raise RuntimeError("shift_down by a monomial that does not divide")
         return BivarPoly({(i - a, j - b): c for (i, j), c in self.terms.items()})
 
     # -- views ------------------------------------------------------------------------
@@ -217,7 +218,8 @@ class BivarPoly:
         return BivarPoly({(i, 0): c for i, c in enumerate(p.coeffs) if c})
 
     def as_unipoly_in_x(self) -> UniPoly:
-        assert self.deg_y() <= 0
+        if self.deg_y() > 0:
+            raise RuntimeError("as_unipoly_in_x of a polynomial in y")
         n = self.deg_x() + 1
         out = [Fraction(0)] * max(n, 0)
         for (i, _), c in self.terms.items():
@@ -225,7 +227,8 @@ class BivarPoly:
         return UniPoly(out)
 
     def as_unipoly_in_y(self) -> UniPoly:
-        assert self.deg_x() <= 0
+        if self.deg_x() > 0:
+            raise RuntimeError("as_unipoly_in_y of a polynomial in x")
         n = self.deg_y() + 1
         out = [Fraction(0)] * max(n, 0)
         for (_, j), c in self.terms.items():
@@ -320,7 +323,8 @@ def _divide_coeffs(F: list[UniPoly], d: UniPoly) -> list[UniPoly]:
     out = []
     for c in F:
         q, r = c.divmod(d)
-        assert r.is_zero(), "inexact subresultant division"
+        if not r.is_zero():
+            raise RuntimeError("inexact subresultant division")
         out.append(q)
     return out
 
@@ -407,9 +411,11 @@ def divide_exact(p: BivarPoly, d: BivarPoly) -> BivarPoly:
     quot: dict = {}
     while F:
         dF = len(F) - 1
-        assert dF >= dG, "inexact bivariate division"
+        if dF < dG:
+            raise RuntimeError("inexact bivariate division")
         qc, r = F[-1].divmod(lg)
-        assert r.is_zero(), "inexact bivariate division"
+        if not r.is_zero():
+            raise RuntimeError("inexact bivariate division")
         for i, c in enumerate(qc.coeffs):
             if c:
                 quot[(i, dF - dG)] = c

@@ -2,8 +2,8 @@
 
 Everything derives from GermInvError so callers can catch the whole family.
 ResourceError groups the certified give-up conditions: the computation was
-not wrong, it hit a configured bound (refinement bits, truncation order,
-unsupported field extension) and says so instead of guessing.
+not wrong, it hit a configured bound (refinement bits, unsupported field
+extension) and says so instead of guessing.
 """
 
 from __future__ import annotations
@@ -61,11 +61,11 @@ class IndeterminateSignError(PrecisionExceededError):
 
 
 class TruncationTooSmallError(ResourceError):
-    """Series truncation order too small to separate or decide a branch."""
+    """Series truncation order too small to separate or decide a branch.
 
-
-class CertificationInconclusiveError(ResourceError):
-    """Zero-branch certification needed more expansion order than allowed."""
+    Nothing in the exact pipeline raises it: the order of f along a branch is
+    bounded by the intersection degree, which comes from the input.
+    """
 
 
 class TowerDepthExceededError(ResourceError):

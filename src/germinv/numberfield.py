@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import PrecisionExceededError
-from .unipoly import UniPoly, count_real_roots, sturm_sequence, uni_gcd
+from .unipoly import UniPoly, count_real_roots, uni_gcd
 
 
 def _egcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
@@ -46,7 +46,6 @@ class FieldContext:
         self.modulus = modulus.monic()
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
-        self._sturm = None
 
     # -- root interval ------------------------------------------------------
 
@@ -171,9 +170,9 @@ class FieldContext:
             if self._root_of_in_interval(g):
                 raise ZeroDivisionError("inverse of zero extension element")
             q, r = self.modulus.divmod(g)
-            assert r.is_zero()
+            if not r.is_zero():
+                raise RuntimeError("inexact division of the modulus")
             self.modulus = q.monic()
-            self._sturm = None
 
 
 class FieldElement:

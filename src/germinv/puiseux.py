@@ -13,9 +13,11 @@ The expansion is the Newton polygon recursion: pick an edge of slope
 di/dj = -gamma, pick a real root c of its edge polynomial, substitute
 u -> u1^b, z -> u1^a (c + z1) with gamma = a/b in lowest terms, divide by the
 leading power of u1, and repeat until the root is simple; a simple root is
-finished off by quadratic Hensel lifting. All arithmetic is exact: rational,
-or in a single real algebraic extension Q(c) when a leading coefficient is
-irrational. A branch that would need a second nested extension raises
+finished off by quadratic Hensel lifting. Each truncated branch keeps its
+chain of substitutions, so ``leading_term`` can carry another polynomial
+through the same chain. All arithmetic is exact: rational, or in a single
+real algebraic extension Q(c) when a leading coefficient is irrational. A
+branch that would need a second nested extension raises
 TowerDepthExceededError rather than returning anything uncertified.
 
 The parameter exponent e = prod(b_i) is automatically minimal: each level's
@@ -138,9 +140,6 @@ class PuiseuxSeries:
         """(exponent, coefficient) of the lowest term, or None."""
         return self.terms[0] if self.terms else None
 
-    def eval_float(self, s: float) -> float:
-        return sum(float(c) * s**k for k, c in self.terms)
-
     def to_string(self, var: str = "s") -> str:
         if not self.terms:
             return "0"
@@ -173,23 +172,21 @@ class HalfBranch:
     parameter exponent of that coordinate (also the vanishing order of the
     distance to the origin along the branch, since the series coordinate is
     O(s^e)). ``ctx`` is the real algebraic extension the coefficients live
-    in, or None over the rationals.
+    in, or None over the rationals. ``chain`` is the Newton-Puiseux chain
+    that produced a truncated series (the levels, the field and the final
+    simple-root polynomial), or None for an exact parametrization.
     """
 
-    __slots__ = ("chart", "sigma", "e", "x", "y", "ctx", "_extender")
+    __slots__ = ("chart", "sigma", "e", "x", "y", "ctx", "chain")
 
-    def __init__(self, chart, sigma, e, x, y, ctx, extender=None):
+    def __init__(self, chart, sigma, e, x, y, ctx, chain=None):
         self.chart = chart
         self.sigma = sigma
         self.e = e
         self.x = x
         self.y = y
         self.ctx = ctx
-        self._extender = extender
-
-    @property
-    def norm_order(self) -> int:
-        return self.e
+        self.chain = chain
 
     @property
     def exact(self) -> bool:
@@ -210,16 +207,6 @@ class HalfBranch:
         if lead is None or self.chart in ("x-axis", "y-axis", "radial"):
             return None
         return Fraction(lead[0], self.e)
-
-    def extend(self, new_truncation: int) -> "HalfBranch":
-        """Same branch re-expanded so that ``truncation >= new_truncation``."""
-        if self.exact or self.truncation >= new_truncation:
-            return self
-        assert self._extender is not None
-        return self._extender(new_truncation)
-
-    def point_float(self, s: float) -> tuple[float, float]:
-        return self.x.eval_float(s), self.y.eval_float(s)
 
     def describe(self) -> str:
         return (f"{self.chart} side {'+' if self.sigma > 0 else '-'}: "
@@ -302,7 +289,8 @@ def _hensel_tail(p: BivarPoly, n: int):
         if i < n:
             rows[j][i] = c
     drows = [[c * (l + 1) for c in rows[l + 1]] for l in range(d)]
-    assert rows[1][0], "Hensel lifting needs a simple root"
+    if not rows[1][0]:
+        raise RuntimeError("Hensel lifting needs a simple root")
     T = [zero] * n
     prec = 1
     while prec < n:
@@ -329,7 +317,7 @@ class _Leaf:
     def __init__(self, levels, ctx, p):
         self.levels = levels  # [(a, b, c)] per recursion level, gamma = a/b
         self.ctx = ctx
-        self.p = p            # transformed poly for Hensel, or None if exact
+        self.p = p            # simple-root poly of the tail, None if exact
 
 
 def _multiplicity(E: UniPoly, c) -> int:
@@ -384,8 +372,9 @@ def _edge_roots(E: UniPoly, ctx):
         "branch coefficient needs a second algebraic extension")
 
 
-def _transform(q: BivarPoly, a: int, b: int, c) -> BivarPoly:
-    """q(u1^b, u1^a (c + z)) divided by its exact power of u1."""
+def _transform(q: BivarPoly, a: int, b: int, c) -> tuple[int, BivarPoly]:
+    """(v, q(u1^b, u1^a (c + z)) / u1^v) with u1^v the exact power of u1
+    dividing the substituted polynomial."""
     v = min(i * b + j * a for (i, j) in q.terms)
     max_j = q.deg_y()
     cpows = [Fraction(1)]
@@ -399,12 +388,13 @@ def _transform(q: BivarPoly, a: int, b: int, c) -> BivarPoly:
             key = (base, l)
             cur = out.get(key)
             out[key] = t if cur is None else cur + t
-    return BivarPoly(out)
+    return v, BivarPoly(out)
 
 
 def _np_branches(q: BivarPoly, ctx, gamma_min: Fraction, strict: bool,
                  depth: int, levels: list, out: list) -> None:
-    assert depth <= _MAX_DEPTH, "Newton polygon recursion failed to terminate"
+    if depth > _MAX_DEPTH:
+        raise RuntimeError("Newton polygon recursion failed to terminate")
     if q.min_deg_y() >= 1:
         # z = 0 is an exact solution branch ending at this node
         out.append(_Leaf(list(levels), ctx, None))
@@ -418,7 +408,7 @@ def _np_branches(q: BivarPoly, ctx, gamma_min: Fraction, strict: bool,
             continue
         a, b = edge.gamma.numerator, edge.gamma.denominator
         for c_val, mu, new_ctx in _edge_roots(edge.poly, ctx):
-            p1 = _transform(q, a, b, c_val)
+            _, p1 = _transform(q, a, b, c_val)
             new_levels = levels + [(a, b, c_val)]
             if mu == 1:
                 if p1.min_deg_y() >= 1:
@@ -460,10 +450,8 @@ def _assemble(leaf: _Leaf, order: int, chart: str, sigma: int) -> HalfBranch:
         x, y = principal, dep
     else:
         x, y = dep, principal
-    extender = None
-    if not exact:
-        extender = lambda n: _assemble(leaf, n, chart, sigma)
-    return HalfBranch(chart, sigma, e, x, y, leaf.ctx, extender)
+    return HalfBranch(chart, sigma, e, x, y, leaf.ctx,
+                      None if exact else leaf)
 
 
 def _twist_x(p: BivarPoly, sigma: int) -> BivarPoly:
@@ -486,8 +474,8 @@ def _branch_sort_key(b: HalfBranch):
 def expand_branches(curve: BivarPoly, order: int = 24) -> list[HalfBranch]:
     """All real half-branches of the square-free curve at the origin.
 
-    ``order`` is the requested series trust bound in the parameter s (branches
-    can be re-expanded later via ``extend``). The input must be square-free;
+    ``order`` is the series trust bound in the parameter s: the truncated
+    series hold every term below it. The input must be square-free;
     pass it through ``squarefree_part`` first if unsure. Raises UnitGermError
     when the curve does not pass through the origin, ZeroInputError for the
     zero polynomial, and TowerDepthExceededError for branches whose exact
@@ -564,3 +552,56 @@ def substitute(f: BivarPoly, branch: HalfBranch) -> PuiseuxSeries:
                 out[k] = out[k] + c * t[k]
     terms = [(k, v) for k, v in enumerate(out) if v]
     return PuiseuxSeries(terms, None if exact else n, exact)
+
+
+def _truncate(q: BivarPoly, n: int) -> BivarPoly:
+    """q without its terms of u-degree above n."""
+    return BivarPoly({ij: c for ij, c in q.terms.items() if ij[0] <= n})
+
+
+def leading_term(f: BivarPoly, branch: HalfBranch, bound: int):
+    """The lowest term (k, c) of f(x(s), y(s)) = c*s^k + ... along a branch
+    with a truncated parametrization, or None when k would exceed ``bound``.
+
+    f is carried through the branch's own substitution chain: at level
+    (a, b, c) it becomes f(u^b, u^a (c + z)) / u^v, and s^v' with v' = v
+    times the later b's leaves the restriction. Past the chain, the branch
+    is the simple root z = Z(s) of the final polynomial p, and the same
+    substitution is continued along the edge (0,1)-(m,0) of p's Newton
+    polygon, whose root is c = -p[m,0] / p[0,1]. The first nonzero constant
+    term is the leading coefficient. Terms whose s-order exceeds ``bound``
+    cannot reach a lowest term at or below it, so each polynomial is cut
+    above u-degree (bound - order so far) / (s-exponent of u).
+    """
+    q = _twist_x(f.swap_vars() if branch.chart == "x-dominant" else f,
+                 branch.sigma)
+    levels = branch.chain.levels
+    p = branch.chain.p
+    scale = branch.e   # s-exponent of the current u
+    acc = 0            # s-order already divided out
+    k = 0
+    while True:
+        if (0, 0) in q.terms:
+            return acc, q.terms[(0, 0)]
+        if k < len(levels):
+            a, b, c = levels[k]
+            k += 1
+        else:
+            n = bound - acc
+            p = _truncate(p, n)
+            # with no z-free term up to u^n, Z(s) = O(s^(n+1)), and the step
+            # with a = n + 1, c = 0 leaves only q's z-free part to count
+            a = min((i for i, j in p.terms if j == 0), default=n + 1)
+            b = 1
+            c = Fraction(0)
+            if a <= n:
+                c = -p.terms[(a, 0)] * _inv(p.terms[(0, 1)])
+                _, p = _transform(p, a, 1, c)
+        scale //= b
+        v, q = _transform(q, a, b, c)
+        acc += v * scale
+        if acc > bound:
+            return None
+        q = _truncate(q, (bound - acc) // scale)
+        if q.is_zero():
+            return None

@@ -245,7 +245,8 @@ def uni_squarefree(p: UniPoly) -> UniPoly:
     if g.degree == 0:
         return p.monic()
     q, r = p.divmod(g)
-    assert r.is_zero()
+    if not r.is_zero():
+        raise RuntimeError("inexact division by gcd(p, p')")
     return q.monic()
 
 
@@ -434,7 +435,8 @@ def _deflate(p: UniPoly, r: Fraction) -> UniPoly:
     for c in reversed(p.coeffs):
         acc = acc * r + c
         out.append(acc)
-    assert out[-1] == 0, "deflation by a non-root"
+    if out[-1] != 0:
+        raise RuntimeError("deflation by a non-root")
     out.pop()
     return UniPoly(list(reversed(out)))
 

@@ -125,7 +125,7 @@ def test_criterion_6_puiseux_residuals(reference_germs):
 def test_criterion_7_oracle_agreement(reference_germs):
     for f, *_ in reference_germs:
         a = analyze_germ(f)
-        report = crosscheck(f, a)  # slope +/-0.05, r2 >= 0.999, tol 1e-9
+        report = crosscheck(f, a)  # slope +/-0.05, r2 >= 0.999
         assert report.passed, (f.to_string(), report.failures)
         assert report.path_count == len(a.restrictions)
         assert report.fit_psi.all_below_floor == (

@@ -166,20 +166,39 @@ def test_exit_nonvanishing(capsys):
 
 
 def test_exit_resource_limit(capsys):
-    rc, _, err = run(capsys, "inv", "(y - x^2)^2 + x^20",
-                     "--order", "4", "--max-order", "8")
+    # tangency branches y = +-sqrt(2) x + c x^(3/2) + ... need c in a second
+    # algebraic extension
+    rc, _, err = run(capsys, "inv", "(y^2 - 2*x^2)^3 + x^7")
+    assert rc == 3
+    assert "resource limit:" in err
+    assert "second algebraic extension" in err
+    # the leading coefficients of x^3 - 3xy^2 + y^3 along its tangency lines
+    # lie in Q(c), and no refinement bit is allowed to find their signs
+    rc, _, err = run(capsys, "inv", "x^3 - 3*x*y^2 + y^3", "--max-bits", "0")
     assert rc == 3
     assert "resource limit:" in err
 
 
 def test_exit_contradictory_flags(capsys):
-    rc, _, err = run(capsys, "inv", "x^3 + y^6", "--max-order", "8")
+    rc, _, err = run(capsys, "inv", "x^3 + y^6", "--order", "0")
     assert rc == 2
-    assert "--max-order" in err
+    assert "--order" in err
     rc, _, err = run(capsys, "psi", "x^2 + y^4", "--tmin", "0.5",
                      "--tmax", "0.1")
     assert rc == 2
     assert "--tmin" in err
+
+
+def test_exit_empty_radius_band():
+    # a ladder of equal radii has no slope to fit: a flag error, reported
+    # before numpy is reached, with nothing else on stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "germinv.cli", "crosscheck",
+         "x^2 + y^4", "--tmin", "0.01", "--tmax", "0.01"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: need 0 < --tmin < --tmax\n"
 
 
 def test_exit_crosscheck_failure(capsys):

@@ -6,6 +6,8 @@ trust bound, for every branch of every curve tried.
 """
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -102,18 +104,33 @@ def test_hensel_tail_regression():
     assert terms[4] == Fraction(3125, 567)
 
 
-def test_extend_is_prefix_stable():
+def test_truncations_are_prefix_stable():
     f = rotate_germ(parse_poly("-7*y^2 + 6*x^4*y - 3*x^3*y^3"))
     curve = TangencyCurve(f)
     short = [b for b in curve.half_branches(8) if not b.exact]
     long = [b for b in curve.half_branches(25) if not b.exact]
     assert len(short) == len(long) == 2
     for bs, bl in zip(short, long):
-        ext = bs.extend(25)
-        assert ext.truncation >= 25
-        common = min(ext.truncation, bl.truncation)
-        assert {k: c for k, c in ext.y.terms if k < common} == \
-            {k: c for k, c in bl.y.terms if k < common}
+        assert bs.truncation >= 8 and bl.truncation >= 25
+        common = min(bs.truncation, bl.truncation)
+        for cs, cl in ((bs.x, bl.x), (bs.y, bl.y)):
+            assert {k: c for k, c in cs.terms if k < common} == \
+                {k: c for k, c in cl.terms if k < common}
+
+
+def test_hensel_simple_root_check_survives_optimize():
+    # the internal checks are explicit raises, which python -O keeps
+    code = ("import sys\n"
+            "from germinv import parse_poly\n"
+            "from germinv.puiseux import _hensel_tail\n"
+            "try:\n"
+            "    _hensel_tail(parse_poly('y^2 - x^3'), 6)\n"
+            "except RuntimeError as exc:\n"
+            "    print(sys.flags.optimize, exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 Hensel lifting needs a simple root\n"
 
 
 def test_branch_order_deterministic():

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from germinv import (ExpansionConfig, TangencyCurve, parse_poly, restrict,
-                     tangency_poly)
-from germinv.errors import (NonVanishingGermError, TruncationTooSmallError)
+from germinv import (ExpansionConfig, TangencyCurve, analyze_germ, parse_poly,
+                     restrict, tangency_poly)
+from germinv.errors import NonVanishingGermError
 from germinv.oracle import compile_poly
 
 from conftest import random_germ, rotate_germ
@@ -101,17 +101,28 @@ def test_deep_leading_term():
     assert alphas == [2, 2, 20, 20]
 
 
-def test_truncation_budget_certified_failure():
+def test_low_order_leaves_answer_unchanged():
+    # --order only sets the printed series; the leading term at order 20 is
+    # still found from branches truncated at order 4
     f = parse_poly("(y - x^2)^2 + x^20")
-    config = ExpansionConfig(order=4, max_order=8)
+    config = ExpansionConfig(order=4)
     curve = TangencyCurve(f)
-    with pytest.raises(TruncationTooSmallError):
-        for b in curve.half_branches(config.order):
-            restrict(f, b, config, curve)
+    rs = [restrict(f, b, config, curve)
+          for b in curve.half_branches(config.order)]
+    assert any(not r.branch.exact and r.branch.truncation <= 4 for r in rs)
+    assert analyze_germ(f, config).invariant.as_tuple() == (2, 20)
+    assert sorted(r.alpha for r in rs) == [2, 2, 20, 20]
+
+
+def test_sheared_family_matches_unsheared():
+    # (x+y)^n + y^(n+1) is x^n + y^(n+1) after the linear change x -> x - y,
+    # so both must give the same pair at the default config
+    for n in range(3, 13):
+        sheared = analyze_germ(parse_poly(f"(x+y)^{n} + y^{n + 1}"))
+        plain = analyze_germ(parse_poly(f"x^{n} + y^{n + 1}"))
+        assert sheared.invariant == plain.invariant, n
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         ExpansionConfig(order=0)
-    with pytest.raises(ValueError):
-        ExpansionConfig(order=20, max_order=10)

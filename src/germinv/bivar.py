@@ -260,11 +260,6 @@ class BivarPoly:
         return out
 
 
-def diff(p: BivarPoly, var: str) -> BivarPoly:
-    """Partial derivative of p with respect to "x" or "y"."""
-    return p.diff(var)
-
-
 # -- normalization over Q ----------------------------------------------------------------
 
 

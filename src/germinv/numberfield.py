@@ -67,9 +67,6 @@ class FieldContext:
         else:
             self.lo = mid
 
-    def root_float(self) -> float:
-        return float((self.lo + self.hi) / 2)
-
     # -- element construction -------------------------------------------------
 
     def _reduce(self, coeffs) -> tuple:

@@ -13,9 +13,9 @@ The expansion is the Newton polygon recursion: pick an edge of slope
 di/dj = -gamma, pick a real root c of its edge polynomial, substitute
 u -> u1^b, z -> u1^a (c + z1) with gamma = a/b in lowest terms, divide by the
 leading power of u1, and repeat until the root is simple; a simple root is
-finished off by quadratic Hensel lifting. Each truncated branch keeps its
-chain of substitutions, so ``leading_term`` can carry another polynomial
-through the same chain. All arithmetic is exact: rational, or in a single
+finished off by quadratic Hensel lifting, when the series is first read.
+Each branch keeps its chain of substitutions, so ``leading_term`` can carry
+another polynomial through the same chain. All arithmetic is exact: rational, or in a single
 real algebraic extension Q(c) when a leading coefficient is irrational. A
 branch that would need a second nested extension raises
 TowerDepthExceededError rather than returning anything uncertified.
@@ -173,40 +173,57 @@ class HalfBranch:
     distance to the origin along the branch, since the series coordinate is
     O(s^e)). ``ctx`` is the real algebraic extension the coefficients live
     in, or None over the rationals. ``chain`` is the Newton-Puiseux chain
-    that produced a truncated series (the levels, the field and the final
-    simple-root polynomial), or None for an exact parametrization.
+    that produced the branch (the levels, the field and the final
+    simple-root polynomial), or None for a line. The series x and y are
+    computed from the chain when first read, to the trust bound ``order``:
+    the order of f along the branch is read from the chain itself
+    (``leading_term``), so only printing and residual checks need them.
     """
 
-    __slots__ = ("chart", "sigma", "e", "x", "y", "ctx", "chain")
+    __slots__ = ("chart", "sigma", "e", "ctx", "chain", "order", "_xy")
 
-    def __init__(self, chart, sigma, e, x, y, ctx, chain=None):
+    def __init__(self, chart, sigma, e, x, y, ctx, chain=None, order=None):
         self.chart = chart
         self.sigma = sigma
         self.e = e
-        self.x = x
-        self.y = y
         self.ctx = ctx
         self.chain = chain
+        self.order = order
+        self._xy = None if chain is not None else (x, y)
+
+    @property
+    def x(self) -> PuiseuxSeries:
+        return self._series()[0]
+
+    @property
+    def y(self) -> PuiseuxSeries:
+        return self._series()[1]
+
+    def _series(self):
+        if self._xy is None:
+            dep = _dependent(self.chain, self.order)
+            principal = PuiseuxSeries(((self.e, Fraction(self.sigma)),),
+                                      None, True)
+            self._xy = ((principal, dep) if self.chart == "y-dominant"
+                        else (dep, principal))
+        return self._xy
 
     @property
     def exact(self) -> bool:
-        return self.x.exact and self.y.exact
+        return self.chain is None or self.chain.p is None
 
     @property
     def truncation(self):
-        ts = [c.truncation for c in (self.x, self.y) if c.truncation is not None]
-        return min(ts) if ts else None
-
-    def dependent(self) -> PuiseuxSeries:
-        """The series coordinate (x in x-dominant charts, else y)."""
-        return self.x if self.chart == "x-dominant" else self.y
-
-    def gamma(self):
-        """Leading exponent of the dependent coordinate over e, or None."""
-        lead = self.dependent().lead()
-        if lead is None or self.chart in ("x-axis", "y-axis", "radial"):
+        if self.exact:
             return None
-        return Fraction(lead[0], self.e)
+        return max(self.order, self.chain.shift + 1)
+
+    def extend(self, order: int) -> "HalfBranch":
+        """The same branch with its series trusted to at least ``order``."""
+        if self.exact or self.order >= order:
+            return self
+        return HalfBranch(self.chart, self.sigma, self.e, None, None,
+                          self.ctx, self.chain, order)
 
     def describe(self) -> str:
         return (f"{self.chart} side {'+' if self.sigma > 0 else '-'}: "
@@ -312,12 +329,26 @@ def _hensel_tail(p: BivarPoly, n: int):
 
 
 class _Leaf:
-    __slots__ = ("levels", "ctx", "p")
+    """Where the recursion ends a branch: the levels (a, b, c) with
+    gamma = a/b, the field, the simple-root polynomial of the tail (None if
+    the branch is exact), e = prod(b), and the dependent coordinate's terms
+    from the levels, the last of them at s-exponent ``shift``."""
+
+    __slots__ = ("levels", "ctx", "p", "e", "head", "shift")
 
     def __init__(self, levels, ctx, p):
-        self.levels = levels  # [(a, b, c)] per recursion level, gamma = a/b
+        self.levels = levels
         self.ctx = ctx
-        self.p = p            # simple-root poly of the tail, None if exact
+        self.p = p
+        self.e = prod(b for _, b, _ in levels)
+        # level i's exponent step in s-units is a_i * prod(b_m, m > i)
+        self.head = {}
+        self.shift = 0
+        rest = self.e
+        for a, b, c in levels:
+            rest //= b
+            self.shift += a * rest
+            self.head[self.shift] = c
 
 
 def _multiplicity(E: UniPoly, c) -> int:
@@ -420,38 +451,19 @@ def _np_branches(q: BivarPoly, ctx, gamma_min: Fraction, strict: bool,
                              depth + 1, new_levels, out)
 
 
-def _assemble(leaf: _Leaf, order: int, chart: str, sigma: int) -> HalfBranch:
-    bs = [b for _, b, _ in leaf.levels]
-    e = prod(bs)
-    # suffix products: level i's exponent step in s-units is a_i * prod(b_m, m>i)
-    suffix = [1] * (len(bs) + 1)
-    for i in range(len(bs) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * bs[i]
-    terms = {}
-    shift = 0
-    for idx, (a, _, c) in enumerate(leaf.levels):
-        shift += a * suffix[idx + 1]
-        terms[shift] = c
+def _dependent(leaf: _Leaf, order: int) -> PuiseuxSeries:
+    """The series coordinate of a leaf's branch, Hensel-lifted so that every
+    term below ``order`` is present."""
+    terms = dict(leaf.head)
     if leaf.p is None:
-        trunc = None
-        exact = True
-    else:
-        n_tail = order - shift
-        if n_tail >= 2:
-            T = _hensel_tail(leaf.p, n_tail)
-            for k in range(1, n_tail):
-                if T[k]:
-                    terms[shift + k] = T[k]
-        trunc = shift + max(n_tail, 1)
-        exact = False
-    dep = PuiseuxSeries(terms.items(), trunc, exact)
-    principal = PuiseuxSeries(((e, Fraction(sigma)),), None, True)
-    if chart == "y-dominant":
-        x, y = principal, dep
-    else:
-        x, y = dep, principal
-    return HalfBranch(chart, sigma, e, x, y, leaf.ctx,
-                      None if exact else leaf)
+        return PuiseuxSeries(terms.items(), None, True)
+    n_tail = order - leaf.shift
+    if n_tail >= 2:
+        T = _hensel_tail(leaf.p, n_tail)
+        for k in range(1, n_tail):
+            if T[k]:
+                terms[leaf.shift + k] = T[k]
+    return PuiseuxSeries(terms.items(), leaf.shift + max(n_tail, 1), False)
 
 
 def _twist_x(p: BivarPoly, sigma: int) -> BivarPoly:
@@ -462,12 +474,11 @@ def _twist_x(p: BivarPoly, sigma: int) -> BivarPoly:
 
 
 def _branch_sort_key(b: HalfBranch):
-    g = b.gamma()
-    lead = b.dependent().lead()
-    return (CHART_RANK[b.chart],
-            float(g) if g is not None else 0.0,
-            -b.sigma,
-            float(lead[1]) if lead else 0.0,
+    # the dependent coordinate leads with c0 s^(e*gamma), gamma = a0/b0
+    if b.chain is None or not b.chain.levels:
+        return (CHART_RANK[b.chart], 0.0, -b.sigma, 0.0, b.e)
+    a, b0, c = b.chain.levels[0]
+    return (CHART_RANK[b.chart], float(Fraction(a, b0)), -b.sigma, float(c),
             b.e)
 
 
@@ -475,7 +486,8 @@ def expand_branches(curve: BivarPoly, order: int = 24) -> list[HalfBranch]:
     """All real half-branches of the square-free curve at the origin.
 
     ``order`` is the series trust bound in the parameter s: the truncated
-    series hold every term below it. The input must be square-free;
+    series hold every term below it (they are lifted when first read). The
+    input must be square-free;
     pass it through ``squarefree_part`` first if unsure. Raises UnitGermError
     when the curve does not pass through the origin, ZeroInputError for the
     zero polynomial, and TowerDepthExceededError for branches whose exact
@@ -498,15 +510,15 @@ def expand_branches(curve: BivarPoly, order: int = 24) -> list[HalfBranch]:
             leaves: list[_Leaf] = []
             _np_branches(_twist_x(p, sigma), None, Fraction(1), False,
                          0, [], leaves)
-            branches += [_assemble(lf, order, "y-dominant", sigma)
-                         for lf in leaves]
+            branches += [HalfBranch("y-dominant", sigma, lf.e, None, None,
+                                    lf.ctx, lf, order) for lf in leaves]
         psw = p.swap_vars()
         for sigma in (1, -1):
             leaves = []
             _np_branches(_twist_x(psw, sigma), None, Fraction(1), True,
                          0, [], leaves)
-            branches += [_assemble(lf, order, "x-dominant", sigma)
-                         for lf in leaves]
+            branches += [HalfBranch("x-dominant", sigma, lf.e, None, None,
+                                    lf.ctx, lf, order) for lf in leaves]
     branches.sort(key=_branch_sort_key)
     return branches
 

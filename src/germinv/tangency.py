@@ -32,9 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-# gcd_bivar is unused here, but perfbench/run.py traces the gcd layer under
-# the name germinv.tangency.gcd_bivar, and a missing name drops that layer
-from .bivar import BivarPoly, gcd_bivar, squarefree_part  # noqa: F401
+from .bivar import BivarPoly, gcd_bivar, squarefree_part
 from .errors import (IndeterminateSignError, NonVanishingGermError,
                      PrecisionExceededError)
 from .puiseux import (HalfBranch, expand_branches, leading_term,
@@ -143,6 +141,8 @@ def restrict(f: BivarPoly, branch: HalfBranch,
     config = config or ExpansionConfig()
     if branch.exact:
         lead = substitute(f, branch).lead()
+    elif f.is_zero():
+        lead = None
     else:
         if curve is None:
             curve = TangencyCurve(f)
@@ -153,3 +153,21 @@ def restrict(f: BivarPoly, branch: HalfBranch,
     k, c = lead
     return Restriction(_lead_sign(c, config.max_bits), Fraction(k, branch.e),
                        branch)
+
+
+def certify_zero_branch(f: BivarPoly, branch: HalfBranch,
+                        curve: TangencyCurve | None = None) -> bool:
+    """Does f vanish identically along the half-branch?
+
+    Exact parametrizations are decided by exact substitution. Otherwise the
+    branch lies on the reduced tangency curve of f, and f vanishes on it iff
+    the branch lies in a common component of the two curves: with
+    g = gcd(f, h_sf), iff g has no term along the branch up to the
+    intersection bound deg g * deg h_sf.
+    """
+    if branch.exact or f.is_zero():
+        return not substitute(f, branch).terms
+    curve = curve or TangencyCurve(f)
+    g = gcd_bivar(f, curve.h_sf)
+    bound = g.total_degree() * curve.h_sf.total_degree()
+    return leading_term(g, branch, bound) is None

@@ -50,10 +50,6 @@ class UniPoly:
     def constant(c) -> "UniPoly":
         return UniPoly([c])
 
-    @staticmethod
-    def variable() -> "UniPoly":
-        return UniPoly([Fraction(0), Fraction(1)])
-
     # -- shape --------------------------------------------------------------
 
     @property
@@ -148,12 +144,6 @@ class UniPoly:
             return UniPoly()
         return UniPoly([a * c for a in self.coeffs])
 
-    def shift_up(self, k: int) -> "UniPoly":
-        """Multiply by t^k."""
-        if not self.coeffs:
-            return UniPoly()
-        return UniPoly([Fraction(0)] * k + self.coeffs)
-
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         """Euclidean division; coefficient type must support exact division."""
         if other.is_zero():
@@ -213,14 +203,6 @@ class UniPoly:
             cands = (mlo * lo, mlo * hi, mhi * lo, mhi * hi)
             mlo, mhi = min(cands) + c, max(cands) + c
         return mlo, mhi
-
-    def compose_linear(self, a: Fraction, b: Fraction) -> "UniPoly":
-        """p(a*t + b)."""
-        res = UniPoly()
-        lin = UniPoly([b, a])
-        for c in reversed(self.coeffs):
-            res = res * lin + UniPoly.constant(c)
-        return res
 
 
 # -- gcd and square-free part ------------------------------------------------
@@ -372,11 +354,6 @@ class AlgebraicReal:
                 return coeff_sign(self.lo)
         raise PrecisionExceededError(
             f"sign undecided after {max_bits} refinement bits")
-
-
-def sign_of(a: AlgebraicReal, max_bits: int = 256) -> int:
-    """Certified sign of an isolated real algebraic number."""
-    return a.sign(max_bits=max_bits)
 
 
 # -- rational root extraction --------------------------------------------------

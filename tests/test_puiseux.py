@@ -104,7 +104,7 @@ def test_hensel_tail_regression():
     assert terms[4] == Fraction(3125, 567)
 
 
-def test_truncations_are_prefix_stable():
+def test_extend_is_prefix_stable():
     f = rotate_germ(parse_poly("-7*y^2 + 6*x^4*y - 3*x^3*y^3"))
     curve = TangencyCurve(f)
     short = [b for b in curve.half_branches(8) if not b.exact]
@@ -112,10 +112,13 @@ def test_truncations_are_prefix_stable():
     assert len(short) == len(long) == 2
     for bs, bl in zip(short, long):
         assert bs.truncation >= 8 and bl.truncation >= 25
-        common = min(bs.truncation, bl.truncation)
-        for cs, cl in ((bs.x, bl.x), (bs.y, bl.y)):
-            assert {k: c for k, c in cs.terms if k < common} == \
-                {k: c for k, c in cl.terms if k < common}
+        ext = bs.extend(25)
+        assert ext.truncation >= 25
+        for a, b in ((bs, bl), (ext, bl)):
+            common = min(a.truncation, b.truncation)
+            for ca, cb in ((a.x, b.x), (a.y, b.y)):
+                assert {k: c for k, c in ca.terms if k < common} == \
+                    {k: c for k, c in cb.terms if k < common}
 
 
 def test_hensel_simple_root_check_survives_optimize():
@@ -138,6 +141,19 @@ def test_branch_order_deterministic():
     a = [b.describe() for b in expand_branches(p)]
     b = [b.describe() for b in expand_branches(p)]
     assert a == b
+
+
+def test_branch_order_by_chart_gamma_side_and_coefficient():
+    # y-dominant rows sort by gamma = (exponent of y's lead) / e, then the
+    # side sigma = +1 first, then the leading coefficient of y
+    p = parse_poly("x*(y - x^2)*(y + x^2)*(y^2 - x^3 - x^4)")
+    got = [(b.chart, b.sigma, Fraction(b.y.lead()[0], b.e), b.y.lead()[1])
+           for b in expand_branches(p)]
+    half = Fraction(3, 2)
+    assert got == [("y-axis", 1, 1, 1), ("y-axis", -1, 1, -1),
+                   ("y-dominant", 1, half, -1), ("y-dominant", 1, half, 1),
+                   ("y-dominant", 1, 2, -1), ("y-dominant", 1, 2, 1),
+                   ("y-dominant", -1, 2, -1), ("y-dominant", -1, 2, 1)]
 
 
 def residual_is_zero(curve: BivarPoly, order: int = 18) -> bool:

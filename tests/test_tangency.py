@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from germinv import (ExpansionConfig, TangencyCurve, analyze_germ, parse_poly,
-                     restrict, tangency_poly)
+from germinv import (BivarPoly, ExpansionConfig, TangencyCurve, analyze_germ,
+                     parse_poly, restrict, tangency_poly)
 from germinv.errors import NonVanishingGermError
 from germinv.oracle import compile_poly
+from germinv.tangency import certify_zero_branch
 
 from conftest import random_germ, rotate_germ
 
@@ -88,6 +89,29 @@ def test_zero_branch_certified():
                   for b in curve.half_branches(config.order)
                   if b.chart == "x-dominant"]
     assert zero_kinds == [0, 0]
+
+
+def test_certify_zero_branch_agrees_with_restrict():
+    # y^2 = x^3 + x^4 has no finite parametrization, so its branches inside
+    # the zero set of the first germ are truncated, and so are the four
+    # others, on which gcd(f, h_sf) does not vanish; the second germ has no
+    # zero branch, and gcd(f, h_sf) is constant
+    config = ExpansionConfig()
+    for text, zeros in (("(y^2 - x^3 - x^4)^2 * (x - y^2)", 2),
+                        ("(y - x^2)^2 + x^20", 0)):
+        f = parse_poly(text)
+        curve = TangencyCurve(f)
+        got = []
+        for b in curve.half_branches(config.order):
+            certified = certify_zero_branch(f, b, curve)
+            assert certified == (restrict(f, b, config, curve).sign == 0)
+            got += [b.exact] if certified else []
+        assert got == [False] * zeros, text
+    # the zero polynomial vanishes on every branch, truncated or not
+    zero = BivarPoly({})
+    for b in curve.half_branches(config.order):
+        assert restrict(zero, b, config, curve).sign == 0
+        assert certify_zero_branch(zero, b, curve)
 
 
 def test_deep_leading_term():

@@ -21,9 +21,8 @@ from .errors import (BothZeroError, GermInvError, IndeterminateSignError,
                      TruncationTooSmallError, UnitGermError,
                      UnknownVariableError, ZeroInputError)
 from .invariant import (Classification, GermAnalysis, GermInvariant,
-                        analyze_germ, classify, equivalent_possible,
-                        invariant, negate)
-from .parsing import parse_poly, poly_to_string
+                        analyze_germ, equivalent_possible, invariant)
+from .parsing import parse_poly
 from .puiseux import (HalfBranch, NewtonPolygonEdge, PuiseuxSeries,
                       expand_branches, newton_polygon, substitute)
 from .tangency import (ExpansionConfig, Restriction, TangencyCurve,
@@ -45,13 +44,13 @@ def __getattr__(name):
 
 __all__ = [
     "BivarPoly", "gcd_bivar", "squarefree_part",
-    "parse_poly", "poly_to_string",
+    "parse_poly",
     "NewtonPolygonEdge", "newton_polygon", "PuiseuxSeries", "HalfBranch",
     "expand_branches", "substitute",
     "ExpansionConfig", "TangencyCurve", "tangency_poly",
     "Restriction", "restrict",
-    "Classification", "GermInvariant", "GermAnalysis", "classify",
-    "invariant", "negate", "equivalent_possible", "analyze_germ",
+    "Classification", "GermInvariant", "GermAnalysis", "invariant",
+    "equivalent_possible", "analyze_germ",
     "SphereExtrema", "sphere_extrema", "FitResult", "estimate_exponent",
     "CriticalPath", "critical_paths", "CrosscheckReport", "crosscheck",
     "GermInvError", "ParseError", "UnknownVariableError",

@@ -238,6 +238,7 @@ class BivarPoly:
     # -- printing ---------------------------------------------------------------------
 
     def to_string(self) -> str:
+        """Render in the input grammar, terms in ascending total degree."""
         if not self.terms:
             return "0"
         parts = []

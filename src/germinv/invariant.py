@@ -60,6 +60,7 @@ class GermInvariant:
         self.hi = hi
 
     def negate(self) -> "GermInvariant":
+        """The invariant of -f given the invariant of f."""
         return GermInvariant(-self.hi, -self.lo)
 
     def as_tuple(self) -> tuple[Fraction, Fraction]:
@@ -75,11 +76,6 @@ class GermInvariant:
 
     def __repr__(self):
         return f"GermInvariant(({self.lo}, {self.hi}))"
-
-
-def classify(restrictions: list[Restriction]) -> Classification:
-    """Group per-branch restrictions into the K-/K0/K+ sign classes."""
-    return Classification(restrictions)
 
 
 def invariant(classification: Classification) -> GermInvariant:
@@ -98,11 +94,6 @@ def invariant(classification: Classification) -> GermInvariant:
     if km:
         return GermInvariant(-km[0], -km[-1])
     return GermInvariant(0, 0)
-
-
-def negate(v: GermInvariant) -> GermInvariant:
-    """The invariant of -f given the invariant of f."""
-    return v.negate()
 
 
 def equivalent_possible(vf: GermInvariant, vg: GermInvariant) -> str:
@@ -135,5 +126,5 @@ def analyze_germ(f: BivarPoly,
     curve = TangencyCurve(f)
     branches = curve.half_branches(config.order)
     restrictions = [restrict(f, b, config, curve) for b in branches]
-    cls = classify(restrictions)
+    cls = Classification(restrictions)
     return GermAnalysis(f, curve, restrictions, cls, invariant(cls))

@@ -1,28 +1,29 @@
 """Arithmetic in a single real algebraic extension Q(c).
 
-A ``FieldContext`` fixes a monic square-free modulus m over Q together with an
-isolating interval that pins down which real root c is meant. Elements are
+A ``FieldContext`` is the real algebraic number c itself (a
+``unipoly.AlgebraicReal``: monic square-free defining polynomial m over Q and
+an isolating interval) plus reduction and inversion mod m. Elements are
 polynomials in c of degree < deg m, reduced mod m. This is all the field
 structure branch expansion ever needs: one adjoined root per branch, with
 
-* certified zero tests (gcd with the modulus + a Sturm root count on the
-  isolating interval, never numerics),
-* certified signs (exact interval Horner refined by bisection, with a bit
-  budget),
-* division (extended Euclid; if the modulus turns out reducible and a zero
-  divisor appears, the modulus is replaced by its factor that still has c as
-  a root, which changes no element's value).
+* certified zero tests and signs, both asked of c as questions about a
+  polynomial over Q at c: ``AlgebraicReal.is_root_of`` (gcd with m and a
+  Sturm count on the isolating interval, never numerics) and
+  ``AlgebraicReal.enclose`` (exact interval Horner refined by bisection,
+  with a bit budget), which also gives every rational bound and float,
+* division (extended Euclid; if m turns out reducible and a zero divisor
+  appears, m is replaced by its factor that still has c as a root, which
+  changes no element's value).
 
-The modulus is kept square-free but is not factored into irreducibles; the
-isolating interval does the job of choosing the root.
+m is kept square-free but is not factored into irreducibles; the isolating
+interval does the job of choosing the root.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import PrecisionExceededError
-from .unipoly import UniPoly, count_real_roots, uni_gcd
+from .unipoly import AlgebraicReal, UniPoly
 
 
 def _egcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
@@ -39,40 +40,21 @@ def _egcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     return r0.scale(1 / lc), u0.scale(1 / lc)
 
 
-class FieldContext:
-    """The field Q(c) for one isolated real root c of a square-free modulus."""
+class FieldContext(AlgebraicReal):
+    """The field Q(c) for one isolated real root c of a square-free modulus:
+    c as an ``AlgebraicReal``, whose ``defining`` polynomial is the modulus."""
+
+    __slots__ = ()
 
     def __init__(self, modulus: UniPoly, lo: Fraction, hi: Fraction):
-        self.modulus = modulus.monic()
-        self.lo = Fraction(lo)
-        self.hi = Fraction(hi)
-
-    # -- root interval ------------------------------------------------------
-
-    def is_degenerate(self) -> bool:
-        """True when the root collapsed to an exact rational."""
-        return self.lo == self.hi
-
-    def refine_root(self) -> None:
-        if self.lo == self.hi:
-            return
-        mid = (self.lo + self.hi) / 2
-        v = self.modulus.eval(mid)
-        if v == 0:
-            self.lo = self.hi = mid
-            return
-        vlo = self.modulus.eval(self.lo)
-        if (v > 0) != (vlo > 0):
-            self.hi = mid
-        else:
-            self.lo = mid
+        super().__init__(modulus.monic(), lo, hi)
 
     # -- element construction -------------------------------------------------
 
     def _reduce(self, coeffs) -> tuple:
         p = UniPoly(coeffs)
-        if p.degree >= self.modulus.degree:
-            p = p % self.modulus
+        if p.degree >= self.defining.degree:
+            p = p % self.defining
         return tuple(p.coeffs)
 
     def element(self, coeffs) -> "FieldElement":
@@ -91,85 +73,26 @@ class FieldContext:
             return x
         return self.from_rational(x)
 
-    # -- certified queries -----------------------------------------------------
-
-    def _root_of_in_interval(self, g: UniPoly) -> bool:
-        """Does g (a divisor of the modulus) vanish at c?"""
-        if self.is_degenerate():
-            return g.eval(self.lo) == 0
-        return count_real_roots(g, self.lo, self.hi) > 0
-
-    def value_is_zero(self, coeffs: tuple) -> bool:
-        if not coeffs:
-            return True
-        if len(coeffs) == 1:
-            return coeffs[0] == 0
-        if self.is_degenerate():
-            return UniPoly(coeffs).eval(self.lo) == 0
-        lo, hi = UniPoly(coeffs).eval_interval(self.lo, self.hi)
-        if lo > 0 or hi < 0:
-            return False
-        g = uni_gcd(UniPoly(coeffs), self.modulus)
-        if g.degree < 1:
-            return False
-        return self._root_of_in_interval(g)
-
-    def value_sign(self, coeffs: tuple, max_bits: int = 256) -> int:
-        if self.value_is_zero(coeffs):
-            return 0
-        p = UniPoly(coeffs)
-        if self.is_degenerate():
-            v = p.eval(self.lo)
-            return 1 if v > 0 else -1
-        for _ in range(max_bits):
-            lo, hi = p.eval_interval(self.lo, self.hi)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            self.refine_root()
-            if self.is_degenerate():
-                v = p.eval(self.lo)
-                return 1 if v > 0 else -1
-        raise PrecisionExceededError(
-            f"sign of extension element undecided within {max_bits} bits")
-
-    def value_interval(self, coeffs: tuple, width: Fraction,
-                       max_bits: int = 4096) -> tuple[Fraction, Fraction]:
-        p = UniPoly(coeffs)
-        if self.is_degenerate():
-            v = p.eval(self.lo)
-            return v, v
-        for _ in range(max_bits):
-            lo, hi = p.eval_interval(self.lo, self.hi)
-            if hi - lo <= width:
-                return lo, hi
-            self.refine_root()
-            if self.is_degenerate():
-                v = p.eval(self.lo)
-                return v, v
-        raise PrecisionExceededError("interval refinement budget exhausted")
-
     def invert(self, coeffs: tuple) -> tuple:
         """Coefficients of 1/A(c); A must be certified nonzero by the caller."""
         while True:
             a = UniPoly(coeffs)
-            if a.degree >= self.modulus.degree:
-                a = a % self.modulus
+            if a.degree >= self.defining.degree:
+                a = a % self.defining
             if a.is_zero():
                 raise ZeroDivisionError("inverse of zero extension element")
-            g, u = _egcd(a, self.modulus)
+            g, u = _egcd(a, self.defining)
             if g.degree == 0:
-                inv = u.scale(1 / g.coeffs[0]) % self.modulus
+                inv = u.scale(1 / g.coeffs[0]) % self.defining
                 return tuple(inv.coeffs)
             # zero divisor: the modulus is reducible. c is a root of exactly
             # one of g, modulus/g; keep that factor and retry.
-            if self._root_of_in_interval(g):
+            if self.is_root_of(g):
                 raise ZeroDivisionError("inverse of zero extension element")
-            q, r = self.modulus.divmod(g)
+            q, r = self.defining.divmod(g)
             if not r.is_zero():
                 raise RuntimeError("inexact division of the modulus")
-            self.modulus = q.monic()
+            self.defining = q.monic()
 
 
 class FieldElement:
@@ -186,14 +109,17 @@ class FieldElement:
 
     def is_zero(self) -> bool:
         if self._zero_known is None:
-            self._zero_known = self.ctx.value_is_zero(self.coeffs)
+            self._zero_known = self.ctx.is_root_of(UniPoly(self.coeffs))
         return self._zero_known
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def sign(self, max_bits: int = 256) -> int:
-        return self.ctx.value_sign(self.coeffs, max_bits=max_bits)
+        if self.is_zero():
+            return 0
+        lo, _ = self.interval(max_bits=max_bits)
+        return 1 if lo > 0 else -1
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -239,30 +165,10 @@ class FieldElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.ctx.from_rational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero extension element")
         return FieldElement(self.ctx, self.ctx.invert(self.coeffs))
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return self * self.ctx.coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
 
     # -- numeric views -------------------------------------------------------------
 
@@ -272,12 +178,15 @@ class FieldElement:
             return Fraction(0)
         if len(self.coeffs) == 1:
             return self.coeffs[0]
-        if self.ctx.is_degenerate():
+        if self.ctx.is_rational():
             return UniPoly(self.coeffs).eval(self.ctx.lo)
         return None
 
-    def interval(self, width: Fraction = Fraction(1, 2**40)) -> tuple[Fraction, Fraction]:
-        return self.ctx.value_interval(self.coeffs, width)
+    def interval(self, width: Fraction | None = None,
+                 max_bits: int = 4096) -> tuple[Fraction, Fraction]:
+        """Rational bounds on the value, at most ``width`` apart, or, with
+        no width, excluding 0 (the element must be nonzero)."""
+        return self.ctx.enclose(UniPoly(self.coeffs), width, max_bits)
 
     def __float__(self) -> float:
         lo, hi = self.interval(Fraction(1, 2**60))
@@ -291,15 +200,8 @@ class FieldElement:
         """Positive rational lower bound on |value|; element must be nonzero."""
         if self.is_zero():
             raise ZeroDivisionError("no positive lower bound for zero")
-        width = Fraction(1, 4)
-        for _ in range(4096):
-            lo, hi = self.interval(width)
-            if lo > 0:
-                return lo
-            if hi < 0:
-                return -hi
-            width /= 16
-        raise PrecisionExceededError("could not bound element away from zero")
+        lo, hi = self.interval()
+        return lo if lo > 0 else -hi
 
     def __repr__(self) -> str:
         poly = UniPoly(self.coeffs).to_string("c")

@@ -131,7 +131,3 @@ def parse_poly(text: str) -> BivarPoly:
         raise ParseError(f"unexpected character {text[s.pos]!r}", s.pos)
     return out
 
-
-def poly_to_string(p: BivarPoly) -> str:
-    """Render in the input grammar, terms in ascending total degree."""
-    return p.to_string()

@@ -365,42 +365,41 @@ def _multiplicity(E: UniPoly, c) -> int:
 def _edge_roots(E: UniPoly, ctx):
     """Real roots of an edge polynomial: list of (value, multiplicity, ctx).
 
-    Over Q an irrational root opens a fresh extension Q(c). Inside an
-    existing extension only roots expressible in that field are usable; a
-    branch that needs more raises TowerDepthExceededError.
+    Over Q, and inside Q(c) when every coefficient is rational, the roots
+    come from one isolation: a rational root is used as is, and an
+    irrational one opens a fresh extension Q(c) over Q but needs a second
+    extension inside Q(c). With irrational coefficients only a root in Q(c)
+    itself is usable: the square-free part must be linear, or have no real
+    root at all. A branch that needs more raises TowerDepthExceededError.
     """
-    if ctx is None:
-        out = []
-        for r in isolate_real_roots(uni_squarefree(E)):
-            if r.is_rational():
-                out.append((r.lo, _multiplicity(E, r.lo), None))
-            else:
-                new_ctx = FieldContext(r.defining, r.lo, r.hi)
-                gen = new_ctx.generator()
-                out.append((gen, _multiplicity(E, gen), new_ctx))
-        return out
-    coeffs = [c if isinstance(c, FieldElement) else ctx.from_rational(c)
-              for c in E.coeffs]
-    rats = [c.as_rational() for c in coeffs]
-    if all(q is not None for q in rats):
-        Eq = UniPoly(rats)
-        out = []
-        for r in isolate_real_roots(uni_squarefree(Eq)):
-            if not r.is_rational():
-                raise TowerDepthExceededError(
-                    "branch coefficient needs a second algebraic extension")
-            out.append((r.lo, _multiplicity(Eq, r.lo), ctx))
-        return out
-    Ef = UniPoly(coeffs)
-    red = uni_squarefree(Ef)
-    if red.degree == 1:
-        c_val = -red.coeffs[0]  # red is monic
-        return [(c_val, _multiplicity(Ef, c_val), ctx)]
-    bound = cauchy_bound(red)
-    if count_real_roots(red, -bound, bound) == 0:
-        return []
-    raise TowerDepthExceededError(
-        "branch coefficient needs a second algebraic extension")
+    if ctx is not None:
+        coeffs = [c if isinstance(c, FieldElement) else ctx.from_rational(c)
+                  for c in E.coeffs]
+        rats = [c.as_rational() for c in coeffs]
+        if any(q is None for q in rats):
+            Ef = UniPoly(coeffs)
+            red = uni_squarefree(Ef)
+            if red.degree == 1:
+                c_val = -red.coeffs[0]  # red is monic
+                return [(c_val, _multiplicity(Ef, c_val), ctx)]
+            bound = cauchy_bound(red)
+            if count_real_roots(red, -bound, bound) == 0:
+                return []
+            raise TowerDepthExceededError(
+                "branch coefficient needs a second algebraic extension")
+        E = UniPoly(rats)
+    out = []
+    for r in isolate_real_roots(E):
+        if r.is_rational():
+            out.append((r.lo, _multiplicity(E, r.lo), ctx))
+        elif ctx is None:
+            new_ctx = FieldContext(r.defining, r.lo, r.hi)
+            gen = new_ctx.generator()
+            out.append((gen, _multiplicity(E, gen), new_ctx))
+        else:
+            raise TowerDepthExceededError(
+                "branch coefficient needs a second algebraic extension")
+    return out
 
 
 def _transform(q: BivarPoly, a: int, b: int, c) -> tuple[int, BivarPoly]:

@@ -1,15 +1,23 @@
 """Dense univariate polynomials over exact coefficients, Sturm sequences,
 real root isolation, and interval-refinable real algebraic numbers.
 
+``AlgebraicReal`` is germinv's one representation of a real algebraic number
+(a defining polynomial over Q plus an isolating interval). Isolation returns
+it, and ``numberfield.FieldContext`` is one, for the generator of Q(c). Only
+its own methods refine the interval: ``refine_step`` bisects, and
+``enclose`` is the loop that bisects until a bound on p(a) is decided.
+
 Coefficients are ``fractions.Fraction`` throughout the public API. The same
 ``UniPoly`` container is reused internally with coefficients in a simple real
 extension field (see ``numberfield``); every routine that needs it only uses
-``+ - * /``, truth testing (certified nonzero), and ``coeff_sign``.
+``+ - *``, ``inverse()``, truth testing (certified nonzero), and
+``coeff_sign``.
 
 Zero-or-not questions are decided exactly: a quantity is declared zero only
 when the coefficient type proves it (``Fraction == 0``, or the extension
-element's symbolic zero test). Signs of irrational numbers are decided by
-interval bisection against the defining polynomial, with a hard bit budget.
+element's symbolic zero test, ``AlgebraicReal.is_root_of``). Signs of
+irrational numbers are decided by ``AlgebraicReal.enclose``, with a hard bit
+budget.
 """
 
 from __future__ import annotations
@@ -167,9 +175,6 @@ class UniPoly:
                 rem[k - dd + j] = rem[k - dd + j] - q * dv[j]
         return UniPoly(quot), UniPoly(rem)
 
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        return self.divmod(other)[0]
-
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
 
@@ -288,6 +293,12 @@ class AlgebraicReal:
     interval contains exactly one root. ``refine_step`` halves the interval;
     the value itself never changes, so monotone refinement is semantically
     pure and safe to share.
+
+    Questions about p(a) for a polynomial p over Q are answered here and
+    nowhere else: ``is_root_of`` decides p(a) = 0 exactly, and ``enclose``
+    is the one loop that bisects the interval until the Horner bound on p(a)
+    decides its sign or is narrow enough. ``numberfield.FieldContext`` is
+    this class for the generator of Q(a).
     """
 
     __slots__ = ("defining", "lo", "hi")
@@ -299,8 +310,8 @@ class AlgebraicReal:
 
     def __repr__(self) -> str:
         if self.is_rational():
-            return f"AlgebraicReal({self.lo})"
-        return f"AlgebraicReal({self.defining.to_string()} in [{self.lo}, {self.hi}] ~ {float(self)})"
+            return f"{type(self).__name__}({self.lo})"
+        return f"{type(self).__name__}({self.defining.to_string()} in [{self.lo}, {self.hi}] ~ {float(self)})"
 
     def __float__(self) -> float:
         return float((self.lo + self.hi) / 2)
@@ -323,37 +334,47 @@ class AlgebraicReal:
             self.lo = mid
 
     def refine_to(self, width: Fraction, max_steps: int = 4096) -> None:
-        steps = 0
-        while self.hi - self.lo > width:
-            if steps >= max_steps:
-                raise PrecisionExceededError(
-                    f"interval refinement exceeded {max_steps} steps")
-            self.refine_step()
-            steps += 1
+        """Bisect until hi - lo <= width: the bound on t at a is [lo, hi]."""
+        self.enclose(_IDENTITY, width, max_steps)
 
-    def sign(self, max_bits: int = 256) -> int:
-        """Certified sign. Zero is reported only when the defining polynomial
-        vanishes at 0 and 0 lies in the isolating interval."""
-        if self.is_rational():
-            return coeff_sign(self.lo)
-        if self.lo > 0:
-            return 1
-        if self.hi < 0:
-            return -1
-        if not self.defining.eval(Fraction(0)):
-            # 0 is a root of defining and sits in the isolating interval, and
-            # that interval contains exactly one root: the number is 0.
-            return 0
+    def is_root_of(self, p: UniPoly) -> bool:
+        """Certified test of p(a) = 0 for p over Q: exact at a collapsed
+        root, else the interval bound, then a Sturm count of
+        gcd(p, defining) on the isolating interval."""
+        if p.degree < 1:
+            return p.is_zero()
+        if self.lo == self.hi:
+            return p.eval(self.lo) == 0
+        lo, hi = p.eval_interval(self.lo, self.hi)
+        if lo > 0 or hi < 0:
+            return False
+        g = uni_gcd(p, self.defining)
+        return g.degree >= 1 and count_real_roots(g, self.lo, self.hi) > 0
+
+    def enclose(self, p: UniPoly, width: Fraction | None = None,
+                max_bits: int = 4096) -> tuple[Fraction, Fraction]:
+        """Rational (m, M) with m <= p(a) <= M for p over Q.
+
+        The interval is bisected until the bound excludes 0 (no ``width``:
+        p(a) must be certified nonzero first) or until M - m <= ``width``.
+        The bound is checked before each of at most ``max_bits`` steps; a
+        root that collapses to a rational gives the exact value.
+        """
         for _ in range(max_bits):
+            if self.lo == self.hi:
+                break
+            lo, hi = p.eval_interval(self.lo, self.hi)
+            if (lo > 0 or hi < 0) if width is None else hi - lo <= width:
+                return lo, hi
             self.refine_step()
-            if self.lo > 0:
-                return 1
-            if self.hi < 0:
-                return -1
-            if self.is_rational():
-                return coeff_sign(self.lo)
-        raise PrecisionExceededError(
-            f"sign undecided after {max_bits} refinement bits")
+        if self.lo != self.hi:
+            raise PrecisionExceededError(
+                f"root refinement undecided within {max_bits} bits")
+        v = p.eval(self.lo)
+        return v, v
+
+
+_IDENTITY = UniPoly([Fraction(0), Fraction(1)])
 
 
 # -- rational root extraction --------------------------------------------------

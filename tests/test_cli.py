@@ -229,6 +229,20 @@ def test_deterministic_output(capsys, argv):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("germ, stem", [
+    ("x^2*y + y^4", "branches_x2y_y4"),
+    ("x^3 - 3*x*y^2 + y^3", "branches_x3_3xy2_y3"),
+])
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+def test_branches_extension_floats_pinned(capsys, germ, stem, fmt, suffix):
+    # Q(c) coefficients print as 9-digit floats read off the refined root
+    # interval; any change to the refinement shows here byte for byte
+    rc, out, _ = run(capsys, "branches", germ, "--format", fmt)
+    assert rc == 0
+    golden = Path(__file__).resolve().parent / "golden" / f"{stem}.{suffix}"
+    assert out == golden.read_text()
+
+
 def declared_scripts():
     """The `[project.scripts]` table of the repo's pyproject.toml."""
     if sys.version_info >= (3, 11):

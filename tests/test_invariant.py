@@ -7,8 +7,7 @@ from fractions import Fraction
 import pytest
 
 from germinv import (Classification, GermInvariant, ResourceError,
-                     analyze_germ, classify, equivalent_possible, invariant,
-                     negate, parse_poly)
+                     analyze_germ, equivalent_possible, invariant, parse_poly)
 from germinv.puiseux import axis_branch
 from germinv.tangency import Restriction
 
@@ -29,7 +28,7 @@ def fake(sign, alpha=None):
 
 
 def inv_of(*restrictions):
-    return invariant(classify(list(restrictions))).as_tuple()
+    return invariant(Classification(list(restrictions))).as_tuple()
 
 
 def test_invariant_case_table():
@@ -54,8 +53,8 @@ def test_pair_is_canonical():
 
 def test_negate():
     v = GermInvariant(Fraction(-3), Fraction(2))
-    assert negate(v).as_tuple() == (Fraction(-2), Fraction(3))
-    assert negate(negate(v)) == v
+    assert v.negate().as_tuple() == (Fraction(-2), Fraction(3))
+    assert v.negate().negate() == v
 
 
 def test_equivalence_verdicts():

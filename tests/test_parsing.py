@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from germinv import (BivarPoly, NegativeExponentError, ParseError,
-                     UnknownVariableError, parse_poly, poly_to_string)
+                     UnknownVariableError, parse_poly)
 
 
 def test_single_variables():
@@ -113,4 +113,4 @@ polys = st.dictionaries(exponents, coeffs, min_size=0, max_size=8).map(
 @settings(max_examples=80, deadline=None)
 @given(polys)
 def test_roundtrip_print_parse(p):
-    assert parse_poly(poly_to_string(p)) == p
+    assert parse_poly(p.to_string()) == p

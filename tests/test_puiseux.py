@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from germinv import (BivarPoly, expand_branches, newton_polygon, parse_poly,
-                     substitute)
+                     squarefree_part, substitute)
 from germinv.errors import (TowerDepthExceededError, UnitGermError,
                             ZeroInputError)
 from germinv.tangency import TangencyCurve
@@ -85,6 +85,40 @@ def test_tower_depth_raises():
     # branches y = +-sqrt(2)x +- c x^(5/2) need a second extension for c
     with pytest.raises(TowerDepthExceededError):
         expand_branches(parse_poly("(y^2 - 2*x^2)^2 - x^7"))
+
+
+def expand_curve(text):
+    return expand_branches(squarefree_part(parse_poly(text)))
+
+
+def test_in_extension_linear_edge():
+    # y = +-sqrt2 (x + x^2) +- x^(5/2): inside Q(sqrt2) the second edge
+    # polynomial has irrational coefficients and a linear square-free part
+    bs = expand_curve("(y^2 + 2*(x+x^2)^2 - x^5)^2 - 8*y^2*(x+x^2)^2")
+    assert len(bs) == 4
+    assert all(b.chart == "y-dominant" and b.sigma == 1 and b.e == 2
+               and b.ctx is not None for b in bs)
+    heads = sorted(float(b.y.terms[0][1]) for b in bs)
+    for got, want in zip(heads, [-(2**0.5)] * 2 + [2**0.5] * 2):
+        assert abs(got - want) < 1e-9
+    for b in bs:
+        y = dict(b.y.terms)
+        assert b.exact and sorted(y) == [2, 4, 5] and y[4] == y[2]
+    assert sorted(dict(b.y.terms)[5] for b in bs) == [-1, -1, 1, 1]
+
+
+def test_in_extension_edge_without_real_roots():
+    # the second edge polynomial, over Q(sqrt2), has no real root (its
+    # Cauchy bound is read from extension coefficients): the origin is an
+    # isolated real point
+    assert expand_curve(
+        "(y^2 + 2*x^2 + 2*x^4)^2 - 2*(x^4 - 2*x*y)^2") == []
+
+
+def test_in_extension_edge_needing_a_second_extension():
+    # y = +-sqrt2 x + c x^(7/6) with c^3 irrational in Q(sqrt2)
+    with pytest.raises(TowerDepthExceededError):
+        expand_curve("(y^2 - 2*x^2)^3 + x^7")
 
 
 def test_hensel_tail_regression():

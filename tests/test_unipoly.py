@@ -122,7 +122,7 @@ def test_algebraic_sqrt2():
     (r,) = [r for r in isolate_real_roots(p) if r.lo > 0]
     r.refine_to(Fraction(1, 10**12))
     assert abs(float(r) - 2**0.5) < 1e-11
-    assert r.sign() == 1
+    assert FieldContext(r.defining, r.lo, r.hi).generator().sign() == 1
 
 
 def test_cauchy_bound_contains_roots():
@@ -179,6 +179,16 @@ def test_field_sign_precision_budget():
     assert tiny.sign(max_bits=1024) == 1
 
 
+def test_field_magnitude_bounds():
+    for k, m in ((1, Fraction(-7, 5)), (-1, Fraction(7, 5)), (1000, 0),
+                 (-1, 0)):
+        # a fresh root interval each time: the bounds come before float()
+        x = sqrt2_ctx().generator() * k + m
+        lo, hi = x.abs_lower(), x.abs_upper()
+        v = abs(float(x))
+        assert 0 < lo <= v + 1e-9 and v - 1e-9 <= hi
+
+
 def test_field_golden_ratio():
     p = UniPoly([Fraction(-1), Fraction(-1), Fraction(1)])
     K = FieldContext(p, Fraction(1), Fraction(2))
@@ -186,6 +196,21 @@ def test_field_golden_ratio():
     assert (phi * phi - phi - 1).is_zero()
     assert ((phi - 1) * phi - 1).is_zero()   # 1/phi = phi - 1
     assert abs(float(phi) - (1 + 5**0.5) / 2) < 1e-12
+
+
+def test_field_reducible_modulus():
+    # m = (t^2 - 2)(t^2 - 3) on [1, 3/2] isolates sqrt2
+    m = (UniPoly([Fraction(-2), Fraction(0), Fraction(1)])
+         * UniPoly([Fraction(-3), Fraction(0), Fraction(1)]))
+    K = FieldContext(m, Fraction(1), Fraction(3, 2))
+    c = K.generator()
+    assert (c * c - 2).is_zero()
+    # gcd with m is t^2 - 3, which has no root in the interval
+    assert not ((c * c - 3) * (c - Fraction(5, 4))).is_zero()
+    # c^2 - 3 is a zero divisor mod m: inverting it shrinks m to t^2 - 2
+    assert (c * c - 3).inverse() == -1
+    assert K.defining == UniPoly([Fraction(-2), Fraction(0), Fraction(1)])
+    assert (c - Fraction(7, 5)).sign() == 1
 
 
 def test_field_division_by_zero():

@@ -46,10 +46,6 @@ class BivarPoly:
         return BivarPoly({(0, 0): Fraction(c) if isinstance(c, int) else c})
 
     @staticmethod
-    def monomial(c, i: int, j: int) -> "BivarPoly":
-        return BivarPoly({(i, j): Fraction(c) if isinstance(c, int) else c})
-
-    @staticmethod
     def var_x() -> "BivarPoly":
         return BivarPoly({(1, 0): Fraction(1)})
 
@@ -82,9 +78,6 @@ class BivarPoly:
 
     def min_deg_y(self) -> int:
         return min((j for _, j in self.terms), default=0)
-
-    def support(self) -> list[tuple[int, int]]:
-        return sorted(self.terms)
 
     def leading_coeff_grlex(self):
         """Coefficient of the grlex-largest monomial (x ranked above y)."""

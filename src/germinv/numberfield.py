@@ -16,14 +16,20 @@ structure branch expansion ever needs: one adjoined root per branch, with
   changes no element's value).
 
 m is kept square-free but is not factored into irreducibles; the isolating
-interval does the job of choosing the root.
+interval does the job of choosing the root. When m has degree <= 3 and is
+certified to have no rational root (checked for each context, and again when
+inversion shrinks m), it is irreducible, Q[t]/(m) is a field, and the zero
+test is syntactic: an element is zero exactly when its coefficients reduced
+mod m are all zero (dynamic evaluation, Della Dora-Dicrescenzo-Duval 1985).
+Every other modulus keeps ``AlgebraicReal.is_root_of``. Moduli from
+``unipoly.isolate_real_roots`` never have a rational root.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .unipoly import AlgebraicReal, UniPoly
+from .unipoly import AlgebraicReal, UniPoly, has_rational_root
 
 
 def _egcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
@@ -42,12 +48,21 @@ def _egcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
 
 class FieldContext(AlgebraicReal):
     """The field Q(c) for one isolated real root c of a square-free modulus:
-    c as an ``AlgebraicReal``, whose ``defining`` polynomial is the modulus."""
+    c as an ``AlgebraicReal``, whose ``defining`` polynomial is the modulus.
+    ``irreducible`` is True when the modulus is certified irreducible, which
+    makes the zero test syntactic, and False when that is not known."""
 
-    __slots__ = ()
+    __slots__ = ("irreducible",)
 
     def __init__(self, modulus: UniPoly, lo: Fraction, hi: Fraction):
         super().__init__(modulus.monic(), lo, hi)
+        self._certify()
+
+    def _certify(self) -> None:
+        # degree <= 3 and no rational root: no factor of degree 1, so m is
+        # irreducible and Q[t]/(m) is a field. False means not known.
+        self.irreducible = (self.defining.degree <= 3
+                            and not has_rational_root(self.defining))
 
     # -- element construction -------------------------------------------------
 
@@ -93,6 +108,7 @@ class FieldContext(AlgebraicReal):
             if not r.is_zero():
                 raise RuntimeError("inexact division of the modulus")
             self.defining = q.monic()
+            self._certify()
 
 
 class FieldElement:
@@ -109,7 +125,12 @@ class FieldElement:
 
     def is_zero(self) -> bool:
         if self._zero_known is None:
-            self._zero_known = self.ctx.is_root_of(UniPoly(self.coeffs))
+            ctx = self.ctx
+            if ctx.irreducible:
+                # coefficients may predate a shrink of the modulus
+                self._zero_known = not ctx._reduce(self.coeffs)
+            else:
+                self._zero_known = ctx.is_root_of(UniPoly(self.coeffs))
         return self._zero_known
 
     def __bool__(self) -> bool:

@@ -473,12 +473,16 @@ def _twist_x(p: BivarPoly, sigma: int) -> BivarPoly:
 
 
 def _branch_sort_key(b: HalfBranch):
-    # the dependent coordinate leads with c0 s^(e*gamma), gamma = a0/b0
+    # the dependent coordinate leads with c0 s^(e*gamma), gamma = a0/b0.
+    # An irrational c0 generates its own Q(c0); siblings with the same chart,
+    # gamma and sigma come from one isolate_real_roots call, so their
+    # intervals are disjoint and the midpoint orders c0 exactly.
     if b.chain is None or not b.chain.levels:
-        return (CHART_RANK[b.chart], 0.0, -b.sigma, 0.0, b.e)
+        return (CHART_RANK[b.chart], 0, -b.sigma, 0, b.e)
     a, b0, c = b.chain.levels[0]
-    return (CHART_RANK[b.chart], float(Fraction(a, b0)), -b.sigma, float(c),
-            b.e)
+    if isinstance(c, FieldElement):
+        c = (c.ctx.lo + c.ctx.hi) / 2
+    return (CHART_RANK[b.chart], Fraction(a, b0), -b.sigma, c, b.e)
 
 
 def expand_branches(curve: BivarPoly, order: int = 24) -> list[HalfBranch]:

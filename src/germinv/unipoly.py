@@ -7,6 +7,13 @@ it, and ``numberfield.FieldContext`` is one, for the generator of Q(c). Only
 its own methods refine the interval: ``refine_step`` bisects, and
 ``enclose`` is the loop that bisects until a bound on p(a) is decided.
 
+``isolate_real_roots`` reads rational roots off the isolation, with no
+search over divisors: a rational root of the primitive integer polynomial
+with leading coefficient a_n has a denominator dividing a_n, so a_n r is an
+integer, and integer bisection in r's isolating interval finds it. The
+irrational roots come back over the square-free part divided by every
+rational root's linear factor, a defining polynomial with no rational root.
+
 Coefficients are ``fractions.Fraction`` throughout the public API. The same
 ``UniPoly`` container is reused internally with coefficients in a simple real
 extension field (see ``numberfield``); every routine that needs it only uses
@@ -15,7 +22,7 @@ extension field (see ``numberfield``); every routine that needs it only uses
 
 Zero-or-not questions are decided exactly: a quantity is declared zero only
 when the coefficient type proves it (``Fraction == 0``, or the extension
-element's symbolic zero test, ``AlgebraicReal.is_root_of``). Signs of
+element's exact zero test, ``numberfield.FieldElement.is_zero``). Signs of
 irrational numbers are decided by ``AlgebraicReal.enclose``, with a hard bit
 budget.
 """
@@ -23,11 +30,10 @@ budget.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil, floor, gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import PrecisionExceededError, ZeroInputError
-
-Rational = Fraction
 
 
 def coeff_sign(x) -> int:
@@ -377,53 +383,7 @@ class AlgebraicReal:
 _IDENTITY = UniPoly([Fraction(0), Fraction(1)])
 
 
-# -- rational root extraction --------------------------------------------------
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _rational_roots(p: UniPoly) -> list[Fraction]:
-    """All rational roots of p (Fraction coefficients), by the p/q test."""
-    if p.degree < 1:
-        return []
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // _gcd_int(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
-    k = 0
-    while ints[k] == 0:
-        k += 1
-    roots = [Fraction(0)] if k > 0 else []
-    ints = ints[k:]
-    a0, an = ints[0], ints[-1]
-    if abs(a0) > 10**14 or abs(an) > 10**14:
-        # divisor enumeration would be too costly; bisection handles any
-        # rational roots it stumbles on exactly
-        return roots
-    cands = set()
-    for num in _divisors(a0):
-        for dq in _divisors(an):
-            cands.add(Fraction(num, dq))
-            cands.add(Fraction(-num, dq))
-    q = UniPoly([Fraction(c) for c in ints])
-    return roots + sorted(r for r in cands if q.eval(r) == 0)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+# -- isolation -----------------------------------------------------------------
 
 
 def _deflate(p: UniPoly, r: Fraction) -> UniPoly:
@@ -439,50 +399,135 @@ def _deflate(p: UniPoly, r: Fraction) -> UniPoly:
     return UniPoly(list(reversed(out)))
 
 
-# -- isolation -----------------------------------------------------------------
+def _scaled_integer_poly(p: UniPoly) -> tuple[int, list[int]]:
+    """(A, Q) for p over Q with a positive leading coefficient: P is the
+    primitive integer polynomial with the roots of p, A > 0 its leading
+    coefficient, and Q(s) = A^(n-1) P(s/A), a monic integer polynomial.
+
+    A rational root r of P has a denominator that divides A, so it is one
+    exactly when s = A r is an integer root of Q.
+    """
+    den = lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    g = gcd(*ints)
+    ints = [c // g for c in ints]
+    a = ints[-1]
+    n = len(ints) - 1
+    return a, [c * a ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
+
+
+def _integer_root(q: list[int], left_sign: int, lo: Fraction,
+                  hi: Fraction) -> int | None:
+    """The integer root of q in (lo, hi), if any, where q has exactly one
+    root there, simple, and the sign ``left_sign`` just right of lo:
+    integer bisection with Horner evaluation."""
+    i, j = floor(lo) + 1, ceil(hi) - 1
+    if i > j:
+        return None
+
+    def side(s: int) -> int:
+        v = 0
+        for c in reversed(q):
+            v = v * s + c
+        return 0 if v == 0 else (1 if (v > 0) == (left_sign > 0) else -1)
+
+    # side: 1 left of the root, -1 right of it
+    si = side(i)
+    if si <= 0:
+        return i if si == 0 else None
+    sj = side(j)
+    if sj >= 0:
+        return j if sj == 0 else None
+    while j - i > 1:
+        m = (i + j) // 2
+        sm = side(m)
+        if sm == 0:
+            return m
+        if sm > 0:
+            i = m
+        else:
+            j = m
+    return None
+
+
+def _sturm_isolate(p: UniPoly) -> tuple[list[Fraction], list[tuple], UniPoly]:
+    """Bisect (-B, B) with Sturm counts, for square-free monic p over Q.
+
+    Returns the rational roots, an isolating interval (lo, hi) for each
+    irrational root, and p divided by (t - r) for each rational root r: the
+    intervals isolate its roots, and their endpoints are not roots of it.
+    An interval with one root is tested for a rational root by
+    ``_integer_root``; a bisection point that is a root is recorded and
+    deflated at once, so that no endpoint is ever a root.
+    """
+    rats: list[Fraction] = []
+    cells: list[tuple[Fraction, Fraction]] = []
+    if p.degree < 1:
+        return rats, cells, p
+    B = cauchy_bound(p)
+    seq = sturm_sequence(p)
+    scale, q = _scaled_integer_poly(p)
+    found = []
+    stack = [(-B, B, count_real_roots(p, -B, B, seq))]
+    while stack:
+        lo, hi, n = stack.pop()
+        if n == 0:
+            continue
+        if n == 1:
+            s = _integer_root(q, coeff_sign(p.eval(lo)), lo * scale,
+                              hi * scale)
+            if s is None:
+                cells.append((lo, hi))
+            else:
+                found.append(Fraction(s, scale))
+            continue
+        mid = (lo + hi) / 2
+        if p.eval(mid) == 0:
+            rats.append(mid)
+            p = _deflate(p, mid)
+            seq = sturm_sequence(p)
+            scale, q = _scaled_integer_poly(p)
+            n -= 1
+        nl = count_real_roots(p, lo, mid, seq)
+        stack.append((lo, mid, nl))
+        stack.append((mid, hi, n - nl))
+    for r in found:
+        p = _deflate(p, r)
+    return rats + found, cells, p
+
+
+def has_rational_root(p: UniPoly) -> bool:
+    """Whether square-free p over Q has a rational root."""
+    return bool(_sturm_isolate(p.monic())[0])
 
 
 def isolate_real_roots(u: UniPoly, refine_width: Fraction = Fraction(1, 4)) -> list[AlgebraicReal]:
     """Isolate all distinct real roots of u (Fraction coefficients).
 
     Returns sorted AlgebraicReal values, one per distinct real root; rational
-    roots come back with degenerate intervals. Intervals are refined to at
-    most ``refine_width`` and never contain more than one root.
+    roots come back with degenerate intervals. Rational roots are read off
+    the isolation: a root r of the primitive integer polynomial with leading
+    coefficient a_n has a denominator dividing a_n, so a_n r is an integer,
+    found by integer bisection in r's isolating interval. The other roots
+    share one ``defining`` polynomial, u's square-free part divided by
+    (t - r) for each rational r, so it has no rational root. Their intervals
+    are refined to at most ``refine_width`` and never contain more than one
+    root.
     """
     if u.is_zero():
         raise ZeroInputError("cannot isolate roots of the zero polynomial")
     if u.degree < 1:
         return []
-    p = uni_squarefree(u)
-    rats = _rational_roots(p)
-    for r in rats:
-        p = _deflate(p, r)
+    rats, cells, p = _sturm_isolate(uni_squarefree(u))
+    if rats and cells:
+        # isolate again over the irrational part alone, so that an irrational
+        # root's interval depends on its defining polynomial only
+        _, cells, _ = _sturm_isolate(p)
     out = [AlgebraicReal(UniPoly([-r, Fraction(1)]), r, r) for r in rats]
-    if p.degree >= 1:
-        seq = sturm_sequence(p)
-        B = cauchy_bound(p)
-        stack = [(-B, B, count_real_roots(p, -B, B, seq))]
-        while stack:
-            lo, hi, n = stack.pop()
-            if n == 0:
-                continue
-            if n == 1:
-                a = AlgebraicReal(p, lo, hi)
-                a.refine_to(refine_width)
-                out.append(a)
-                continue
-            mid = (lo + hi) / 2
-            if p.eval(mid) == 0:
-                # can happen when rational-root extraction was skipped for
-                # oversized coefficients; a degree-d poly cannot block d+1
-                # distinct candidate split points
-                for k in range(1, p.degree + 2):
-                    mid = lo + (hi - lo) * Fraction(2 * k - 1, 2 * (p.degree + 2))
-                    if p.eval(mid) != 0:
-                        break
-            nl = count_real_roots(p, lo, mid, seq)
-            stack.append((lo, mid, nl))
-            stack.append((mid, hi, n - nl))
+    for lo, hi in cells:
+        a = AlgebraicReal(p, lo, hi)
+        a.refine_to(refine_width)
+        out.append(a)
     # midpoint order is exact once adjacent intervals are disjoint; refine to
     # a fixpoint (tiny degrees, converges fast)
     for _ in range(512):

@@ -1,8 +1,10 @@
 """Invariant pair construction, the necessary-condition verdict, and the
 full pipeline on the reference germs."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +13,7 @@ from germinv import (Classification, GermInvariant, ResourceError,
 from germinv.puiseux import axis_branch
 from germinv.tangency import Restriction
 
-from conftest import random_germ, rotate_germ
+from conftest import REFERENCE_GERMS, random_germ, rotate_germ
 
 
 def try_analyze(f):
@@ -132,3 +134,37 @@ def test_classification_counts():
     assert c.K0_count == 2
     assert c.Kminus_alphas == [Fraction(5)]
     assert c.Kplus_alphas == [Fraction(3)]
+
+
+def golden_row_germs():
+    """The germs of golden/branch_rows.json: the reference germs, the first
+    40 nonzero random_germ draws at seed 2026, each plain and rotated, and
+    (x+y)^n + y^(n+1) for n = 3..8."""
+    germs = [parse_poly(text) for text, *_ in REFERENCE_GERMS]
+    rng = random.Random(2026)
+    draws = 0
+    while draws < 40:
+        f = random_germ(rng)
+        if not f.is_zero():
+            draws += 1
+            germs += [f, rotate_germ(f)]
+    return germs + [parse_poly(f"(x+y)^{n} + y^{n + 1}") for n in range(3, 9)]
+
+
+def branch_rows(f):
+    """(chart, sigma, e, kind, alpha, in Q(c)) per half-branch, in order."""
+    return [[r.branch.chart, r.branch.sigma, r.branch.e, r.kind,
+             None if r.alpha is None else str(r.alpha),
+             r.branch.ctx is not None]
+            for r in analyze_germ(f).restrictions]
+
+
+def test_branch_rows_match_golden():
+    # the order of the rows is the branch order, so a change to the sort
+    # key or to root isolation that reorders branches fails here
+    path = Path(__file__).resolve().parent / "golden" / "branch_rows.json"
+    golden = json.loads(path.read_text())
+    germs = golden_row_germs()
+    assert [f.to_string() for f in germs] == [g["germ"] for g in golden]
+    for f, g in zip(germs, golden):
+        assert branch_rows(f) == g["rows"], g["germ"]

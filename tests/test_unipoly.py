@@ -2,6 +2,7 @@
 field, checked against sympy as an independent oracle."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,66 @@ def test_rational_roots_collapse():
     assert all(r.is_rational() for r in roots)
 
 
+_T2_MINUS_2 = UniPoly([Fraction(-2), Fraction(0), Fraction(1)])
+
+
+def _linear(a, b) -> UniPoly:
+    return UniPoly([Fraction(-b), Fraction(a)])   # a*t - b
+
+
+def _sqrt2_and(r: Fraction, roots) -> None:
+    assert [(x.lo, x.hi) for x in roots if x.is_rational()] == [(r, r)]
+    irr = [x for x in roots if not x.is_rational()]
+    assert len(irr) == 2 and all(x.defining == _T2_MINUS_2 for x in irr)
+    assert irr[0].hi < -1 < 1 < irr[1].lo
+    # the intervals depend on the defining polynomial only
+    assert [(x.lo, x.hi) for x in irr] == [
+        (x.lo, x.hi) for x in isolate_real_roots(_T2_MINUS_2)]
+
+
+def test_isolate_large_rational_root_fast():
+    # the rational root b/a has a 14-digit numerator and denominator
+    a, b = 10**13 + 37, 10**13 + 39
+    start = time.perf_counter()
+    roots = isolate_real_roots(_linear(a, b) * _T2_MINUS_2)
+    assert time.perf_counter() - start < 1.0
+    _sqrt2_and(Fraction(b, a), roots)
+
+
+def test_isolate_huge_rational_root():
+    # 16 digits: the root is still read off its isolating interval
+    a, b = 10**15 + 37, 10**15 + 39
+    _sqrt2_and(Fraction(b, a), isolate_real_roots(_linear(a, b) * _T2_MINUS_2))
+
+
+def test_isolate_rational_root_on_a_bisection_midpoint():
+    # r = B/4 for the Cauchy bound B of p: bisecting (-B, B) meets r exactly
+    a, b = 10**15 + 37, 10**15 + 39
+    r = Fraction(3000000000000115, 2000000000000074)
+    p = _linear(1, r) * _linear(a, b) * _T2_MINUS_2
+    assert cauchy_bound(p.monic()) == 4 * r
+    roots = isolate_real_roots(p)
+    assert [x.lo for x in roots if x.is_rational()] == [Fraction(b, a), r]
+    assert all(x.defining == _T2_MINUS_2 for x in roots
+               if not x.is_rational())
+
+
+def test_irrational_roots_have_no_rational_root_in_defining():
+    rng = random.Random(11)
+    polys = [_linear(10**15 + 37, 10**15 + 39) * _T2_MINUS_2,
+             _linear(3, 2) * _linear(1, 5) * UniPoly(
+                 [Fraction(-3), Fraction(0), Fraction(0), Fraction(1)])]
+    polys += [_linear(rng.randint(1, 10**16), rng.randint(-10**16, 10**16))
+              * rand_poly(rng, rng.randint(2, 4)) for _ in range(12)]
+    for p in polys:
+        if p.is_zero():
+            continue
+        for x in isolate_real_roots(p):
+            if not x.is_rational():
+                _, factors = to_sympy(x.defining).factor_list()
+                assert all(f.degree() > 1 for f, _ in factors), p
+
+
 def test_algebraic_sqrt2():
     p = UniPoly([Fraction(-2), Fraction(0), Fraction(1)])
     (r,) = [r for r in isolate_real_roots(p) if r.lo > 0]
@@ -211,6 +272,25 @@ def test_field_reducible_modulus():
     assert (c * c - 3).inverse() == -1
     assert K.defining == UniPoly([Fraction(-2), Fraction(0), Fraction(1)])
     assert (c - Fraction(7, 5)).sign() == 1
+
+
+def test_field_reducible_cubic_modulus():
+    # m = (t - 1)(t^2 - 2) on [5/4, 3/2] isolates sqrt2; m has the rational
+    # root 1, so zero in Q(c) is not "all coefficients zero" mod m
+    K = FieldContext(_linear(1, 1) * _T2_MINUS_2, Fraction(5, 4),
+                     Fraction(3, 2))
+    assert not K.irreducible
+    c = K.generator()
+    assert (c * c - 2).is_zero()
+    assert not (c - 1).is_zero()
+    stale = c * c - 2           # reduced mod m, not yet tested
+    # c - 1 is a zero divisor mod m: inverting it shrinks m to t^2 - 2,
+    # which is certified again
+    assert (c - 1).inverse() == c + 1
+    assert K.defining == _T2_MINUS_2 and K.irreducible
+    assert stale.is_zero()
+    assert not (c * c - 3).is_zero()
+    assert FieldContext(_T2_MINUS_2, Fraction(1), Fraction(2)).irreducible
 
 
 def test_field_division_by_zero():

@@ -16,13 +16,15 @@ structure branch expansion ever needs: one adjoined root per branch, with
   changes no element's value).
 
 m is kept square-free but is not factored into irreducibles; the isolating
-interval does the job of choosing the root. When m has degree <= 3 and is
-certified to have no rational root (checked for each context, and again when
-inversion shrinks m), it is irreducible, Q[t]/(m) is a field, and the zero
-test is syntactic: an element is zero exactly when its coefficients reduced
-mod m are all zero (dynamic evaluation, Della Dora-Dicrescenzo-Duval 1985).
-Every other modulus keeps ``AlgebraicReal.is_root_of``. Moduli from
-``unipoly.isolate_real_roots`` never have a rational root.
+interval does the job of choosing the root. When m has degree <= 3 and no
+rational root, it is irreducible, Q[t]/(m) is a field, and the zero test is
+syntactic: an element is zero exactly when its coefficients reduced mod m are
+all zero (dynamic evaluation, Della Dora-Dicrescenzo-Duval 1985). Every other
+modulus keeps ``AlgebraicReal.is_root_of``. Moduli from
+``unipoly.isolate_real_roots`` have no rational root by construction, and
+their contexts are built with ``rational_root_free=True``; any other modulus,
+and every modulus that inversion shrinks, is checked with
+``unipoly.has_rational_root``.
 """
 
 from __future__ import annotations
@@ -50,19 +52,23 @@ class FieldContext(AlgebraicReal):
     """The field Q(c) for one isolated real root c of a square-free modulus:
     c as an ``AlgebraicReal``, whose ``defining`` polynomial is the modulus.
     ``irreducible`` is True when the modulus is certified irreducible, which
-    makes the zero test syntactic, and False when that is not known."""
+    makes the zero test syntactic, and False when that is not known. Pass
+    ``rational_root_free=True`` only for a modulus known to have no rational
+    root, such as a ``defining`` from ``isolate_real_roots``; otherwise it is
+    checked."""
 
     __slots__ = ("irreducible",)
 
-    def __init__(self, modulus: UniPoly, lo: Fraction, hi: Fraction):
+    def __init__(self, modulus: UniPoly, lo: Fraction, hi: Fraction,
+                 rational_root_free: bool = False):
         super().__init__(modulus.monic(), lo, hi)
-        self._certify()
+        self._certify(rational_root_free)
 
-    def _certify(self) -> None:
+    def _certify(self, rational_root_free: bool = False) -> None:
         # degree <= 3 and no rational root: no factor of degree 1, so m is
         # irreducible and Q[t]/(m) is a field. False means not known.
-        self.irreducible = (self.defining.degree <= 3
-                            and not has_rational_root(self.defining))
+        self.irreducible = self.defining.degree <= 3 and (
+            rational_root_free or not has_rational_root(self.defining))
 
     # -- element construction -------------------------------------------------
 

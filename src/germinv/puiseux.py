@@ -393,7 +393,8 @@ def _edge_roots(E: UniPoly, ctx):
         if r.is_rational():
             out.append((r.lo, _multiplicity(E, r.lo), ctx))
         elif ctx is None:
-            new_ctx = FieldContext(r.defining, r.lo, r.hi)
+            new_ctx = FieldContext(r.defining, r.lo, r.hi,
+                                   rational_root_free=True)
             gen = new_ctx.generator()
             out.append((gen, _multiplicity(E, gen), new_ctx))
         else:

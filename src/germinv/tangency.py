@@ -16,14 +16,17 @@ branch (the order of its distance to the origin), is what the invariant is
 built from; branches along which f vanishes identically are the sign-0
 class.
 
-The leading term is read without long series: f is pushed through the same
-Newton-Puiseux substitutions that produced the branch, and then along the
-branch's simple root, until a constant term appears. This is the Newton
-polygon computation of an intersection multiplicity.
+The leading term is read the same way on every branch, without long
+series: f is pushed through the same Newton-Puiseux substitutions that
+produced the branch (none for an axis or a radial line), and then either
+read off at z = 0, on a branch with a finite parametrization, or carried
+along the branch's simple root one Newton step at a time, until a constant
+term appears. This is the Newton polygon computation of an intersection
+multiplicity.
 
 Everything here is certified: leading coefficients are exact rationals or
 certified-sign extension elements, and "vanishes identically" is decided
-either from an exact finite parametrization or from the intersection-degree
+either exactly, at z = 0 past a finite chain, or from the intersection-degree
 bound (a nonzero restriction of a degree-d polynomial against a component of
 a degree-m curve has s-order at most d*m).
 """
@@ -131,23 +134,21 @@ def restrict(f: BivarPoly, branch: HalfBranch,
              curve: TangencyCurve | None = None) -> Restriction:
     """Classify f along one half-branch of its tangency curve.
 
-    An exact parametrization is substituted into f. Otherwise f is carried
-    through the branch's Newton-Puiseux chain (``leading_term``) until its
-    leading term shows. A nonzero restriction has s-order at most
-    deg f * deg h_sf (the branch contributes at most the full intersection
-    number of the two curves), so no term up to that order certifies the
-    zero class.
+    f is carried through the branch's Newton-Puiseux chain (``leading_term``)
+    until its leading term shows, on exact and truncated branches alike. A
+    nonzero restriction has s-order at most deg f * deg h_sf (the branch
+    contributes at most the full intersection number of the two curves), or
+    at most deg f along a radial line, so no term up to that order
+    certifies the zero class.
     """
     config = config or ExpansionConfig()
-    if branch.exact:
-        lead = substitute(f, branch).lead()
-    elif f.is_zero():
-        lead = None
-    else:
-        if curve is None:
-            curve = TangencyCurve(f)
-        nstar = f.total_degree() * curve.h_sf.total_degree()
-        lead = leading_term(f, branch, nstar)
+    if f.is_zero():
+        return Restriction(0, None, branch)
+    bound = f.total_degree()
+    if branch.chart != "radial":
+        curve = curve or TangencyCurve(f)
+        bound *= curve.h_sf.total_degree()
+    lead = leading_term(f, branch, bound)
     if lead is None:
         return Restriction(0, None, branch)
     k, c = lead

@@ -519,10 +519,6 @@ def isolate_real_roots(u: UniPoly, refine_width: Fraction = Fraction(1, 4)) -> l
     if u.degree < 1:
         return []
     rats, cells, p = _sturm_isolate(uni_squarefree(u))
-    if rats and cells:
-        # isolate again over the irrational part alone, so that an irrational
-        # root's interval depends on its defining polynomial only
-        _, cells, _ = _sturm_isolate(p)
     out = [AlgebraicReal(UniPoly([-r, Fraction(1)]), r, r) for r in rats]
     for lo, hi in cells:
         a = AlgebraicReal(p, lo, hi)

@@ -49,3 +49,18 @@ def random_germ(rng: random.Random, max_deg: int = 6, max_terms: int = 6,
         if c:
             terms[(i, j)] = Fraction(c)
     return BivarPoly(terms)
+
+
+def golden_row_germs() -> list[BivarPoly]:
+    """The germs of golden/branch_rows.json: the reference germs, the first
+    40 nonzero random_germ draws at seed 2026, each plain and rotated, and
+    (x+y)^n + y^(n+1) for n = 3..8."""
+    germs = [parse_poly(text) for text, *_ in REFERENCE_GERMS]
+    rng = random.Random(2026)
+    draws = 0
+    while draws < 40:
+        f = random_germ(rng)
+        if not f.is_zero():
+            draws += 1
+            germs += [f, rotate_germ(f)]
+    return germs + [parse_poly(f"(x+y)^{n} + y^{n + 1}") for n in range(3, 9)]

@@ -90,6 +90,8 @@ def test_criterion_5_invariance_properties(reference_germs):
             skipped += 1
             continue
         checked += 1
+    # a certified give-up is allowed, but only rarely
+    assert skipped <= 5, f"{skipped} resource skips for 50 checked germs"
     # the rotated double cusp forces branch coefficients outside the
     # rationals: the algebraic-extension path must actually run
     rot = analyze_germ(rotate_germ(reference_germs[1][0]))

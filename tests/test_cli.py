@@ -3,6 +3,7 @@ and byte-for-byte determinism."""
 
 import importlib
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -12,7 +13,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from germinv import cli
+from germinv import analyze_germ, cli, parse_poly
+from germinv.numberfield import FieldElement
 
 
 def run(capsys, *argv):
@@ -241,6 +243,47 @@ def test_branches_extension_floats_pinned(capsys, germ, stem, fmt, suffix):
     assert rc == 0
     golden = Path(__file__).resolve().parent / "golden" / f"{stem}.{suffix}"
     assert out == golden.read_text()
+
+
+def test_branches_order_30_pinned(capsys):
+    # axis branches, and two rational branches lifted far past the default
+    # order by Newton steps along their simple roots
+    rc, out, _ = run(capsys, "branches", "y^3 - x^5 + x^2*y^2",
+                     "--order", "30")
+    assert rc == 0
+    golden = (Path(__file__).resolve().parent / "golden"
+              / "branches_y3_x5_x2y2_order30.txt")
+    assert out == golden.read_text()
+
+
+# a rotated quintic whose branch [2] has Q(c) coefficients down to 1e-16
+SMALL_COEFFS_GERM = (
+    "4048/3125*x^5 + 744/625*x^4*y + 1089/625*x^3*y^2 - 2908/625*x^2*y^3"
+    " - 12/625*x*y^4 + 3789/3125*y^5 - 729/15625*x^6 - 5832/15625*x^5*y"
+    " - 3888/3125*x^4*y^2 - 6912/3125*x^3*y^3 - 6912/3125*x^2*y^4"
+    " - 18432/15625*x*y^5 - 4096/15625*y^6")
+
+
+def test_branches_print_certified_digits(capsys):
+    # every printed digit of a Q(c) coefficient is certified: it matches the
+    # value refined to a relative width of 2^-200, however small the value
+    rc, out, _ = run(capsys, "branches", SMALL_COEFFS_GERM)
+    assert rc == 0
+    lines = [ln for ln in out.splitlines() if ln.startswith("[")]
+    assert "(3.7981867e-11)*s^7" in lines[2]
+    checked = 0
+    for line, r in zip(lines, analyze_germ(parse_poly(SMALL_COEFFS_GERM))
+                       .restrictions):
+        want = []
+        for series in (r.branch.x, r.branch.y):
+            for _, c in series.terms:
+                if isinstance(c, FieldElement):
+                    lo, hi = c.interval()
+                    lo, hi = c.interval(min(abs(lo), abs(hi)) / 2**200)
+                    want.append(f"{float((lo + hi) / 2):.9g}")
+        assert re.findall(r"\(([^()]*)\)\*s", line) == want, line
+        checked += len(want)
+    assert checked >= 20
 
 
 def declared_scripts():

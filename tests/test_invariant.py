@@ -9,11 +9,11 @@ from pathlib import Path
 import pytest
 
 from germinv import (Classification, GermInvariant, ResourceError,
-                     analyze_germ, equivalent_possible, invariant, parse_poly)
-from germinv.puiseux import axis_branch
+                     analyze_germ, equivalent_possible, expand_branches,
+                     invariant, parse_poly)
 from germinv.tangency import Restriction
 
-from conftest import REFERENCE_GERMS, random_germ, rotate_germ
+from conftest import golden_row_germs, random_germ, rotate_germ
 
 
 def try_analyze(f):
@@ -24,9 +24,12 @@ def try_analyze(f):
         return None
 
 
+X_AXIS = expand_branches(parse_poly("y"))[0]
+
+
 def fake(sign, alpha=None):
     return Restriction(sign, None if alpha is None else Fraction(alpha),
-                       axis_branch("x-axis", 1))
+                       X_AXIS)
 
 
 def inv_of(*restrictions):
@@ -134,21 +137,6 @@ def test_classification_counts():
     assert c.K0_count == 2
     assert c.Kminus_alphas == [Fraction(5)]
     assert c.Kplus_alphas == [Fraction(3)]
-
-
-def golden_row_germs():
-    """The germs of golden/branch_rows.json: the reference germs, the first
-    40 nonzero random_germ draws at seed 2026, each plain and rotated, and
-    (x+y)^n + y^(n+1) for n = 3..8."""
-    germs = [parse_poly(text) for text, *_ in REFERENCE_GERMS]
-    rng = random.Random(2026)
-    draws = 0
-    while draws < 40:
-        f = random_germ(rng)
-        if not f.is_zero():
-            draws += 1
-            germs += [f, rotate_germ(f)]
-    return germs + [parse_poly(f"(x+y)^{n} + y^{n + 1}") for n in range(3, 9)]
 
 
 def branch_rows(f):

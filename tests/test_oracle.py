@@ -13,7 +13,6 @@ from germinv import (PathCountUnstableError, analyze_germ, crosscheck,
 from germinv.oracle import (TWO_PI, _angular_derivative_poly,
                             _critical_angles, compile_poly, critical_paths,
                             estimate_exponent, sphere_extrema)
-from germinv.puiseux import axis_branch
 from germinv.tangency import Restriction
 from germinv.invariant import Classification
 
@@ -253,7 +252,8 @@ def _with_classification(analysis, classification):
 def test_crosscheck_rejects_wrong_sign():
     f = parse_poly("x^2 + y^4")
     a = analyze_germ(f)
-    lie = Classification([Restriction(-1, Fraction(2), axis_branch("x-axis", 1))]
+    lie = Classification([Restriction(-1, Fraction(2),
+                                      a.restrictions[0].branch)]
                          + list(a.restrictions[1:]))
     report = crosscheck(f, _with_classification(a, lie),
                         ladder=12, grid=1024)

@@ -155,19 +155,19 @@ def test_extend_is_prefix_stable():
                     {k: c for k, c in cb.terms if k < common}
 
 
-def test_hensel_simple_root_check_survives_optimize():
+def test_tail_step_simple_root_check_survives_optimize():
     # the internal checks are explicit raises, which python -O keeps
     code = ("import sys\n"
             "from germinv import parse_poly\n"
-            "from germinv.puiseux import _hensel_tail\n"
+            "from germinv.puiseux import _tail_step\n"
             "try:\n"
-            "    _hensel_tail(parse_poly('y^2 - x^3'), 6)\n"
+            "    _tail_step(parse_poly('y^2 - x^3'), 6)\n"
             "except RuntimeError as exc:\n"
             "    print(sys.flags.optimize, exc)\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "1 Hensel lifting needs a simple root\n"
+    assert proc.stdout == "1 a Newton step needs a simple root\n"
 
 
 def test_branch_order_deterministic():

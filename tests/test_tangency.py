@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 
 from germinv import (BivarPoly, ExpansionConfig, TangencyCurve, analyze_germ,
-                     parse_poly, restrict, tangency_poly)
+                     parse_poly, restrict, substitute, tangency_poly)
 from germinv.errors import NonVanishingGermError
+from germinv.numberfield import FieldElement
 from germinv.oracle import compile_poly
 from germinv.tangency import certify_zero_branch
 
-from conftest import random_germ, rotate_germ
+from conftest import golden_row_germs, random_germ, rotate_germ
 
 
 def test_tangency_poly_formula():
@@ -112,6 +113,30 @@ def test_certify_zero_branch_agrees_with_restrict():
     for b in curve.half_branches(config.order):
         assert restrict(zero, b, config, curve).sign == 0
         assert certify_zero_branch(zero, b, curve)
+
+
+def test_restrict_matches_substitution_on_exact_branches():
+    # restrict reads every branch through its chain; on a branch with a
+    # finite parametrization, substituting it into f is the reference
+    germs = golden_row_germs() + [parse_poly("(y^2 - x^3)^2")]
+    exact = exact_zero = 0
+    for f in germs:
+        a = analyze_germ(f)
+        for r in a.restrictions:
+            if not r.branch.exact:
+                continue
+            exact += 1
+            lead = substitute(f, r.branch).lead()
+            if lead is None:
+                exact_zero += 1
+                assert (r.sign, r.alpha) == (0, None), f.to_string()
+            else:
+                k, c = lead
+                sign = c.sign() if isinstance(c, FieldElement) else (
+                    1 if c > 0 else -1)
+                assert (r.sign, r.alpha) == (sign, Fraction(k, r.branch.e)), \
+                    f.to_string()
+    assert exact > 300 and exact_zero > 100, (exact, exact_zero)
 
 
 def test_deep_leading_term():

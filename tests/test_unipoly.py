@@ -129,9 +129,6 @@ def _sqrt2_and(r: Fraction, roots) -> None:
     irr = [x for x in roots if not x.is_rational()]
     assert len(irr) == 2 and all(x.defining == _T2_MINUS_2 for x in irr)
     assert irr[0].hi < -1 < 1 < irr[1].lo
-    # the intervals depend on the defining polynomial only
-    assert [(x.lo, x.hi) for x in irr] == [
-        (x.lo, x.hi) for x in isolate_real_roots(_T2_MINUS_2)]
 
 
 def test_isolate_large_rational_root():

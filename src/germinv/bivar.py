@@ -6,9 +6,12 @@ over Q, with coefficients stored as ``fractions.Fraction`` in a term map
 field coefficients during branch expansion; only ``+ - *`` and truth testing
 of coefficients are assumed there.
 
-gcd uses content/primitive-part decomposition in the main variable plus the
-Collins subresultant polynomial remainder sequence, which keeps coefficient
-growth polynomial while staying exact.
+Each operation has one path, whatever the shape of its inputs (constants,
+polynomials in x alone or in y alone included). gcd splits both inputs into
+content and primitive part in y, takes the gcd of the contents over Q[x],
+and runs the Collins subresultant polynomial remainder sequence on the
+primitive parts, which keeps coefficient growth polynomial while staying
+exact. Exact division is long division in y with Q[x] coefficients.
 """
 
 from __future__ import annotations
@@ -207,24 +210,6 @@ class BivarPoly:
     def from_unipoly_x(p: UniPoly) -> "BivarPoly":
         return BivarPoly({(i, 0): c for i, c in enumerate(p.coeffs) if c})
 
-    def as_unipoly_in_x(self) -> UniPoly:
-        if self.deg_y() > 0:
-            raise RuntimeError("as_unipoly_in_x of a polynomial in y")
-        n = self.deg_x() + 1
-        out = [Fraction(0)] * max(n, 0)
-        for (i, _), c in self.terms.items():
-            out[i] = c
-        return UniPoly(out)
-
-    def as_unipoly_in_y(self) -> UniPoly:
-        if self.deg_x() > 0:
-            raise RuntimeError("as_unipoly_in_y of a polynomial in x")
-        n = self.deg_y() + 1
-        out = [Fraction(0)] * max(n, 0)
-        for (_, j), c in self.terms.items():
-            out[j] = c
-        return UniPoly(out)
-
     # -- printing ---------------------------------------------------------------------
 
     def to_string(self) -> str:
@@ -273,15 +258,17 @@ def normalize(p: BivarPoly) -> BivarPoly:
 # -- gcd and square-free part -------------------------------------------------------------
 
 
-def _content_y(p: BivarPoly) -> UniPoly:
-    """gcd over Q[x] of the y-coefficients (monic)."""
-    cols = [c for c in p.coeffs_in_y() if not c.is_zero()]
+def _primitive_y(cols: list[UniPoly]) -> tuple[UniPoly, list[UniPoly]]:
+    """Content and primitive part in y of a nonzero polynomial given by its
+    y-coefficients: their monic gcd over Q[x], and the coefficients divided
+    by it."""
     g = UniPoly()
     for c in cols:
-        g = uni_gcd(g, c) if not g.is_zero() else c.monic()
-        if g.degree == 0:
-            break
-    return g
+        if c:
+            g = uni_gcd(g, c) if g else c.monic()
+            if g.degree == 0:
+                return g, cols
+    return g, _divide_coeffs(cols, g)
 
 
 def _prem(F: list[UniPoly], G: list[UniPoly]) -> list[UniPoly]:
@@ -341,55 +328,29 @@ def _gcd_primitive_y(F: list[UniPoly], G: list[UniPoly]) -> BivarPoly:
             if delta > 1:
                 hn = _divide_coeffs([hn], h**(delta - 1))[0]
             h = hn
-    res = BivarPoly.from_coeffs_in_y(G)
-    cont = _content_y(res)
-    if cont.degree >= 1 or (cont.coeffs and cont.coeffs[0] != 1):
-        res = BivarPoly.from_coeffs_in_y(_divide_coeffs(res.coeffs_in_y(), cont))
-    return res
+    return BivarPoly.from_coeffs_in_y(_primitive_y(G)[1])
 
 
 def gcd_bivar(p: BivarPoly, q: BivarPoly) -> BivarPoly:
     """Greatest common divisor over Q[x, y], normalized integer-primitive with
-    positive grlex-leading coefficient."""
+    positive grlex-leading coefficient: the gcd of the contents in y times
+    the gcd of the primitive parts."""
     if p.is_zero() and q.is_zero():
         raise BothZeroError("gcd(0, 0) is undefined")
     if p.is_zero():
         return normalize(q)
     if q.is_zero():
         return normalize(p)
-    if p.is_constant() or q.is_constant():
-        return BivarPoly.constant(Fraction(1))
-    if p.deg_y() == 0 and q.deg_y() == 0:
-        return normalize(BivarPoly.from_unipoly_x(
-            uni_gcd(p.as_unipoly_in_x(), q.as_unipoly_in_x())))
-    if p.deg_x() == 0 and q.deg_x() == 0:
-        return normalize(BivarPoly.from_unipoly_x(
-            uni_gcd(p.as_unipoly_in_y(), q.as_unipoly_in_y())).swap_vars())
-    if p.deg_y() == 0:
-        return normalize(BivarPoly.from_unipoly_x(
-            uni_gcd(p.as_unipoly_in_x(), _content_y(q))))
-    if q.deg_y() == 0:
-        return normalize(BivarPoly.from_unipoly_x(
-            uni_gcd(q.as_unipoly_in_x(), _content_y(p))))
-    cp, cq = _content_y(p), _content_y(q)
-    Pp = BivarPoly.from_coeffs_in_y(_divide_coeffs(p.coeffs_in_y(), cp))
-    Pq = BivarPoly.from_coeffs_in_y(_divide_coeffs(q.coeffs_in_y(), cq))
-    gc = uni_gcd(cp, cq)
-    gp = _gcd_primitive_y(Pp.coeffs_in_y(), Pq.coeffs_in_y())
-    return normalize(gp * BivarPoly.from_unipoly_x(gc))
+    cp, P = _primitive_y(p.coeffs_in_y())
+    cq, Q = _primitive_y(q.coeffs_in_y())
+    return normalize(_gcd_primitive_y(P, Q)
+                     * BivarPoly.from_unipoly_x(uni_gcd(cp, cq)))
 
 
 def divide_exact(p: BivarPoly, d: BivarPoly) -> BivarPoly:
     """Exact division p / d in Q[x, y]; d must divide p."""
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if d.is_constant():
-        return p.scale(Fraction(1) / d.terms[(0, 0)])
-    if p.is_zero():
-        return p
-    if d.deg_y() == 0:
-        du = d.as_unipoly_in_x()
-        return BivarPoly.from_coeffs_in_y(_divide_coeffs(p.coeffs_in_y(), du))
     F = p.coeffs_in_y()
     G = d.coeffs_in_y()
     dG = len(G) - 1
@@ -416,19 +377,13 @@ def divide_exact(p: BivarPoly, d: BivarPoly) -> BivarPoly:
 def squarefree_part(p: BivarPoly) -> BivarPoly:
     """Product of the distinct irreducible factors of p, normalized.
 
-    Same real zero set as p, every factor simple.
+    Same real zero set as p, every factor simple: the square-free part of
+    the content in y times pp / gcd(pp, pp_y) for the primitive part pp.
     """
     if p.is_zero():
         raise ZeroInputError("zero polynomial has no square-free part")
-    if p.is_constant():
-        return BivarPoly.constant(Fraction(1))
-    cont = _content_y(p)
-    pp = BivarPoly.from_coeffs_in_y(_divide_coeffs(p.coeffs_in_y(), cont))
-    out = BivarPoly.from_unipoly_x(uni_squarefree(cont)) if cont.degree >= 1 \
-        else BivarPoly.constant(Fraction(1))
+    cont, cols = _primitive_y(p.coeffs_in_y())
+    pp = BivarPoly.from_coeffs_in_y(cols)
     if pp.deg_y() >= 1:
-        g = gcd_bivar(pp, pp.diff("y"))
-        out = out * divide_exact(pp, g)
-    else:
-        out = out * pp
-    return normalize(out)
+        pp = divide_exact(pp, gcd_bivar(pp, pp.diff("y")))
+    return normalize(BivarPoly.from_unipoly_x(uni_squarefree(cont)) * pp)

@@ -113,12 +113,17 @@ def _flag_error(args) -> str | None:
     if hasattr(args, "order") and args.order < 1:
         return "need --order >= 1"
     if hasattr(args, "tmin"):
+        if not (math.isfinite(args.tmin) and math.isfinite(args.tmax)):
+            return "need finite --tmin and --tmax"
         if not 0.0 < args.tmin < args.tmax:
             return "need 0 < --tmin < --tmax"
         if args.ladder < 2:
             return "--ladder must be at least 2"
         if args.grid < 16:
             return "--grid must be at least 16"
+    floor = getattr(args, "floor", None)
+    if floor is not None and not (math.isfinite(floor) and floor >= 0.0):
+        return "need a finite --floor >= 0"
     return None
 
 

@@ -267,19 +267,9 @@ class _Leaf:
             self.head[self.shift] = c
 
 
-def _multiplicity(E: UniPoly, c) -> int:
-    d = E.derivative()
-    mu = 1
-    while mu <= E.degree:
-        if d.eval(c):
-            return mu
-        d = d.derivative()
-        mu += 1
-    return mu
-
-
 def _edge_roots(E: UniPoly, ctx):
-    """Real roots of an edge polynomial: list of (value, multiplicity, ctx).
+    """Real roots of an edge polynomial: list of (value, simple, ctx), with
+    ``simple`` whether E'(value) != 0.
 
     Over Q, and inside Q(c) when every coefficient is rational, the roots
     come from one isolation: a rational root is used as is, and an
@@ -297,22 +287,23 @@ def _edge_roots(E: UniPoly, ctx):
             red = uni_squarefree(Ef)
             if red.degree == 1:
                 c_val = -red.coeffs[0]  # red is monic
-                return [(c_val, _multiplicity(Ef, c_val), ctx)]
+                return [(c_val, bool(Ef.derivative().eval(c_val)), ctx)]
             bound = cauchy_bound(red)
             if count_real_roots(red, -bound, bound) == 0:
                 return []
             raise TowerDepthExceededError(
                 "branch coefficient needs a second algebraic extension")
         E = UniPoly(rats)
+    dE = E.derivative()
     out = []
     for r in isolate_real_roots(E):
         if r.is_rational():
-            out.append((r.lo, _multiplicity(E, r.lo), ctx))
+            out.append((r.lo, bool(dE.eval(r.lo)), ctx))
         elif ctx is None:
             new_ctx = FieldContext(r.defining, r.lo, r.hi,
                                    rational_root_free=True)
             gen = new_ctx.generator()
-            out.append((gen, _multiplicity(E, gen), new_ctx))
+            out.append((gen, bool(dE.eval(gen)), new_ctx))
         else:
             raise TowerDepthExceededError(
                 "branch coefficient needs a second algebraic extension")
@@ -354,10 +345,10 @@ def _np_branches(q: BivarPoly, ctx, gamma_min: Fraction, strict: bool,
         if edge.gamma < gamma_min or (strict and edge.gamma == gamma_min):
             continue
         a, b = edge.gamma.numerator, edge.gamma.denominator
-        for c_val, mu, new_ctx in _edge_roots(edge.poly, ctx):
+        for c_val, simple, new_ctx in _edge_roots(edge.poly, ctx):
             _, p1 = _transform(q, a, b, c_val)
             new_levels = levels + [(a, b, c_val)]
-            if mu == 1:
+            if simple:
                 if p1.min_deg_y() >= 1:
                     out.append(_Leaf(new_levels, new_ctx, None))
                 else:
@@ -415,7 +406,8 @@ def _branch_sort_key(b: HalfBranch):
     # the dependent coordinate leads with c0 s^(e*gamma), gamma = a0/b0.
     # An irrational c0 generates its own Q(c0); siblings with the same chart,
     # gamma and sigma come from one isolate_real_roots call, so their
-    # intervals are disjoint and the midpoint orders c0 exactly.
+    # intervals meet at most in an endpoint and the midpoint orders c0
+    # exactly.
     if not b.chain.levels:
         return (CHART_RANK[b.chart], 0, -b.sigma, 0, b.e)
     a, b0, c = b.chain.levels[0]

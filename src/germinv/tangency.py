@@ -129,9 +129,8 @@ def _lead_sign(c, max_bits: int) -> int:
             f"sign of a leading coefficient undecided in {max_bits} bits") from exc
 
 
-def restrict(f: BivarPoly, branch: HalfBranch,
-             config: ExpansionConfig | None = None,
-             curve: TangencyCurve | None = None) -> Restriction:
+def restrict(f: BivarPoly, branch: HalfBranch, config: ExpansionConfig,
+             curve: TangencyCurve) -> Restriction:
     """Classify f along one half-branch of its tangency curve.
 
     f is carried through the branch's Newton-Puiseux chain (``leading_term``)
@@ -139,14 +138,13 @@ def restrict(f: BivarPoly, branch: HalfBranch,
     nonzero restriction has s-order at most deg f * deg h_sf (the branch
     contributes at most the full intersection number of the two curves), or
     at most deg f along a radial line, so no term up to that order
-    certifies the zero class.
+    certifies the zero class. ``curve`` is the tangency curve of f that
+    the branch lies on.
     """
-    config = config or ExpansionConfig()
     if f.is_zero():
         return Restriction(0, None, branch)
     bound = f.total_degree()
     if branch.chart != "radial":
-        curve = curve or TangencyCurve(f)
         bound *= curve.h_sf.total_degree()
     lead = leading_term(f, branch, bound)
     if lead is None:

@@ -524,22 +524,10 @@ def isolate_real_roots(u: UniPoly, refine_width: Fraction = Fraction(1, 4)) -> l
         a = AlgebraicReal(p, lo, hi)
         a.refine_to(refine_width)
         out.append(a)
-    # midpoint order is exact once adjacent intervals are disjoint; refine to
-    # a fixpoint (tiny degrees, converges fast)
-    for _ in range(512):
-        out.sort(key=lambda a: (a.lo + a.hi) / 2)
-        ok = True
-        for a, b in zip(out, out[1:]):
-            if not a.hi < b.lo:
-                ok = False
-                if a.is_rational():
-                    b.refine_step()
-                elif b.is_rational():
-                    a.refine_step()
-                elif a.hi - a.lo >= b.hi - b.lo:
-                    a.refine_step()
-                else:
-                    b.refine_step()
-        if ok:
-            return out
-    raise PrecisionExceededError("failed to separate isolating intervals")
+    # midpoint order is value order. The cells of one bisection meet at most
+    # in an endpoint, refinement keeps each interval inside its cell, and the
+    # midpoint of an irrational root's interval is interior to it. A rational
+    # root lies inside a cell of its own, or is a bisection point, deflated
+    # before its neighbours were counted: at most an endpoint of theirs.
+    out.sort(key=lambda a: (a.lo + a.hi) / 2)
+    return out

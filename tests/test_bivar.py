@@ -103,6 +103,17 @@ def test_gcd_special_cases():
     assert gcd_bivar(BivarPoly.constant(Fraction(3)), x * y) == \
         BivarPoly.constant(Fraction(1))
     assert gcd_bivar(x**2 * y, x * y**3) == x * y
+    # shapes that once had their own code take the general path
+    one = BivarPoly.constant(Fraction(1))
+    two = one + one
+    for a, b in (((x - one)**2 * (x + two), (x - one) * (x + x + x + one)),
+                 ((y + two)**2 * y, (y + two) * (y - two - two)),
+                 ((x + one) * (x - two), (x + one) * (x * y + y**2)),
+                 (BivarPoly.constant(Fraction(-2, 3)), x**2 * y + one)):
+        # both in x only, both in y only, one in x only, one constant
+        for p, q in ((a, b), (b, a)):
+            assert_same_up_to_constant(
+                gcd_bivar(p, q), sympy.gcd(to_sympy(p), to_sympy(q), _x, _y))
 
 
 def test_squarefree_matches_sympy():
@@ -134,6 +145,14 @@ def test_divide_exact_roundtrip():
         if b.is_zero():
             continue
         assert divide_exact(a * b, b) == a
+    # an x-only divisor and a constant divisor take the same division loop
+    x, y = BivarPoly.var_x(), BivarPoly.var_y()
+    two = BivarPoly.constant(Fraction(2))
+    p = (x - two)**2 * (x * y**3 - y + two)
+    for d in ((x - two)**2, BivarPoly.constant(Fraction(-3, 4))):
+        assert sympy.expand(to_sympy(divide_exact(p, d))
+                            - sympy.cancel(to_sympy(p) / to_sympy(d))) == 0
+    assert divide_exact(BivarPoly.zero(), x - two).is_zero()
 
 
 def test_normalize_integer_primitive():

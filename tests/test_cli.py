@@ -197,6 +197,16 @@ def test_exit_contradictory_flags(capsys):
     assert rc == 2
     assert out == ""
     assert err == "error: need 0 < --tmin < --tmax\n"
+    # a non-finite radius or floor is a flag error, not inf/nan rows or a
+    # crosscheck failure
+    for flags in (("psi", "--tmax", "inf"), ("psi", "--tmin", "nan"),
+                  ("crosscheck", "--floor", "nan"),
+                  ("crosscheck", "--floor", "inf"),
+                  ("crosscheck", "--floor", "-0.5")):
+        rc, out, err = run(capsys, flags[0], "x^2 + y^4", *flags[1:])
+        assert rc == 2, flags
+        assert out == ""
+        assert err.startswith("error: need "), flags
 
 
 def test_exit_crosscheck_failure(capsys):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from germinv import (Classification, GermInvariant, ResourceError,
+from germinv import (BivarPoly, Classification, GermInvariant, ResourceError,
                      analyze_germ, equivalent_possible, expand_branches,
                      invariant, parse_poly)
 from germinv.tangency import Restriction
@@ -119,6 +119,31 @@ def test_rotation_identity_random():
             continue
         assert b.invariant == a.invariant
         checked += 1
+
+
+def test_contact_group_identity_random():
+    # Inv(u * f o phi) = Inv(f) for diffeomorphisms phi of (R^2, 0), a shear,
+    # a diagonal and two with nonlinear terms, and units u with u(0) > 0.
+    # Every analysis must finish: a ResourceError fails the test.
+    x, y = BivarPoly.var_x(), BivarPoly.var_y()
+    phis = [(x + y.scale(Fraction(1, 2)), y),
+            (x.scale(Fraction(2)), y.scale(Fraction(-1, 3))),
+            (x + y**2, y), (x, y + x**2)]
+    units = [parse_poly(u) for u in ("1", "1 + x", "2 - y")]
+    rng = random.Random(1)
+    germs = []
+    while len(germs) < 12:
+        f = random_germ(rng, max_deg=5, max_terms=4)
+        if not f.is_zero():
+            germs.append(f)
+    for f in germs:
+        want = analyze_germ(f).invariant
+        for px, py in phis:
+            g = f.compose(px, py)
+            for u in units:
+                assert analyze_germ(u * g).invariant == want, \
+                    (f.to_string(), px.to_string(), py.to_string(),
+                     u.to_string())
 
 
 def test_rotated_zero_set_uses_extension(reference_germs):

@@ -152,16 +152,6 @@ class BivarPoly:
             raise ValueError(f"unknown variable {var!r}")
         return BivarPoly(out)
 
-    def eval(self, x, y):
-        """Evaluate at a point; works for Fraction, float, or field elements."""
-        acc = None
-        for (i, j), c in sorted(self.terms.items()):
-            t = c * x**i * y**j
-            acc = t if acc is None else acc + t
-        if acc is None:
-            return 0.0 if isinstance(x, float) else Fraction(0)
-        return acc
-
     def compose(self, px: "BivarPoly", py: "BivarPoly") -> "BivarPoly":
         """Substitute polynomials for x and y."""
         xps = {0: BivarPoly.constant(Fraction(1))}

@@ -112,6 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _flag_error(args) -> str | None:
     if hasattr(args, "order") and args.order < 1:
         return "need --order >= 1"
+    if hasattr(args, "max_bits") and args.max_bits < 0:
+        return "need --max-bits >= 0"
     if hasattr(args, "tmin"):
         if not (math.isfinite(args.tmin) and math.isfinite(args.tmax)):
             return "need finite --tmin and --tmax"
@@ -240,15 +242,12 @@ def cmd_branches(args, out) -> int:
     return EXIT_OK
 
 
-def _ladder(args):
-    import numpy as np
-    return [float(t) for t in np.geomspace(args.tmin, args.tmax, args.ladder)]
-
-
 def cmd_psi(args, out) -> int:
-    from .oracle import ladder_extrema
+    from .oracle import ladder_extrema, radius_ladder
     f = parse_poly(args.germ)
-    ts = _ladder(args)
+    if f.is_zero():
+        raise ZeroInputError("the zero germ has no circle extrema to fit")
+    ts = radius_ladder(args.tmin, args.tmax, args.ladder)
     extrema = ladder_extrema(f, ts, args.grid)
     if args.format == "json":
         _emit_json(out, {

@@ -3,18 +3,18 @@ branches.
 
 Along every half-branch of the tangency curve the germ has an exact order
 alpha (against the distance to the origin) and a sign; collecting these into
-the sets K- / K0 / K+ determines the invariant pair:
+the sets K- / K0 / K+ gives the (sign, order) of the extrema of f on small
+circles of radius t, psi(t) = min f ~ sign * t^alpha and psibar(t) = max f:
 
-    K0 and K+ only            (0, min K+)
-    K0 and K- only            (-min K-, 0)
-    K- and K+ both            (-min K-, min K+)
-    K+ alone                  (min K+, max K+)
-    K- alone                  (-min K-, -max K-)
-    neither K- nor K+         (0, 0)
+    psi:    K- nonempty -> (-1, min K-)
+            else K0 nonempty or K+ empty -> (0, -), identically 0
+            else -> (+1, max K+)
+    psibar: the same with the roles of K- and K+ exchanged
 
-stored in ascending order. Germs taking both signs near the origin are
-governed by their slowest escape from zero on each side; one-signed germs by
-their extreme orders. The pair is unchanged under contact equivalences that
+The invariant pair is the two signed orders sign * alpha (0 for sign 0) in
+ascending order. Germs taking both signs near the origin are governed by
+their slowest escape from zero on each side; one-signed germs by their
+extreme orders. The pair is unchanged under contact equivalences that
 preserve orientation of values and flips under negation, so two germs can
 only be equivalent up to bi-Lipschitz contact if their pairs agree outright
 or agree after negation.
@@ -28,10 +28,25 @@ from .bivar import BivarPoly
 from .tangency import (ExpansionConfig, Restriction, TangencyCurve, restrict)
 
 
-class Classification:
-    """Sign classes of all tangency half-branches of one germ."""
+def _extremum(sign: int, own: list, other: list, k0: bool) -> tuple:
+    """(sign, alpha) of the circle extremum on the side of ``sign``, from the
+    sorted orders of the branches of that sign (``own``) and of the other
+    (``other``): the slowest of its own, else identically 0, else the
+    fastest of the other sign's."""
+    if own:
+        return sign, own[0]
+    if k0 or not other:
+        return 0, None
+    return -sign, other[-1]
 
-    __slots__ = ("restrictions", "K0_count", "Kminus_alphas", "Kplus_alphas")
+
+class Classification:
+    """Sign classes of all tangency half-branches of one germ, and the
+    (sign, alpha) of the circle extrema ``psi`` (min) and ``psibar`` (max)
+    that they determine; alpha is None for sign 0."""
+
+    __slots__ = ("restrictions", "K0_count", "Kminus_alphas", "Kplus_alphas",
+                 "psi", "psibar")
 
     def __init__(self, restrictions: list[Restriction]):
         self.restrictions = list(restrictions)
@@ -40,6 +55,9 @@ class Classification:
                                     if r.sign < 0)
         self.Kplus_alphas = sorted(r.alpha for r in self.restrictions
                                    if r.sign > 0)
+        k0 = self.K0_count > 0
+        self.psi = _extremum(-1, self.Kminus_alphas, self.Kplus_alphas, k0)
+        self.psibar = _extremum(1, self.Kplus_alphas, self.Kminus_alphas, k0)
 
     def __repr__(self):
         return (f"Classification(K0 x{self.K0_count}, "
@@ -79,21 +97,10 @@ class GermInvariant:
 
 
 def invariant(classification: Classification) -> GermInvariant:
-    """The canonical order pair of a classified germ."""
-    km = classification.Kminus_alphas
-    kp = classification.Kplus_alphas
-    k0 = classification.K0_count > 0
-    if km and kp:
-        return GermInvariant(-km[0], kp[0])
-    if k0 and kp:
-        return GermInvariant(0, kp[0])
-    if k0 and km:
-        return GermInvariant(-km[0], 0)
-    if kp:
-        return GermInvariant(kp[0], kp[-1])
-    if km:
-        return GermInvariant(-km[0], -km[-1])
-    return GermInvariant(0, 0)
+    """The canonical order pair of a classified germ: the signed orders of
+    its circle extrema psi and psibar, sorted."""
+    return GermInvariant(*(sign * alpha if sign else 0 for sign, alpha in
+                           (classification.psi, classification.psibar)))
 
 
 def equivalent_possible(vf: GermInvariant, vg: GermInvariant) -> str:

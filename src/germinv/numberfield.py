@@ -15,6 +15,10 @@ structure branch expansion ever needs: one adjoined root per branch, with
   appears, m is replaced by its factor that still has c as a root, which
   changes no element's value).
 
+An element mixes with ``int`` and ``Fraction`` operands in ``+ - * /`` on
+either side, and prints as its 9-digit float in parentheses, so code over
+exact coefficients treats Q and Q(c) alike and never asks which it has.
+
 m is kept square-free but is not factored into irreducibles; the isolating
 interval does the job of choosing the root. When m has degree <= 3 and no
 rational root, it is irreducible, Q[t]/(m) is a field, and the zero test is
@@ -197,6 +201,14 @@ class FieldElement:
             raise ZeroDivisionError("inverse of zero extension element")
         return FieldElement(self.ctx, self.ctx.invert(self.coeffs))
 
+    def __truediv__(self, other):
+        if isinstance(other, FieldElement):
+            return self * other.inverse()
+        return self * (1 / Fraction(other))
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
     # -- numeric views -------------------------------------------------------------
 
     def as_rational(self) -> Fraction | None:
@@ -223,16 +235,8 @@ class FieldElement:
         lo, hi = self.interval(min(abs(lo), abs(hi)) / 2**60)
         return float((lo + hi) / 2)
 
-    def abs_upper(self) -> Fraction:
-        lo, hi = self.interval(Fraction(1, 2))
-        return max(abs(lo), abs(hi))
-
-    def abs_lower(self) -> Fraction:
-        """Positive rational lower bound on |value|; element must be nonzero."""
-        if self.is_zero():
-            raise ZeroDivisionError("no positive lower bound for zero")
-        lo, hi = self.interval()
-        return lo if lo > 0 else -hi
+    def __str__(self) -> str:
+        return f"({float(self):.9g})"
 
     def __repr__(self) -> str:
         poly = UniPoly(self.coeffs).to_string("c")

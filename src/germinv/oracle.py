@@ -13,17 +13,11 @@ bisection. From them we get the per-circle extrema
     psi(t) = min_{|p|=t} f(p),   psibar(t) = max_{|p|=t} f(p),
 
 whose signs and log-log slopes over a geometric ladder of radii must match
-what the exact classification predicts:
-
-    psi:    K- nonempty -> sign -, slope min K- alpha
-            else K0 nonempty -> identically 0 (below the noise floor)
-            else -> sign +, slope max K+ alpha
-    psibar: K+ nonempty -> sign +, slope min K+ alpha
-            else K0 nonempty -> 0
-            else -> sign -, slope max K- alpha
-
-and the number of critical angles per circle must be stable in t and equal
-to the number of tangency half-branches.
+the (sign, alpha) that the exact classification gives for each
+(``Classification.psi`` and ``psibar``, the two numbers behind the invariant
+pair; sign 0 means identically 0, below the noise floor), and the number of
+critical angles per circle must be stable in t and equal to the number of
+tangency half-branches.
 """
 
 from __future__ import annotations
@@ -36,6 +30,15 @@ from .bivar import BivarPoly
 from .errors import PathCountUnstableError
 
 TWO_PI = 2.0 * math.pi
+# a fitted log-log slope must be within SLOPE_TOL of the predicted order,
+# with r^2 at least R2_MIN
+SLOPE_TOL = 0.05
+R2_MIN = 0.999
+
+
+def radius_ladder(tmin: float, tmax: float, n: int) -> list[float]:
+    """n radii from tmin to tmax in geometric progression."""
+    return [float(t) for t in np.geomspace(tmin, tmax, n)]
 
 
 def compile_poly(p: BivarPoly):
@@ -305,25 +308,12 @@ class CrosscheckReport:
 
 
 def _predictions(classification):
-    km = classification.Kminus_alphas
-    kp = classification.Kplus_alphas
-    k0 = classification.K0_count > 0
-    if km:
-        psi = (-1, float(km[0]))
-    elif k0:
-        psi = (0, None)
-    else:
-        psi = (1, float(kp[-1])) if kp else (0, None)
-    if kp:
-        psibar = (1, float(kp[0]))
-    elif k0:
-        psibar = (0, None)
-    else:
-        psibar = (-1, float(km[-1])) if km else (0, None)
-    return psi, psibar
+    return tuple((sign, None if alpha is None else float(alpha))
+                 for sign, alpha in (classification.psi,
+                                     classification.psibar))
 
 
-def _check_fit(tag, fit: FitResult, predicted, slope_tol, r2_min, failures):
+def _check_fit(tag, fit: FitResult, predicted, failures):
     sign, alpha = predicted
     if sign == 0:
         if not fit.all_below_floor:
@@ -336,17 +326,16 @@ def _check_fit(tag, fit: FitResult, predicted, slope_tol, r2_min, failures):
         return
     if fit.sign != sign:
         failures.append(f"{tag}: sign {fit.sign:+d} != predicted {sign:+d}")
-    if not math.isfinite(fit.exponent) or abs(fit.exponent - alpha) > slope_tol:
+    if not math.isfinite(fit.exponent) or abs(fit.exponent - alpha) > SLOPE_TOL:
         failures.append(f"{tag}: slope {fit.exponent:.4f} not within "
-                        f"{slope_tol} of predicted {alpha}")
-    if fit.r2 < r2_min:
-        failures.append(f"{tag}: r2 {fit.r2:.6f} < {r2_min}")
+                        f"{SLOPE_TOL} of predicted {alpha}")
+    if fit.r2 < R2_MIN:
+        failures.append(f"{tag}: r2 {fit.r2:.6f} < {R2_MIN}")
 
 
 def crosscheck(f: BivarPoly, analysis, tmin: float = 1e-4, tmax: float = 1e-1,
                ladder: int = 40, grid: int = 4096,
-               floor: float | None = None, slope_tol: float = 0.05,
-               r2_min: float = 0.999) -> CrosscheckReport:
+               floor: float | None = None) -> CrosscheckReport:
     """Validate a GermAnalysis numerically on a geometric radius ladder.
 
     Checks: psi/psibar signs and log-log slopes against the classification,
@@ -361,7 +350,7 @@ def crosscheck(f: BivarPoly, analysis, tmin: float = 1e-4, tmax: float = 1e-1,
     if floor is None:
         norm = float(sum(abs(float(c)) for c in f.terms.values()))
         floor = 1e-14 * max(1.0, norm)
-    ts = [float(t) for t in np.geomspace(tmin, tmax, ladder)]
+    ts = radius_ladder(tmin, tmax, ladder)
     extrema = ladder_extrema(f, ts, grid)
     psi, psibar = [e.fmin for e in extrema], [e.fmax for e in extrema]
     failures: list[str] = []
@@ -381,8 +370,8 @@ def crosscheck(f: BivarPoly, analysis, tmin: float = 1e-4, tmax: float = 1e-1,
     pred_psi, pred_psibar = _predictions(analysis.classification)
     fit_psi = estimate_exponent(ts, psi, floor)
     fit_psibar = estimate_exponent(ts, psibar, floor)
-    _check_fit("psi", fit_psi, pred_psi, slope_tol, r2_min, failures)
-    _check_fit("psibar", fit_psibar, pred_psibar, slope_tol, r2_min, failures)
+    _check_fit("psi", fit_psi, pred_psi, failures)
+    _check_fit("psibar", fit_psibar, pred_psibar, failures)
     return CrosscheckReport(ts=ts, psi=psi, psibar=psibar, paths=paths,
                             path_tmin=path_tmin,
                             fit_psi=fit_psi, fit_psibar=fit_psibar,

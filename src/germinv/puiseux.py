@@ -18,9 +18,12 @@ of levels, an axis one with none. Past a simple root the branch continues
 one Newton step at a time (``_tail_step``), when its series is first read or
 when ``leading_term`` carries another polynomial through the same chain. All
 arithmetic is exact: rational, or in a single real algebraic extension Q(c)
-when a leading coefficient is irrational. A branch that would need a second
-nested extension raises TowerDepthExceededError rather than returning
-anything uncertified.
+when a leading coefficient is irrational. Elements of Q(c) act like
+Fractions (``+ - * /``, signs, ``str``), so no step asks which kind of
+coefficient it holds; only the branch order compares a first-level Q(c)
+coefficient through its isolating interval. A branch that would need a
+second nested extension raises TowerDepthExceededError rather than
+returning anything uncertified.
 
 The parameter exponent e = prod(b_i) is automatically minimal: each level's
 exponent a_i/b_i is in lowest terms and enters the series with a nonzero
@@ -41,8 +44,8 @@ from math import comb, prod
 from .bivar import BivarPoly
 from .errors import TowerDepthExceededError, UnitGermError, ZeroInputError
 from .numberfield import FieldContext, FieldElement
-from .unipoly import (UniPoly, cauchy_bound, count_real_roots,
-                      isolate_real_roots, uni_squarefree)
+from .unipoly import (UniPoly, count_all_real_roots, isolate_real_roots,
+                      uni_squarefree)
 
 _MAX_DEPTH = 64
 
@@ -50,12 +53,6 @@ CHART_RANK = {"x-axis": 0, "y-axis": 1, "y-dominant": 2, "x-dominant": 3,
               "radial": 4}
 # charts expanded with x and y swapped: their exact monomial coordinate is y
 _SWAPPED = ("y-axis", "x-dominant")
-
-
-def _inv(c):
-    if isinstance(c, Fraction):
-        return Fraction(1) / c
-    return c.inverse()
 
 
 # -- Newton polygon ------------------------------------------------------------
@@ -149,10 +146,7 @@ class PuiseuxSeries:
             return "0"
         parts = []
         for k, c in self.terms:
-            if isinstance(c, Fraction):
-                cs = str(c)
-            else:
-                cs = f"({float(c):.9g})"
+            cs = str(c)
             mono = var if k == 1 else f"{var}^{k}"
             if cs == "1":
                 parts.append(mono)
@@ -170,30 +164,44 @@ class PuiseuxSeries:
 
 
 class HalfBranch:
-    """One real half-branch of the curve, parametrized by s > 0.
+    """One real half-branch of the curve, parametrized by s > 0, as the
+    Newton-Puiseux chain that produced it.
 
     ``sigma`` is the sign carried by the exact monomial coordinate, ``e`` the
     parameter exponent of that coordinate (also the vanishing order of the
     distance to the origin along the branch, since the series coordinate is
-    O(s^e)). ``ctx`` is the real algebraic extension the coefficients live
-    in, or None over the rationals. ``chain`` is the Newton-Puiseux chain
-    that produced the branch: the levels (none for an axis or a radial
-    line), the field and the final simple-root polynomial. The series x and
-    y are computed from the chain when first read, to the trust bound
-    ``order``: the order of f along the branch is read from the chain itself
-    (``leading_term``), so only printing and residual checks need them.
+    O(s^e)). ``levels`` are the chain's substitutions (a, b, c) with
+    gamma = a/b (none for an axis or a radial line), ``ctx`` the real
+    algebraic extension the coefficients live in, or None over the
+    rationals, and ``p`` the simple-root polynomial of the tail, or None when
+    the branch is exact. The series x and y are computed from the chain when
+    first read, to the trust bound ``order``: the order of f along the branch
+    is read from the chain itself (``leading_term``), so only printing and
+    residual checks need them.
     """
 
-    __slots__ = ("chart", "sigma", "e", "ctx", "chain", "order", "_xy")
+    __slots__ = ("chart", "sigma", "levels", "ctx", "p", "e", "head", "shift",
+                 "order", "_xy")
 
-    def __init__(self, chart, sigma, chain, order=None):
+    def __init__(self, chart, sigma, levels, ctx, p, order=None):
         self.chart = chart
         self.sigma = sigma
-        self.e = chain.e
-        self.ctx = chain.ctx
-        self.chain = chain
+        self.levels = levels
+        self.ctx = ctx
+        self.p = p
         self.order = order
         self._xy = None
+        self.e = prod(b for _, b, _ in levels)
+        # the dependent coordinate's terms from the levels: level i's
+        # exponent step in s-units is a_i * prod(b_m, m > i), and the last
+        # one lands at s-exponent ``shift``
+        self.head = {}
+        self.shift = 0
+        rest = self.e
+        for a, b, c in levels:
+            rest //= b
+            self.shift += a * rest
+            self.head[self.shift] = c
 
     @property
     def x(self) -> PuiseuxSeries:
@@ -205,28 +213,46 @@ class HalfBranch:
 
     def _series(self):
         if self._xy is None:
-            dep = _dependent(self.chain, self.order)
+            dep = self._dependent()
             principal = PuiseuxSeries(((self.e, Fraction(self.sigma)),),
                                       None, True)
             self._xy = ((dep, principal) if self.chart in _SWAPPED
                         else (principal, dep))
         return self._xy
 
+    def _dependent(self) -> PuiseuxSeries:
+        """The series coordinate: the terms of the levels, then
+        ``_tail_step`` along the simple root until every term below
+        ``order`` is present."""
+        terms = dict(self.head)
+        if self.p is None:
+            return PuiseuxSeries(terms.items(), None, True)
+        n_tail = self.order - self.shift
+        p, k = self.p, 0
+        while k < n_tail - 1:
+            a, c, p = _tail_step(p, n_tail - 1 - k)
+            k += a
+            if k < n_tail:
+                terms[self.shift + k] = c
+        return PuiseuxSeries(terms.items(), self.shift + max(n_tail, 1),
+                             False)
+
     @property
     def exact(self) -> bool:
-        return self.chain.p is None
+        return self.p is None
 
     @property
     def truncation(self):
         if self.exact:
             return None
-        return max(self.order, self.chain.shift + 1)
+        return max(self.order, self.shift + 1)
 
     def extend(self, order: int) -> "HalfBranch":
         """The same branch with its series trusted to at least ``order``."""
         if self.exact or self.order >= order:
             return self
-        return HalfBranch(self.chart, self.sigma, self.chain, order)
+        return HalfBranch(self.chart, self.sigma, self.levels, self.ctx,
+                          self.p, order)
 
     def describe(self) -> str:
         return (f"{self.chart} side {'+' if self.sigma > 0 else '-'}: "
@@ -238,33 +264,10 @@ class HalfBranch:
 
 def radial_branch(sigma: int) -> HalfBranch:
     """Synthetic ray x = sigma*s, y = 0 for rotationally degenerate cases."""
-    return HalfBranch("radial", sigma, _Leaf([], None, None))
+    return HalfBranch("radial", sigma, [], None, None)
 
 
 # -- the Newton-Puiseux recursion ------------------------------------------------
-
-
-class _Leaf:
-    """Where the recursion ends a branch: the levels (a, b, c) with
-    gamma = a/b, the field, the simple-root polynomial of the tail (None if
-    the branch is exact), e = prod(b), and the dependent coordinate's terms
-    from the levels, the last of them at s-exponent ``shift``."""
-
-    __slots__ = ("levels", "ctx", "p", "e", "head", "shift")
-
-    def __init__(self, levels, ctx, p):
-        self.levels = levels
-        self.ctx = ctx
-        self.p = p
-        self.e = prod(b for _, b, _ in levels)
-        # level i's exponent step in s-units is a_i * prod(b_m, m > i)
-        self.head = {}
-        self.shift = 0
-        rest = self.e
-        for a, b, c in levels:
-            rest //= b
-            self.shift += a * rest
-            self.head[self.shift] = c
 
 
 def _edge_roots(E: UniPoly, ctx):
@@ -276,11 +279,12 @@ def _edge_roots(E: UniPoly, ctx):
     irrational one opens a fresh extension Q(c) over Q but needs a second
     extension inside Q(c). With irrational coefficients only a root in Q(c)
     itself is usable: the square-free part must be linear, or have no real
-    root at all. A branch that needs more raises TowerDepthExceededError.
+    root at all, which the signs of its Sturm chain's leading coefficients
+    tell without bounding the roots. A branch that needs more raises
+    TowerDepthExceededError.
     """
     if ctx is not None:
-        coeffs = [c if isinstance(c, FieldElement) else ctx.from_rational(c)
-                  for c in E.coeffs]
+        coeffs = [ctx.coerce(c) for c in E.coeffs]
         rats = [c.as_rational() for c in coeffs]
         if any(q is None for q in rats):
             Ef = UniPoly(coeffs)
@@ -288,8 +292,7 @@ def _edge_roots(E: UniPoly, ctx):
             if red.degree == 1:
                 c_val = -red.coeffs[0]  # red is monic
                 return [(c_val, bool(Ef.derivative().eval(c_val)), ctx)]
-            bound = cauchy_bound(red)
-            if count_real_roots(red, -bound, bound) == 0:
+            if count_all_real_roots(red) == 0:
                 return []
             raise TowerDepthExceededError(
                 "branch coefficient needs a second algebraic extension")
@@ -335,7 +338,7 @@ def _np_branches(q: BivarPoly, ctx, gamma_min: Fraction, strict: bool,
         raise RuntimeError("Newton polygon recursion failed to terminate")
     if q.min_deg_y() >= 1:
         # z = 0 is an exact solution branch ending at this node
-        out.append(_Leaf(list(levels), ctx, None))
+        out.append((list(levels), ctx, None))
         q = q.shift_down(0, 1)
         if q.is_constant():
             return
@@ -349,10 +352,8 @@ def _np_branches(q: BivarPoly, ctx, gamma_min: Fraction, strict: bool,
             _, p1 = _transform(q, a, b, c_val)
             new_levels = levels + [(a, b, c_val)]
             if simple:
-                if p1.min_deg_y() >= 1:
-                    out.append(_Leaf(new_levels, new_ctx, None))
-                else:
-                    out.append(_Leaf(new_levels, new_ctx, p1))
+                out.append((new_levels, new_ctx,
+                            None if p1.min_deg_y() >= 1 else p1))
             else:
                 _np_branches(p1, new_ctx, Fraction(0), True,
                              depth + 1, new_levels, out)
@@ -374,25 +375,8 @@ def _tail_step(p: BivarPoly, n: int):
     a = min((i for i, j in p.terms if j == 0), default=n + 1)
     if a > n:
         return a, Fraction(0), p
-    c = -p.terms[(a, 0)] * _inv(p.terms[(0, 1)])
+    c = -p.terms[(a, 0)] / p.terms[(0, 1)]
     return a, c, _transform(p, a, 1, c)[1]
-
-
-def _dependent(leaf: _Leaf, order: int) -> PuiseuxSeries:
-    """The series coordinate of a leaf's branch: the terms of its levels,
-    then ``_tail_step`` along its simple root until every term below
-    ``order`` is present."""
-    terms = dict(leaf.head)
-    if leaf.p is None:
-        return PuiseuxSeries(terms.items(), None, True)
-    n_tail = order - leaf.shift
-    p, k = leaf.p, 0
-    while k < n_tail - 1:
-        a, c, p = _tail_step(p, n_tail - 1 - k)
-        k += a
-        if k < n_tail:
-            terms[leaf.shift + k] = c
-    return PuiseuxSeries(terms.items(), leaf.shift + max(n_tail, 1), False)
 
 
 def _twist_x(p: BivarPoly, sigma: int) -> BivarPoly:
@@ -408,9 +392,9 @@ def _branch_sort_key(b: HalfBranch):
     # gamma and sigma come from one isolate_real_roots call, so their
     # intervals meet at most in an endpoint and the midpoint orders c0
     # exactly.
-    if not b.chain.levels:
+    if not b.levels:
         return (CHART_RANK[b.chart], 0, -b.sigma, 0, b.e)
-    a, b0, c = b.chain.levels[0]
+    a, b0, c = b.levels[0]
     if isinstance(c, FieldElement):
         c = (c.ctx.lo + c.ctx.hi) / 2
     return (CHART_RANK[b.chart], Fraction(a, b0), -b.sigma, c, b.e)
@@ -438,11 +422,12 @@ def expand_branches(curve: BivarPoly, order: int = 24) -> list[HalfBranch]:
                                    ("x-dominant", "y-axis", curve.swap_vars(),
                                     True)):
         for sigma in (1, -1):
-            leaves: list[_Leaf] = []
+            chains: list = []
             _np_branches(_twist_x(p, sigma), None, Fraction(1), strict,
-                         0, [], leaves)
-            branches += [HalfBranch(chart if lf.levels else axis, sigma, lf,
-                                    order) for lf in leaves]
+                         0, [], chains)
+            branches += [HalfBranch(chart if levels else axis, sigma, levels,
+                                    ctx, tail, order)
+                         for levels, ctx, tail in chains]
     branches.sort(key=_branch_sort_key)
     return branches
 
@@ -526,8 +511,8 @@ def leading_term(f: BivarPoly, branch: HalfBranch, bound: int):
     """
     q = _twist_x(f.swap_vars() if branch.chart in _SWAPPED else f,
                  branch.sigma)
-    levels = iter(branch.chain.levels)
-    p = branch.chain.p
+    levels = iter(branch.levels)
+    p = branch.p
     scale = branch.e   # s-exponent of the current u
     acc = 0            # s-order already divided out
     while not q.is_zero():

@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from .bivar import BivarPoly, gcd_bivar, squarefree_part
 from .errors import (IndeterminateSignError, NonVanishingGermError,
-                     PrecisionExceededError)
+                     PrecisionExceededError, ZeroInputError)
 from .puiseux import (HalfBranch, expand_branches, leading_term,
                       radial_branch, substitute)
 from .unipoly import coeff_sign
@@ -77,12 +77,15 @@ class TangencyCurve:
 
     ``degenerate`` marks h = 0 identically (f is a polynomial in x^2 + y^2,
     so every ray is a tangency direction and a single synthetic radial pair
-    represents them all).
+    represents them all). Raises ZeroInputError for the zero germ, which
+    has no invariant.
     """
 
     __slots__ = ("f", "h", "h_sf", "degenerate")
 
     def __init__(self, f: BivarPoly):
+        if f.is_zero():
+            raise ZeroInputError("the zero germ has no tangency curve")
         self.f = f
         self.h = tangency_poly(f)
         self.degenerate = self.h.is_zero()
@@ -119,16 +122,6 @@ class Restriction:
         return f"Restriction({self.kind}, alpha={self.alpha})"
 
 
-def _lead_sign(c, max_bits: int) -> int:
-    if isinstance(c, (Fraction, int)):
-        return coeff_sign(c)
-    try:
-        return c.sign(max_bits=max_bits)
-    except PrecisionExceededError as exc:
-        raise IndeterminateSignError(
-            f"sign of a leading coefficient undecided in {max_bits} bits") from exc
-
-
 def restrict(f: BivarPoly, branch: HalfBranch, config: ExpansionConfig,
              curve: TangencyCurve) -> Restriction:
     """Classify f along one half-branch of its tangency curve.
@@ -150,8 +143,13 @@ def restrict(f: BivarPoly, branch: HalfBranch, config: ExpansionConfig,
     if lead is None:
         return Restriction(0, None, branch)
     k, c = lead
-    return Restriction(_lead_sign(c, config.max_bits), Fraction(k, branch.e),
-                       branch)
+    try:
+        sign = coeff_sign(c, config.max_bits)
+    except PrecisionExceededError as exc:
+        raise IndeterminateSignError(
+            f"sign of a leading coefficient undecided in {config.max_bits} "
+            "bits") from exc
+    return Restriction(sign, Fraction(k, branch.e), branch)
 
 
 def certify_zero_branch(f: BivarPoly, branch: HalfBranch,

@@ -16,9 +16,12 @@ rational root's linear factor, a defining polynomial with no rational root.
 
 Coefficients are ``fractions.Fraction`` throughout the public API. The same
 ``UniPoly`` container is reused internally with coefficients in a simple real
-extension field (see ``numberfield``); every routine that needs it only uses
-``+ - *``, ``inverse()``, truth testing (certified nonzero), and
-``coeff_sign``.
+extension field (see ``numberfield``), whose elements act like Fractions:
+every routine only uses ``+ - * /``, truth testing (certified nonzero), and
+``coeff_sign``, and none of them asks which coefficient type it has. Nothing
+here bounds the roots of a polynomial over Q(c): the number of its real roots
+comes from the signs of its Sturm chain's leading coefficients
+(``count_all_real_roots``).
 
 Zero-or-not questions are decided exactly: a quantity is declared zero only
 when the coefficient type proves it (``Fraction == 0``, or the extension
@@ -36,11 +39,12 @@ from typing import Iterable, Sequence
 from .errors import PrecisionExceededError, ZeroInputError
 
 
-def coeff_sign(x) -> int:
-    """Sign (-1, 0, +1) of a coefficient: Fraction, int, or extension element."""
+def coeff_sign(x, max_bits: int = 256) -> int:
+    """Sign (-1, 0, +1) of a coefficient: Fraction, int, or extension element,
+    whose sign is certified within ``max_bits`` bisection steps."""
     if isinstance(x, (Fraction, int)):
         return (x > 0) - (x < 0)
-    return x.sign()
+    return x.sign(max_bits)
 
 
 class UniPoly:
@@ -174,7 +178,7 @@ class UniPoly:
             if not c:
                 continue
             if inv_lc is None:
-                inv_lc = 1 / other.lc() if isinstance(other.lc(), Fraction) else other.lc().inverse()
+                inv_lc = 1 / other.lc()
             q = c * inv_lc
             quot[k - dd] = q
             for j in range(dd + 1):
@@ -191,11 +195,9 @@ class UniPoly:
         if not self.coeffs:
             return self
         l = self.lc()
-        if isinstance(l, Fraction):
-            if l == 1:
-                return self
-            return self.scale(1 / l)
-        return self.scale(l.inverse())
+        if l == 1:
+            return self
+        return self.scale(1 / l)
 
     def eval(self, x):
         """Horner evaluation; x may be Fraction, float, or extension element."""
@@ -273,18 +275,24 @@ def count_real_roots(p: UniPoly, lo: Fraction, hi: Fraction,
     return sturm_variations_at(seq, lo) - sturm_variations_at(seq, hi)
 
 
+def count_all_real_roots(p: UniPoly) -> int:
+    """Number of distinct real roots of square-free p on the whole line: the
+    sign variations of its Sturm chain at -inf minus those at +inf, where
+    each member has the sign of its leading coefficient, flipped at -inf
+    when its degree is odd."""
+    seq = sturm_sequence(p)
+    at_inf = [coeff_sign(q.lc()) for q in seq]
+    return (_variations([-s if q.degree % 2 else s
+                         for s, q in zip(at_inf, seq)])
+            - _variations(at_inf))
+
+
 def cauchy_bound(p: UniPoly) -> Fraction:
-    """B with all real roots of p in (-B, B). Needs sign-queryable coeffs."""
+    """B with all real roots of p (over Q) in (-B, B)."""
     if p.degree < 1:
         return Fraction(1)
-    lead = p.lc()
-    if isinstance(lead, Fraction):
-        m = max(abs(c) for c in p.coeffs[:-1])
-        return 1 + m / abs(lead)
-    # extension coefficients: use rational magnitude bounds from intervals
-    mags = [c.abs_upper() for c in p.coeffs[:-1]]
-    low = lead.abs_lower()
-    return 1 + max(mags) / low
+    m = max(abs(c) for c in p.coeffs[:-1])
+    return 1 + m / abs(p.lc())
 
 
 # -- real algebraic numbers ----------------------------------------------------
@@ -339,9 +347,9 @@ class AlgebraicReal:
         else:
             self.lo = mid
 
-    def refine_to(self, width: Fraction, max_steps: int = 4096) -> None:
+    def refine_to(self, width: Fraction) -> None:
         """Bisect until hi - lo <= width: the bound on t at a is [lo, hi]."""
-        self.enclose(_IDENTITY, width, max_steps)
+        self.enclose(_IDENTITY, width)
 
     def is_root_of(self, p: UniPoly) -> bool:
         """Certified test of p(a) = 0 for p over Q: exact at a collapsed
@@ -381,6 +389,8 @@ class AlgebraicReal:
 
 
 _IDENTITY = UniPoly([Fraction(0), Fraction(1)])
+# isolate_real_roots refines each irrational root's interval to this width
+_REFINE_WIDTH = Fraction(1, 4)
 
 
 # -- isolation -----------------------------------------------------------------
@@ -501,7 +511,7 @@ def has_rational_root(p: UniPoly) -> bool:
     return bool(_sturm_isolate(p.monic())[0])
 
 
-def isolate_real_roots(u: UniPoly, refine_width: Fraction = Fraction(1, 4)) -> list[AlgebraicReal]:
+def isolate_real_roots(u: UniPoly) -> list[AlgebraicReal]:
     """Isolate all distinct real roots of u (Fraction coefficients).
 
     Returns sorted AlgebraicReal values, one per distinct real root; rational
@@ -511,8 +521,7 @@ def isolate_real_roots(u: UniPoly, refine_width: Fraction = Fraction(1, 4)) -> l
     found by integer bisection in r's isolating interval. The other roots
     share one ``defining`` polynomial, u's square-free part divided by
     (t - r) for each rational r, so it has no rational root. Their intervals
-    are refined to at most ``refine_width`` and never contain more than one
-    root.
+    are refined to width at most 1/4 and never contain more than one root.
     """
     if u.is_zero():
         raise ZeroInputError("cannot isolate roots of the zero polynomial")
@@ -522,7 +531,7 @@ def isolate_real_roots(u: UniPoly, refine_width: Fraction = Fraction(1, 4)) -> l
     out = [AlgebraicReal(UniPoly([-r, Fraction(1)]), r, r) for r in rats]
     for lo, hi in cells:
         a = AlgebraicReal(p, lo, hi)
-        a.refine_to(refine_width)
+        a.refine_to(_REFINE_WIDTH)
         out.append(a)
     # midpoint order is value order. The cells of one bisection meet at most
     # in an endpoint, refinement keeps each interval inside its cell, and the

@@ -202,11 +202,23 @@ def test_exit_contradictory_flags(capsys):
     for flags in (("psi", "--tmax", "inf"), ("psi", "--tmin", "nan"),
                   ("crosscheck", "--floor", "nan"),
                   ("crosscheck", "--floor", "inf"),
-                  ("crosscheck", "--floor", "-0.5")):
+                  ("crosscheck", "--floor", "-0.5"),
+                  ("inv", "--max-bits", "-1")):
         rc, out, err = run(capsys, flags[0], "x^2 + y^4", *flags[1:])
         assert rc == 2, flags
         assert out == ""
         assert err.startswith("error: need "), flags
+
+
+@pytest.mark.parametrize("argv", [
+    ("inv", "0"), ("compare", "0", "x^2 + y^4"), ("branches", "0"),
+    ("psi", "0"), ("crosscheck", "x - x")])
+def test_exit_zero_germ(capsys, argv):
+    # f = 0 has no invariant and no circle extrema: bad input
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: the zero germ ")
 
 
 def test_exit_crosscheck_failure(capsys):

@@ -51,6 +51,30 @@ def test_invariant_case_table():
     assert inv_of() == (0, 0)
 
 
+# K- = {2, 5}, one K0 branch, K+ = {3, 7}: each of the eight empty/nonempty
+# combinations with its pair, psi and psibar written out by hand
+CLASS_TABLE = [
+    # K-     K0     K+     Inv        psi          psibar
+    (False, False, False, (0, 0), (0, None), (0, None)),
+    (False, True, False, (0, 0), (0, None), (0, None)),
+    (False, False, True, (3, 7), (1, 7), (1, 3)),
+    (False, True, True, (0, 3), (0, None), (1, 3)),
+    (True, False, False, (-5, -2), (-1, 2), (-1, 5)),
+    (True, True, False, (-2, 0), (-1, 2), (0, None)),
+    (True, False, True, (-2, 3), (-1, 2), (1, 3)),
+    (True, True, True, (-2, 3), (-1, 2), (1, 3)),
+]
+
+
+@pytest.mark.parametrize("km, k0, kp, pair, psi, psibar", CLASS_TABLE)
+def test_class_to_pair_rule(km, k0, kp, pair, psi, psibar):
+    rs = ([fake(-1, 5), fake(-1, 2)] if km else []) + \
+        ([fake(0)] if k0 else []) + ([fake(1, 7), fake(1, 3)] if kp else [])
+    c = Classification(rs)
+    assert (c.psi, c.psibar) == (psi, psibar)
+    assert invariant(c).as_tuple() == pair
+
+
 def test_pair_is_canonical():
     v = GermInvariant(Fraction(5), Fraction(-1))
     assert (v.lo, v.hi) == (Fraction(-1), Fraction(5))

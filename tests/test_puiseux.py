@@ -108,9 +108,9 @@ def test_in_extension_linear_edge():
 
 
 def test_in_extension_edge_without_real_roots():
-    # the second edge polynomial, over Q(sqrt2), has no real root (its
-    # Cauchy bound is read from extension coefficients): the origin is an
-    # isolated real point
+    # the second edge polynomial, over Q(sqrt2), has no real root (counted
+    # from the signs of its Sturm chain's leading coefficients): the origin
+    # is an isolated real point
     assert expand_curve(
         "(y^2 + 2*x^2 + 2*x^4)^2 - 2*(x^4 - 2*x*y)^2") == []
 

@@ -20,6 +20,41 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def _type_checks(tree: ast.Module, names: set) -> list[str]:
+    """The functions (qualified by class) that call isinstance on ``names``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Name)
+                    and child.func.id == "isinstance" and len(child.args) == 2
+                    and names & {n.id for n in ast.walk(child.args[1])
+                                 if isinstance(n, ast.Name)}):
+                found.append(scope)
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
+def test_coefficient_type_is_asked_only_where_it_decides():
+    # Q(c) elements act like Fractions; only the sign of a coefficient and
+    # the branch order (an irrational first coefficient is compared by its
+    # isolating interval) need to know which kind they hold
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "numberfield.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.stem}.{f}" for f in
+                  _type_checks(tree, {"Fraction", "FieldElement"})]
+    assert sorted(found) == ["puiseux._branch_sort_key", "unipoly.coeff_sign"]
+
+
 def test_demos_run_standalone():
     # README promises that each demo runs with only the package on the path
     root = SRC.parents[1]

@@ -10,8 +10,9 @@ import sympy
 from germinv.errors import PrecisionExceededError
 from germinv.numberfield import FieldContext
 from germinv.unipoly import (AlgebraicReal, UniPoly, cauchy_bound,
-                             count_real_roots, isolate_real_roots,
-                             sturm_sequence, uni_gcd, uni_squarefree)
+                             count_all_real_roots, count_real_roots,
+                             isolate_real_roots, sturm_sequence, uni_gcd,
+                             uni_squarefree)
 
 _t = sympy.Symbol("t")
 
@@ -89,6 +90,8 @@ def test_sturm_count_matches_sympy():
         if to_sympy(p).eval(-10) == 0:
             ref -= 1
         assert mine == ref
+        # the whole line, from the leading coefficients alone
+        assert count_all_real_roots(p) == to_sympy(p).count_roots()
 
 
 def test_isolate_real_roots_matches_sympy():
@@ -233,14 +236,32 @@ def test_field_sign_precision_budget():
     assert tiny.sign(max_bits=1024) == 1
 
 
-def test_field_magnitude_bounds():
-    for k, m in ((1, Fraction(-7, 5)), (-1, Fraction(7, 5)), (1000, 0),
-                 (-1, 0)):
-        # a fresh root interval each time: the bounds come before float()
-        x = sqrt2_ctx().generator() * k + m
-        lo, hi = x.abs_lower(), x.abs_upper()
-        v = abs(float(x))
-        assert 0 < lo <= v + 1e-9 and v - 1e-9 <= hi
+def test_field_division_and_str():
+    K = sqrt2_ctx()
+    r = K.generator()
+    x = r * Fraction(3, 7) - 2
+    for o in (3, Fraction(-5, 4), r + 1, K.from_rational(2)):
+        inv_o = K.coerce(o).inverse()
+        assert (x / o - x * inv_o).is_zero()
+        assert (o / x - o * x.inverse()).is_zero()
+    assert (1 / r - r * Fraction(1, 2)).is_zero()
+    for bad in (0, Fraction(0), K.from_rational(0), r * r - 2):
+        with pytest.raises(ZeroDivisionError):
+            x / bad
+    # a fresh root interval each time: str() is the first value asked for
+    for k, m in ((1, Fraction(-7, 5)), (-1, 0), (10**6, 0)):
+        y = sqrt2_ctx().generator() * k + m
+        assert str(y) == f"({float(y):.9g})"
+
+
+def test_count_all_real_roots_over_extension():
+    K = sqrt2_ctx()
+    r = K.generator()
+    zero, one = K.from_rational(0), K.from_rational(1)
+    # t^2 - sqrt2, t^2 + sqrt2, t^3 - sqrt2 t = t (t^2 - sqrt2)
+    assert count_all_real_roots(UniPoly([-r, zero, one])) == 2
+    assert count_all_real_roots(UniPoly([r, zero, one])) == 0
+    assert count_all_real_roots(UniPoly([zero, -r, zero, one])) == 3
 
 
 def test_field_golden_ratio():

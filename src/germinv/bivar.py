@@ -7,17 +7,25 @@ field coefficients during branch expansion; only ``+ - *`` and truth testing
 of coefficients are assumed there.
 
 Each operation has one path, whatever the shape of its inputs (constants,
-polynomials in x alone or in y alone included). gcd splits both inputs into
-content and primitive part in y, takes the gcd of the contents over Q[x],
-and runs the Collins subresultant polynomial remainder sequence on the
-primitive parts, which keeps coefficient growth polynomial while staying
-exact. Exact division is long division in y with Q[x] coefficients.
+polynomials in x alone or in y alone included). gcd first runs the heuristic
+gcd GCDHEU of Char, Geddes and Gonnet (J. Symbolic Comput. 7, 1989) on the
+inputs scaled to primitive integer polynomials: x is evaluated at an integer
+xi, y at an integer eta, the integer gcd of the two values is interpolated
+back by symmetric remainders, first in y and then in x, and its primitive
+part is the candidate. Exact division of both inputs certifies it, and
+every evaluation point exceeds twice a root bound of the inputs, which
+makes a candidate that divides both the greatest common divisor. When
+no candidate is certified after a few growing evaluation points, gcd falls
+back to splitting both inputs into content and primitive part in y, taking
+the gcd of the contents over Q[x], and running the Collins subresultant
+polynomial remainder sequence on the primitive parts. Exact division is
+long division in y with Q[x] coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _igcd
+from math import gcd as _igcd, isqrt, lcm
 from typing import Iterable
 
 from .errors import BothZeroError, ZeroInputError
@@ -321,20 +329,195 @@ def _gcd_primitive_y(F: list[UniPoly], G: list[UniPoly]) -> BivarPoly:
     return BivarPoly.from_coeffs_in_y(_primitive_y(G)[1])
 
 
+def _gcd_prs(p: BivarPoly, q: BivarPoly) -> BivarPoly:
+    """gcd of nonzero p and q, normalized: the gcd of the contents in y
+    times the subresultant PRS gcd of the primitive parts."""
+    cp, P = _primitive_y(p.coeffs_in_y())
+    cq, Q = _primitive_y(q.coeffs_in_y())
+    return normalize(_gcd_primitive_y(P, Q)
+                     * BivarPoly.from_unipoly_x(uni_gcd(cp, cq)))
+
+
+# -- heuristic gcd over the integers ------------------------------------------------------
+#
+# A polynomial in Z[t] is a dense list of ints, lowest degree first, with a
+# nonzero last entry (the zero polynomial is []). A polynomial in Z[x, y] is
+# the list of its y-coefficients, each such a list in x, the last one nonzero.
+
+# evaluation points tried at each level before the heuristic gives up
+_HEU_TRIES = 6
+
+
+def _z_trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _z_eval(a: list[int], t: int) -> int:
+    v = 0
+    for c in reversed(a):
+        v = v * t + c
+    return v
+
+
+def _z_digits(v: int, t: int) -> list[int]:
+    """The polynomial a in Z[s] with a(t) = v and every coefficient in
+    (-t/2, t/2]: the symmetric t-adic digits of v."""
+    out = []
+    while v:
+        r = v % t
+        if r > t // 2:
+            r -= t
+        out.append(r)
+        v = (v - r) // t
+    return out
+
+
+def _z_mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+    return out
+
+
+def _z_sub(a: list[int], b: list[int]) -> list[int]:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, v in enumerate(b):
+        out[i] -= v
+    return _z_trim(out)
+
+
+def _z_divide(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b in Z[t] for nonzero b, or None when b does not divide a."""
+    db = len(b) - 1
+    if len(a) - 1 < db:
+        return None if a else []
+    r = list(a)
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c, m = divmod(r[k + db], b[-1])
+        if m:
+            return None
+        if c:
+            q[k] = c
+            for i in range(db):
+                r[k + i] -= c * b[i]
+    return None if any(r[:db]) else q
+
+
+def _zz_divide(A: list[list[int]], B: list[list[int]]) -> list[list[int]] | None:
+    """A / B in Z[x, y] for nonzero B, or None when B does not divide A."""
+    dB = len(B) - 1
+    if len(A) - 1 < dB:
+        return None if A else []
+    R = list(A)
+    Q: list[list[int]] = [[] for _ in range(len(A) - dB)]
+    for k in range(len(Q) - 1, -1, -1):
+        if not R[k + dB]:
+            continue
+        c = _z_divide(R[k + dB], B[-1])
+        if c is None:
+            return None
+        Q[k] = c
+        for i in range(dB):
+            R[k + i] = _z_sub(R[k + i], _z_mul(c, B[i]))
+    return None if any(R[:dB]) else Q
+
+
+def _z_grow(t: int) -> int:
+    """Next evaluation point after t: about t^(5/4), so that a few tries
+    reach past the coefficients of any cofactor-free image."""
+    return 2 * t * isqrt(isqrt(t)) + 1
+
+
+def _z_heu_gcd(a: list[int], b: list[int]) -> list[int] | None:
+    """gcd of nonzero a and b in Z[t], up to sign, or None when no candidate
+    is certified within _HEU_TRIES evaluation points.
+
+    For primitive a and b, every root of a common factor k lies within
+    1 + m of 0, m = min(|a|, |b|) (Cauchy's bound), so |k(t)| >= t - 1 - m
+    > t/2 at every t > 2 + 2m when k is not constant. The primitive part h
+    of the interpolant of gcd(a(t), b(t)) that divides a and b is therefore
+    their gcd: gcd(a, b) = h k with k(t) dividing the content of the
+    interpolant, which is at most t/2.
+    """
+    ca, cb = _igcd(*a), _igcd(*b)
+    a = [v // ca for v in a]
+    b = [v // cb for v in b]
+    t = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(_HEU_TRIES):
+        h = _z_digits(_igcd(_z_eval(a, t), _z_eval(b, t)), t)
+        k = _igcd(*h)
+        h = [v // k for v in h]
+        if _z_divide(a, h) is not None and _z_divide(b, h) is not None:
+            c = _igcd(ca, cb)
+            return [c * v for v in h]
+        t = _z_grow(t)
+    return None
+
+
+def _integer_primitive(p: BivarPoly) -> list[list[int]]:
+    """Nonzero p scaled to a primitive polynomial in Z[x, y]."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    cols: list[list[int]] = [[0] * (p.deg_x() + 1) for _ in range(p.deg_y() + 1)]
+    for (i, j), c in p.terms.items():
+        cols[j][i] = c.numerator * (den // c.denominator)
+    g = _igcd(*(v for col in cols for v in col))
+    return [_z_trim([v // g for v in col]) for col in cols]
+
+
+def _zz_norm(A: list[list[int]]) -> int:
+    return max(abs(v) for col in A for v in col)
+
+
+def _gcd_heu(p: BivarPoly, q: BivarPoly) -> BivarPoly | None:
+    """GCDHEU gcd of nonzero p and q, normalized, or None when no candidate
+    is certified within _HEU_TRIES evaluation points for x.
+
+    Let B be the one of the primitive integer inputs A, B of smaller norm.
+    At xi > 2 + 2 |B|, lc_y(B)(xi) is not zero, so B(xi, y) keeps the degree
+    in y of B, and a common factor K in Z[x] has |K(xi)| > xi/2 unless it
+    is constant, as in ``_z_heu_gcd``. So the primitive candidate H,
+    interpolated from gcd(A(xi, y), B(xi, y)), that divides A and B is
+    their gcd: gcd(A, B) = H K, where K(xi, y) divides the content of the
+    interpolant, which is a nonzero integer of at most xi/2. So K has
+    degree 0 in y, then in x.
+    """
+    A, B = _integer_primitive(p), _integer_primitive(q)
+    xi = 2 * min(_zz_norm(A), _zz_norm(B)) + 29
+    for _ in range(_HEU_TRIES):
+        a = _z_trim([_z_eval(col, xi) for col in A])
+        b = _z_trim([_z_eval(col, xi) for col in B])
+        g = _z_heu_gcd(a, b) if a and b else None
+        if g is not None:
+            H = [_z_digits(v, xi) for v in g]
+            k = _igcd(*(v for col in H for v in col))
+            H = [[v // k for v in col] for col in H]
+            if _zz_divide(A, H) is not None and _zz_divide(B, H) is not None:
+                return normalize(BivarPoly(
+                    {(i, j): Fraction(v) for j, col in enumerate(H)
+                     for i, v in enumerate(col) if v}))
+        xi = _z_grow(xi)
+    return None
+
+
 def gcd_bivar(p: BivarPoly, q: BivarPoly) -> BivarPoly:
     """Greatest common divisor over Q[x, y], normalized integer-primitive with
-    positive grlex-leading coefficient: the gcd of the contents in y times
-    the gcd of the primitive parts."""
+    positive grlex-leading coefficient: GCDHEU, and the subresultant PRS
+    when GCDHEU certifies no candidate."""
     if p.is_zero() and q.is_zero():
         raise BothZeroError("gcd(0, 0) is undefined")
     if p.is_zero():
         return normalize(q)
     if q.is_zero():
         return normalize(p)
-    cp, P = _primitive_y(p.coeffs_in_y())
-    cq, Q = _primitive_y(q.coeffs_in_y())
-    return normalize(_gcd_primitive_y(P, Q)
-                     * BivarPoly.from_unipoly_x(uni_gcd(cp, cq)))
+    g = _gcd_heu(p, q)
+    return _gcd_prs(p, q) if g is None else g
 
 
 def divide_exact(p: BivarPoly, d: BivarPoly) -> BivarPoly:

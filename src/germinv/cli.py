@@ -38,6 +38,19 @@ EXIT_CROSSCHECK = 4
 EXIT_INTERNAL = 70
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument that starts with a single '-' and is not a declared option
+    is a germ, such as '-x^2+y^4'; argparse would take it for an unknown
+    option. An argument that starts with '--' is still an option, so
+    '--bogus' is a usage error. Subcommand parsers inherit the class."""
+
+    def _parse_optional(self, arg_string):
+        if (arg_string.startswith("-") and not arg_string.startswith("--")
+                and arg_string not in self._option_string_actions):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _add_symbolic_flags(p):
     p.add_argument("--order", type=int, default=12,
                    help="series truncation order of the expanded branches "
@@ -64,7 +77,7 @@ def _add_format_flag(p, choices):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="germinv",
         description="Contact-invariant analysis of plane polynomial germs "
                     "f(x, y) vanishing at the origin.")

@@ -8,9 +8,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from germinv import analyze_germ, bivar, parse_poly
 from germinv.bivar import (BivarPoly, divide_exact, gcd_bivar, normalize,
                            squarefree_part)
 from germinv.errors import BothZeroError, ZeroInputError
+from germinv.tangency import TangencyCurve
 
 _x, _y = sympy.symbols("x y")
 
@@ -109,11 +111,69 @@ def test_gcd_special_cases():
     for a, b in (((x - one)**2 * (x + two), (x - one) * (x + x + x + one)),
                  ((y + two)**2 * y, (y + two) * (y - two - two)),
                  ((x + one) * (x - two), (x + one) * (x * y + y**2)),
-                 (BivarPoly.constant(Fraction(-2, 3)), x**2 * y + one)):
-        # both in x only, both in y only, one in x only, one constant
+                 (BivarPoly.constant(Fraction(-2, 3)), x**2 * y + one),
+                 (y * (x.scale(Fraction(511)) - y.scale(Fraction(399))),
+                  y.scale(Fraction(630)) * y)):
+        # both in x only, both in y only, one in x only, one constant, and
+        # a pair whose first evaluation point gives y^2, which does not
+        # divide the first input
         for p, q in ((a, b), (b, a)):
             assert_same_up_to_constant(
                 gcd_bivar(p, q), sympy.gcd(to_sympy(p), to_sympy(q), _x, _y))
+
+
+def rand_shaped(rng, shape, coeff, den):
+    """Up to three terms in x and y, in x alone, in y alone or constant,
+    with numerators up to ``coeff`` and denominators up to ``den``."""
+    dx, dy = {"xy": (3, 3), "x": (4, 0), "y": (0, 4), "1": (0, 0)}[shape]
+    out = {}
+    for _ in range(rng.randint(1, 3)):
+        c = Fraction(rng.randint(-coeff, coeff), rng.randint(1, den))
+        if c:
+            out[(rng.randint(0, dx), rng.randint(0, dy))] = c
+    return BivarPoly(out)
+
+
+def heu_cases(seed):
+    """Seeded pairs a g, b g with a known common factor g, and pairs drawn
+    independently, which are mostly coprime: small, large integer and
+    rational coefficients, in every shape."""
+    rng = random.Random(seed)
+    cases = []
+    for coeff, den in ((7, 1), (10**25, 1), (9, 10**6), (10**12, 10**12)):
+        for shape in ("xy", "x", "y", "1"):
+            for _ in range(3):
+                g = rand_shaped(rng, rng.choice((shape, "xy")), coeff, den)
+                a = rand_shaped(rng, shape, coeff, den)
+                b = rand_shaped(rng, rng.choice((shape, "xy")), coeff, den)
+                cases.append((a * g, b * g))
+                cases.append((a, b + g))
+    return [(a, b) for a, b in cases if a and b]
+
+
+def test_gcd_heuristic_matches_sympy():
+    # GCDHEU certifies a candidate on every pair, so the fallback is unused
+    cases = heu_cases(21)
+    assert len(cases) >= 80
+    for a, b in cases:
+        mine = bivar._gcd_heu(a, b)
+        assert mine is not None, (a, b)
+        assert_same_up_to_constant(mine, sympy.gcd(to_sympy(a), to_sympy(b),
+                                                   _x, _y))
+        assert gcd_bivar(a, b) == mine
+
+
+def test_gcd_prs_fallback_matches_sympy(monkeypatch):
+    # the subresultant PRS that gcd_bivar falls back on, called directly,
+    # and through gcd_bivar once GCDHEU may try no evaluation point
+    cases = heu_cases(22)[::3]
+    for a, b in cases:
+        ref = sympy.gcd(to_sympy(a), to_sympy(b), _x, _y)
+        assert_same_up_to_constant(bivar._gcd_prs(a, b), ref)
+    monkeypatch.setattr(bivar, "_HEU_TRIES", 0)
+    for a, b in cases:
+        assert bivar._gcd_heu(a, b) is None
+        assert gcd_bivar(a, b) == bivar._gcd_prs(a, b)
 
 
 def test_squarefree_matches_sympy():
@@ -131,6 +191,18 @@ def test_squarefree_matches_sympy():
             prod = prod * fac.as_expr()
         assert_same_up_to_constant(mine, prod)
         checked += 1
+
+
+def test_sheared_germ_degree_30():
+    # (x+y)^30 + y^31 is a shear of x^30 + y^31 and keeps its Inv: y^31
+    # changes sign along the y-axis, K- = {31}, and x^30 gives K+ = {30}.
+    # The subresultant PRS took seconds on its tangency curve of degree 31.
+    f = parse_poly("(x+y)^30 + y^31")
+    curve = TangencyCurve(f)
+    assert_same_up_to_constant(
+        curve.h_sf, sympy.sqf_part(to_sympy(curve.h), _x, _y))
+    inv = analyze_germ(f).invariant
+    assert (inv.lo, inv.hi) == (-31, 30)
 
 
 def test_squarefree_zero_input():

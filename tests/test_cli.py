@@ -235,9 +235,32 @@ def test_usage_errors_are_argparse():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+    # '--' starts an option even where a germ may start with '-'
+    for argv in (["inv", "--bogus", "x^2 + y^4"], ["inv", "-x^2+y^4", "--bogus"],
+                 ["compare", "-x^2", "--bogus", "y^2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
     with pytest.raises(SystemExit) as exc:
         cli.main(["inv", "--help"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("command, germs, flags", [
+    ("inv", ["-x^2+y^4"], []),
+    ("inv", ["-x^2+y^4"], ["--format", "json"]),
+    ("compare", ["-x^2+y^4", "-y^2+x^4"], []),
+    ("branches", ["-2*x^3+y^5"], []),
+    ("psi", ["-x^2+y^4"], ["--ladder", "5", "--grid", "512"]),
+    ("crosscheck", ["-x^2+y^4"], ["--ladder", "8", "--grid", "512"]),
+])
+def test_germ_starting_with_minus(capsys, command, germs, flags):
+    # a germ text that starts with '-' is read as the germ, as after '--'
+    rc, out, err = run(capsys, command, *germs, *flags)
+    assert (rc, err) == (0, "")
+    assert (rc, out, err) == run(capsys, command, *flags, "--", *germs)
+    if command == "inv" and not flags:
+        assert "Inv = (-2, 4)" in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 """Source checks that hold for the package as a whole."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -18,6 +19,53 @@ def test_no_assert_statements_in_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_package_does_not_import_sympy():
+    # sympy is a test dependency; importing it would triple the memory and
+    # the start-up time of every run
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names
+                      if n.split(".")[0] == "sympy"]
+    assert found == []
+
+
+def _resolves(target: str) -> bool:
+    """Is ``module.attr`` or ``module.Class.attr`` defined, the attribute in
+    the module's or the class's own namespace, where the tracer patches it?"""
+    path, attr = target.rsplit(".", 1)
+    parts = path.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            owner = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for part in parts[cut:]:
+            owner = getattr(owner, part, None)
+        return attr in getattr(owner, "__dict__", {})
+    return False
+
+
+def test_benchmark_layer_targets_resolve():
+    # the benchmark traces each layer by its dotted name; a renamed or
+    # deleted function would only print an "absent:" line there
+    tree = ast.parse((SRC.parents[1] / "perfbench" / "run.py").read_text())
+    targets = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)]
+        == ["LAYER_TARGETS"])
+    assert targets
+    assert [t for t, _ in targets if not _resolves(t)] == []
 
 
 def _type_checks(tree: ast.Module, names: set) -> list[str]:

@@ -521,30 +521,22 @@ def gcd_bivar(p: BivarPoly, q: BivarPoly) -> BivarPoly:
 
 
 def divide_exact(p: BivarPoly, d: BivarPoly) -> BivarPoly:
-    """Exact division p / d in Q[x, y]; d must divide p."""
+    """Exact division p / d in Q[x, y]; d must divide p. By Gauss's lemma
+    the primitive integer forms of p and d divide in Z[x, y]
+    (``_zz_divide``), and the quotient takes back the ratio of their
+    contents."""
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    F = p.coeffs_in_y()
-    G = d.coeffs_in_y()
-    dG = len(G) - 1
-    lg = G[-1]
-    quot: dict = {}
-    while F:
-        dF = len(F) - 1
-        if dF < dG:
-            raise RuntimeError("inexact bivariate division")
-        qc, r = F[-1].divmod(lg)
-        if not r.is_zero():
-            raise RuntimeError("inexact bivariate division")
-        for i, c in enumerate(qc.coeffs):
-            if c:
-                quot[(i, dF - dG)] = c
-        F = F[:-1]
-        for k in range(dG):
-            F[dF - dG + k] = F[dF - dG + k] - qc * G[k]
-        while F and F[-1].is_zero():
-            F.pop()
-    return BivarPoly(quot)
+    if p.is_zero():
+        return BivarPoly()
+    A, B = _integer_primitive(p), _integer_primitive(d)
+    Q = _zz_divide(A, B)
+    if Q is None:
+        raise RuntimeError("inexact bivariate division")
+    (i, j), (k, m) = next(iter(p.terms)), next(iter(d.terms))
+    scale = p.terms[(i, j)] * B[m][k] / (d.terms[(k, m)] * A[j][i])
+    return BivarPoly({(i, j): v * scale for j, col in enumerate(Q)
+                      for i, v in enumerate(col) if v})
 
 
 def squarefree_part(p: BivarPoly) -> BivarPoly:

@@ -20,15 +20,21 @@ either side, and prints as its 9-digit float in parentheses, so code over
 exact coefficients treats Q and Q(c) alike and never asks which it has.
 
 m is kept square-free but is not factored into irreducibles; the isolating
-interval does the job of choosing the root. When m has degree <= 3 and no
-rational root, it is irreducible, Q[t]/(m) is a field, and the zero test is
-syntactic: an element is zero exactly when its coefficients reduced mod m are
-all zero (dynamic evaluation, Della Dora-Dicrescenzo-Duval 1985). Every other
-modulus keeps ``AlgebraicReal.is_root_of``. Moduli from
-``unipoly.isolate_real_roots`` have no rational root by construction, and
-their contexts are built with ``rational_root_free=True``; any other modulus,
-and every modulus that inversion shrinks, is checked with
-``unipoly.has_rational_root``.
+interval does the job of choosing the root. When m is certified irreducible,
+Q[t]/(m) is a field, and the zero test is syntactic: an element is zero
+exactly when its coefficients reduced mod m are all zero (dynamic
+evaluation, Della Dora-Dicrescenzo-Duval 1985). Two rules certify m:
+
+* degree <= 3 and no rational root (no factor of degree 1). Moduli from
+  ``unipoly.isolate_real_roots`` have no rational root by construction, and
+  their contexts are built with ``rational_root_free=True``; any other
+  modulus, and every modulus that inversion shrinks, is checked with
+  ``unipoly.has_rational_root``;
+* a binomial t^n - a of degree n > 3, by Capelli's theorem
+  (``_binomial_irreducible``), decided with exact integer roots. Branches
+  that open an extension by pure ramification get such moduli.
+
+Every other modulus keeps ``AlgebraicReal.is_root_of``.
 """
 
 from __future__ import annotations
@@ -36,6 +42,38 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .unipoly import AlgebraicReal, UniPoly, has_rational_root
+
+
+def _exact_root(n: int, k: int) -> int | None:
+    """r with r^k = n for an integer n >= 0, or None when n is no k-th
+    power: integer Newton iteration from above, with no floats."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)   # 2^ceil(bits / k) > n^(1/k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x if x ** k == n else None
+        x = y
+
+
+def _is_power(a: Fraction, k: int) -> bool:
+    """Is the rational a a k-th power in Q?"""
+    if a < 0:
+        return k % 2 == 1 and _is_power(-a, k)
+    return (_exact_root(a.numerator, k) is not None
+            and _exact_root(a.denominator, k) is not None)
+
+
+def _binomial_irreducible(n: int, a: Fraction) -> bool:
+    """Is t^n - a irreducible over Q? Capelli's theorem (Lang, *Algebra*,
+    VI §9): iff a is no p-th power in Q for every prime p dividing n and,
+    when 4 divides n, a is not -4 b^4 for a rational b. A d-th power for a
+    divisor d > 1 of n is a p-th power for each prime p dividing d, so every
+    such d is tried."""
+    if any(_is_power(a, d) for d in range(2, n + 1) if n % d == 0):
+        return False
+    return n % 4 != 0 or not _is_power(-a / 4, 4)
 
 
 def _egcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
@@ -70,9 +108,15 @@ class FieldContext(AlgebraicReal):
 
     def _certify(self, rational_root_free: bool = False) -> None:
         # degree <= 3 and no rational root: no factor of degree 1, so m is
-        # irreducible and Q[t]/(m) is a field. False means not known.
-        self.irreducible = self.defining.degree <= 3 and (
-            rational_root_free or not has_rational_root(self.defining))
+        # irreducible and Q[t]/(m) is a field; a binomial of higher degree is
+        # decided by Capelli's theorem. False means not known.
+        m = self.defining
+        if m.degree > 3 and not any(m.coeffs[1:-1]):
+            self.irreducible = _binomial_irreducible(
+                m.degree, -Fraction(m.coeffs[0]))
+        else:
+            self.irreducible = m.degree <= 3 and (
+                rational_root_free or not has_rational_root(m))
 
     # -- element construction -------------------------------------------------
 

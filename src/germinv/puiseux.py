@@ -16,7 +16,7 @@ leading power of u1, and repeat until the root is simple. An axis is the
 solution z = 0 before any substitution, so every half-branch is such a chain
 of levels, an axis one with none. Past a simple root the branch continues
 one Newton step at a time (``_tail_step``), when its series is first read or
-when ``leading_term`` carries another polynomial through the same chain. All
+when ``leading_term`` carries other polynomials through the same chain. All
 arithmetic is exact: rational, or in a single real algebraic extension Q(c)
 when a leading coefficient is irrational. Elements of Q(c) act like
 Fractions (``+ - * /``, signs, ``str``), so no step asks which kind of
@@ -495,42 +495,59 @@ def _truncate(q: BivarPoly, n: int) -> BivarPoly:
     return BivarPoly({ij: c for ij, c in q.terms.items() if ij[0] <= n})
 
 
-def leading_term(f: BivarPoly, branch: HalfBranch, bound: int):
-    """The lowest term (k, c) of f(x(s), y(s)) = c*s^k + ... along a branch,
-    or None when f vanishes on it or k would exceed ``bound``.
+def leading_term(polys, branch: HalfBranch, bound: int):
+    """The lowest term of the first of ``polys`` to show one along a branch:
+    (i, k, c) with polys[i](x(s), y(s)) = c*s^k + ..., or None when every
+    one of them vanishes on the branch or would lead above ``bound``.
 
-    f is carried through the branch's own substitution chain: at level
-    (a, b, c) it becomes f(u^b, u^a (c + z)) / u^v, and s^v' with v' = v
-    times the later b's leaves the restriction. Past the chain an exact
-    branch is z = 0, so the lowest z-free term left is the leading term;
-    otherwise the branch is the simple root of the final polynomial p, and
-    f follows it one ``_tail_step`` at a time until a constant term, the
-    leading coefficient, appears. Terms whose s-order exceeds ``bound``
-    cannot reach a lowest term at or below it, so each polynomial is cut
-    above u-degree (bound - order so far) / (s-exponent of u).
+    Each polynomial is carried through the branch's own substitution chain:
+    at level (a, b, c) it becomes q(u^b, u^a (c + z)) / u^v, and s^v' with
+    v' = v times the later b's leaves its restriction. A constant term is
+    the lowest term. Past the levels an exact branch is z = 0, so the lowest
+    z-free term left is the leading term; otherwise the branch is the simple
+    root of the final polynomial p. Through the levels and at z = 0 the
+    polynomials go one after another, in index order, and the first to show
+    a term wins; those still without one then follow the simple root
+    together, one ``_tail_step`` at a time, the step fixed through the
+    s-order that the least advanced of them still needs, and the first to
+    show a term wins there, ties to the lowest index. Terms whose s-order
+    exceeds ``bound`` cannot reach a lowest term at or below it, so each
+    polynomial is cut above u-degree (bound - its order so far) / (s-exponent
+    of u), and dropped once that order passes ``bound``.
     """
-    q = _twist_x(f.swap_vars() if branch.chart in _SWAPPED else f,
-                 branch.sigma)
-    levels = iter(branch.levels)
-    p = branch.p
-    scale = branch.e   # s-exponent of the current u
-    acc = 0            # s-order already divided out
-    while not q.is_zero():
+    swap = branch.chart in _SWAPPED
+    tail = []   # (index, polynomial carried past the levels, s-order out)
+    for i, f in enumerate(polys):
+        q = _twist_x(f.swap_vars() if swap else f, branch.sigma)
+        acc = 0             # s-order already divided out
+        scale = branch.e    # s-exponent of the current u
+        for a, b, c in branch.levels:
+            if q.is_zero() or (0, 0) in q.terms:
+                break
+            scale //= b
+            v, q = _transform(q, a, b, c)
+            acc += v * scale
+            q = _truncate(q, (bound - acc) // scale)
         if (0, 0) in q.terms:
-            return acc, q.terms[(0, 0)]
-        level = next(levels, None)
-        if level is not None:
-            a, b, c = level
-        elif p is None:
-            i = min((i for i, j in q.terms if j == 0), default=None)
-            return None if i is None else (acc + i, q.terms[(i, 0)])
-        else:
-            a, c, p = _tail_step(p, bound - acc)
-            b = 1
-        scale //= b
-        v, q = _transform(q, a, b, c)
-        acc += v * scale
-        if acc > bound:
-            return None
-        q = _truncate(q, (bound - acc) // scale)
+            return i, acc, q.terms[(0, 0)]
+        if branch.p is not None:
+            if not q.is_zero():
+                tail.append((i, q, acc))
+            continue
+        k = min((k for k, j in q.terms if j == 0), default=None)
+        if k is not None:
+            return i, acc + k, q.terms[(k, 0)]
+    p = branch.p
+    while tail:
+        a, c, p = _tail_step(p, bound - min(acc for _, _, acc in tail))
+        moved = []
+        for i, q, acc in tail:
+            v, q = _transform(q, a, 1, c)
+            acc += v
+            q = _truncate(q, bound - acc)
+            if (0, 0) in q.terms:
+                return i, acc, q.terms[(0, 0)]
+            if not q.is_zero():
+                moved.append((i, q, acc))
+        tail = moved
     return None

@@ -25,17 +25,22 @@ term appears. This is the Newton polygon computation of an intersection
 multiplicity.
 
 Everything here is certified: leading coefficients are exact rationals or
-certified-sign extension elements, and "vanishes identically" is decided
-either exactly, at z = 0 past a finite chain, or from the intersection-degree
-bound (a nonzero restriction of a degree-d polynomial against a component of
-a degree-m curve has s-order at most d*m).
+certified-sign extension elements, and "vanishes identically" is read from
+a nonzero term too. With g = gcd(f, h_sf) and the cofactor r = h_sf / g,
+g and r are coprime because h_sf is square-free, so every half-branch lies
+on exactly one of them: f vanishes on the branches of g, and r, which is
+coprime to f, does not; r vanishes on its own branches, and f does not.
+Carrying f and r through the chain, whichever of them shows a term names
+the class. The intersection-degree bound (a nonzero restriction of a
+degree-d polynomial against a component of a degree-m curve has s-order at
+most d*m) only guards the walk: passing it is an error, never a verdict.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .bivar import BivarPoly, gcd_bivar, squarefree_part
+from .bivar import BivarPoly, divide_exact, gcd_bivar, squarefree_part
 from .errors import (IndeterminateSignError, NonVanishingGermError,
                      PrecisionExceededError, ZeroInputError)
 from .puiseux import (HalfBranch, expand_branches, leading_term,
@@ -77,11 +82,14 @@ class TangencyCurve:
 
     ``degenerate`` marks h = 0 identically (f is a polynomial in x^2 + y^2,
     so every ray is a tangency direction and a single synthetic radial pair
-    represents them all). Raises ZeroInputError for the zero germ, which
-    has no invariant.
+    represents them all). Otherwise ``h_sf`` is the square-free part of h,
+    and ``cofactor`` is r = h_sf / gcd(f, h_sf) when that gcd vanishes at
+    the origin, the witness of the zero class, or None when no branch at
+    the origin lies on the gcd, so that f vanishes on none. Raises
+    ZeroInputError for the zero germ, which has no invariant.
     """
 
-    __slots__ = ("f", "h", "h_sf", "degenerate")
+    __slots__ = ("f", "h", "h_sf", "degenerate", "cofactor")
 
     def __init__(self, f: BivarPoly):
         if f.is_zero():
@@ -89,7 +97,12 @@ class TangencyCurve:
         self.f = f
         self.h = tangency_poly(f)
         self.degenerate = self.h.is_zero()
-        self.h_sf = None if self.degenerate else squarefree_part(self.h)
+        self.h_sf = self.cofactor = None
+        if not self.degenerate:
+            self.h_sf = squarefree_part(self.h)
+            g = gcd_bivar(f, self.h_sf)
+            if (0, 0) not in g.terms:
+                self.cofactor = divide_exact(self.h_sf, g)
 
     def half_branches(self, order: int = 12) -> list[HalfBranch]:
         if self.degenerate:
@@ -127,22 +140,29 @@ def restrict(f: BivarPoly, branch: HalfBranch, config: ExpansionConfig,
     """Classify f along one half-branch of its tangency curve.
 
     f is carried through the branch's Newton-Puiseux chain (``leading_term``)
-    until its leading term shows, on exact and truncated branches alike. A
-    nonzero restriction has s-order at most deg f * deg h_sf (the branch
-    contributes at most the full intersection number of the two curves), or
-    at most deg f along a radial line, so no term up to that order
-    certifies the zero class. ``curve`` is the tangency curve of f that
-    the branch lies on.
+    until its leading term shows, on exact and truncated branches alike,
+    and so is the curve's cofactor r when it has one. Exactly one of f and r
+    vanishes on the branch: when r's term shows, the branch lies on
+    gcd(f, h_sf), and f vanishes on it (sign 0). A nonzero restriction of
+    either has s-order at most deg f * deg h_sf (the branch contributes at
+    most the full intersection number of the two curves, and deg r <= deg
+    h_sf, deg g <= deg f), or at most deg f along a radial line; running out
+    of that bound raises RuntimeError. ``curve`` is the tangency curve of f
+    that the branch lies on.
     """
     if f.is_zero():
         return Restriction(0, None, branch)
     bound = f.total_degree()
     if branch.chart != "radial":
         bound *= curve.h_sf.total_degree()
-    lead = leading_term(f, branch, bound)
+    polys = (f,) if curve.cofactor is None else (f, curve.cofactor)
+    lead = leading_term(polys, branch, bound)
     if lead is None:
+        raise RuntimeError("neither f nor the curve's cofactor has a term "
+                           f"up to s-order {bound} along the branch")
+    i, k, c = lead
+    if i == 1:
         return Restriction(0, None, branch)
-    k, c = lead
     try:
         sign = coeff_sign(c, config.max_bits)
     except PrecisionExceededError as exc:
@@ -167,4 +187,4 @@ def certify_zero_branch(f: BivarPoly, branch: HalfBranch,
     curve = curve or TangencyCurve(f)
     g = gcd_bivar(f, curve.h_sf)
     bound = g.total_degree() * curve.h_sf.total_degree()
-    return leading_term(g, branch, bound) is None
+    return leading_term((g,), branch, bound) is None

@@ -22,6 +22,11 @@ REFERENCE_GERMS = [
 ]
 
 
+# Rotated by ``rotate_germ``, its two K0 half-branches are truncated and in
+# Q(c), and reading them needs f to high s-order.
+ROTATED_REPEATED_FACTOR = "(x^2 - y^3)^2 * (x + 2*y^2 + y^3)"
+
+
 @pytest.fixture(scope="session")
 def reference_germs():
     return [(parse_poly(t), inv, n, k0, km, kp)
@@ -53,8 +58,9 @@ def random_germ(rng: random.Random, max_deg: int = 6, max_terms: int = 6,
 
 def golden_row_germs() -> list[BivarPoly]:
     """The germs of golden/branch_rows.json: the reference germs, the first
-    40 nonzero random_germ draws at seed 2026, each plain and rotated, and
-    (x+y)^n + y^(n+1) for n = 3..8."""
+    40 nonzero random_germ draws at seed 2026, each plain and rotated,
+    (x+y)^n + y^(n+1) for n = 3..8, and two germs with truncated K0 branches
+    in Q(c): the rotated repeated-factor germ and a nodal cubic squared."""
     germs = [parse_poly(text) for text, *_ in REFERENCE_GERMS]
     rng = random.Random(2026)
     draws = 0
@@ -63,4 +69,6 @@ def golden_row_germs() -> list[BivarPoly]:
         if not f.is_zero():
             draws += 1
             germs += [f, rotate_germ(f)]
-    return germs + [parse_poly(f"(x+y)^{n} + y^{n + 1}") for n in range(3, 9)]
+    germs += [parse_poly(f"(x+y)^{n} + y^{n + 1}") for n in range(3, 9)]
+    return germs + [rotate_germ(parse_poly(ROTATED_REPEATED_FACTOR)),
+                    parse_poly("(y^2 - 2*x^2 - x^3)^2 * (x - y^2)")]

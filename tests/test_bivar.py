@@ -225,6 +225,13 @@ def test_divide_exact_roundtrip():
         assert sympy.expand(to_sympy(divide_exact(p, d))
                             - sympy.cancel(to_sympy(p) / to_sympy(d))) == 0
     assert divide_exact(BivarPoly.zero(), x - two).is_zero()
+    # rational coefficients come back through the ratio of the contents, and
+    # a divisor that does not divide is refused
+    q = x.scale(Fraction(3, 7)) - y.scale(Fraction(5, 2))
+    assert (divide_exact(p.scale(Fraction(1, 6)) * q, q.scale(Fraction(-2, 9)))
+            == p.scale(Fraction(-3, 4)))
+    with pytest.raises(RuntimeError):
+        divide_exact(p, x - y)
 
 
 def test_normalize_integer_primitive():

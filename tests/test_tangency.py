@@ -6,14 +6,18 @@ from fractions import Fraction
 
 import pytest
 
+import germinv.puiseux
+import germinv.tangency
 from germinv import (BivarPoly, ExpansionConfig, TangencyCurve, analyze_germ,
                      parse_poly, restrict, substitute, tangency_poly)
 from germinv.errors import NonVanishingGermError
 from germinv.numberfield import FieldElement
 from germinv.oracle import compile_poly
+from germinv.puiseux import leading_term
 from germinv.tangency import certify_zero_branch
 
-from conftest import golden_row_germs, random_germ, rotate_germ
+from conftest import (ROTATED_REPEATED_FACTOR, golden_row_germs, random_germ,
+                      rotate_germ)
 
 
 def test_tangency_poly_formula():
@@ -96,23 +100,89 @@ def test_certify_zero_branch_agrees_with_restrict():
     # y^2 = x^3 + x^4 has no finite parametrization, so its branches inside
     # the zero set of the first germ are truncated, and so are the four
     # others, on which gcd(f, h_sf) does not vanish; the second germ has no
-    # zero branch, and gcd(f, h_sf) is constant
+    # zero branch, and gcd(f, h_sf) is constant. The rotated repeated-factor
+    # germ and the squared nodal cubic have truncated zero branches in Q(c),
+    # and the last germ's gcd 1 + x is a unit at the origin, so its curve
+    # has no cofactor and no branch is K0
     config = ExpansionConfig()
-    for text, zeros in (("(y^2 - x^3 - x^4)^2 * (x - y^2)", 2),
-                        ("(y - x^2)^2 + x^20", 0)):
-        f = parse_poly(text)
+    cases = [(parse_poly("(y^2 - x^3 - x^4)^2 * (x - y^2)"), 2, False),
+             (parse_poly("(y - x^2)^2 + x^20"), 0, False),
+             (rotate_germ(parse_poly(ROTATED_REPEATED_FACTOR)), 2, True),
+             (parse_poly("(y^2 - 2*x^2 - x^3)^2 * (x - y^2)"), 4, True),
+             (parse_poly("(1 + x)^2 * (x^2 + y^4)"), 0, False)]
+    for f, zeros, in_ext in cases:
         curve = TangencyCurve(f)
+        assert (curve.cofactor is None) == (zeros == 0), f.to_string()
         got = []
         for b in curve.half_branches(config.order):
             certified = certify_zero_branch(f, b, curve)
             assert certified == (restrict(f, b, config, curve).sign == 0)
-            got += [b.exact] if certified else []
-        assert got == [False] * zeros, text
+            got += [(b.exact, b.ctx is not None)] if certified else []
+        assert got == [(False, in_ext)] * zeros, f.to_string()
+    assert analyze_germ(f).invariant.as_tuple() == (2, 4)
     # the zero polynomial vanishes on every branch, truncated or not
     zero = BivarPoly({})
     for b in curve.half_branches(config.order):
         assert restrict(zero, b, config, curve).sign == 0
         assert certify_zero_branch(zero, b, curve)
+
+
+def test_leading_term_contract():
+    # on the branch hugging y = x^2 the restriction leads at s^20: a bound
+    # below that order finds nothing, and the bound 20 finds the term
+    f = parse_poly("(y - x^2)^2 + x^20")
+    curve = TangencyCurve(f)
+    deep = [b for b in curve.half_branches()
+            if leading_term((f,), b, 100)[1] == 20]
+    assert deep
+    for b in deep:
+        assert leading_term((f,), b, 19) is None
+        i, k, c = leading_term((f,), b, 20)
+        assert (i, k, c > 0) == (0, 20, True)
+    # on a K0 branch the cofactor's term shows and f's never does; on a
+    # signed branch f's does
+    for f, exact in ((parse_poly("(x^2 - y^3)^2"), True),
+                     (rotate_germ(parse_poly(ROTATED_REPEATED_FACTOR)), False)):
+        curve = TangencyCurve(f)
+        bound = f.total_degree() * curve.h_sf.total_degree()
+        kinds = []
+        for b in curve.half_branches():
+            i, _, _ = leading_term((f, curve.cofactor), b, bound)
+            kinds.append((i, b.exact))
+            if i == 1 and b.exact:
+                assert leading_term((f,), b, bound) is None
+        assert kinds.count((1, exact)) == 2 and (0, True) in kinds
+
+
+def test_restrict_never_reads_k0_from_an_exhausted_bound(monkeypatch):
+    # K0 is witnessed by the cofactor's term; a walk that finds no term of
+    # either polynomial is an error, not the zero class
+    f = parse_poly("(x^2 - y^3)^2")
+    curve = TangencyCurve(f)
+    branch = curve.half_branches()[0]
+    monkeypatch.setattr(germinv.tangency, "leading_term", lambda *a: None)
+    with pytest.raises(RuntimeError):
+        restrict(f, branch, ExpansionConfig(), curve)
+
+
+def test_restrict_transform_count_on_rotated_repeated_factor(monkeypatch):
+    # reading its two K0 branches from the intersection bound (s-order 81)
+    # took 144 chain substitutions; the cofactor's first term needs few
+    f = rotate_germ(parse_poly(ROTATED_REPEATED_FACTOR))
+    config = ExpansionConfig()
+    curve = TangencyCurve(f)
+    branches = curve.half_branches(config.order)
+    calls = []
+    transform = germinv.puiseux._transform
+
+    def counted(*args):
+        calls.append(args)
+        return transform(*args)
+
+    monkeypatch.setattr(germinv.puiseux, "_transform", counted)
+    kinds = [restrict(f, b, config, curve).kind for b in branches]
+    assert kinds == ["K+", "K-", "K0", "K-", "K+", "K0"]
+    assert len(calls) <= 14
 
 
 def test_restrict_matches_substitution_on_exact_branches():

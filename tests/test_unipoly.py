@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 from germinv.errors import PrecisionExceededError
-from germinv.numberfield import FieldContext
+from germinv.numberfield import FieldContext, _binomial_irreducible
 from germinv.unipoly import (AlgebraicReal, UniPoly, cauchy_bound,
                              count_all_real_roots, count_real_roots,
                              isolate_real_roots, sturm_sequence, uni_gcd,
@@ -327,6 +327,46 @@ def test_field_context_trusts_isolation_only_where_checking_agrees():
             assert trusted.irreducible == checked.irreducible
             seen.add(trusted.irreducible)
     assert seen == {True, False}
+
+
+def test_binomial_irreducibility_matches_sympy():
+    # Capelli's theorem against sympy's factorization, on seeded t^n - a for
+    # n = 4..12: random rationals, perfect p-th powers for the primes p | n,
+    # and -4 b^4; t^4 - 4, t^6 - 8 and t^8 + 64 factor, t^4 + 1 does not
+    rng = random.Random(41)
+    cases = [(4, Fraction(4)), (6, Fraction(8)), (8, Fraction(-64)),
+             (4, Fraction(-1)), (4, Fraction(-4)), (29, Fraction(-31, 60))]
+    for n in range(4, 13):
+        primes = [p for p in (2, 3, 5, 7, 11) if n % p == 0]
+        for _ in range(4):
+            b = Fraction(rng.randint(1, 12), rng.randint(1, 7))
+            sign = rng.choice((1, -1))
+            cases += [(n, sign * b), (n, sign * b ** rng.choice(primes)),
+                      (n, -4 * b ** 4), (n, sign * b ** rng.randint(2, 6))]
+    seen = set()
+    for n, a in cases:
+        want = sympy.Poly(_t ** n - sympy.Rational(a.numerator, a.denominator),
+                          _t, domain="QQ").is_irreducible
+        assert _binomial_irreducible(n, a) == want, (n, a)
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_binomial_modulus_gets_the_syntactic_zero_test():
+    # t^29 + 31/60 is certified irreducible, t^4 - 4 = (t^2 - 2)(t^2 + 2)
+    # is not; the zero test is right either way
+    m = UniPoly([Fraction(31, 60)] + [Fraction(0)] * 28 + [Fraction(1)])
+    r = isolate_real_roots(m)[0]
+    K = FieldContext(r.defining, r.lo, r.hi, rational_root_free=True)
+    assert K.irreducible
+    assert K.element(m.coeffs).is_zero()
+    assert not K.element([Fraction(1)] + m.coeffs[2:]).is_zero()   # c^28 + 1
+    m = UniPoly([Fraction(-4), Fraction(0), Fraction(0), Fraction(0),
+                 Fraction(1)])
+    K = FieldContext(m, Fraction(1), Fraction(3, 2))
+    assert not K.irreducible
+    c = K.generator()
+    assert (c * c - 2).is_zero() and not (c * c + 2).is_zero()
 
 
 def test_field_division_by_zero():

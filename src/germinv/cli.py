@@ -8,7 +8,8 @@ Subcommands:
   crosscheck EXPR    numeric validation of the exact analysis
 
 Exit codes: 0 success (and "possible" for compare), 1 equivalence excluded,
-2 bad input, 3 certified symbolic resource limit, 4 crosscheck failure or
+2 bad input (including a coefficient the numeric oracle cannot hold as a
+double), 3 certified symbolic resource limit, 4 crosscheck failure or
 unstable path tracking, 70 unexpected internal error.
 
 Output is deterministic byte for byte for a given invocation: floats are
@@ -23,9 +24,9 @@ import json
 import math
 import sys
 
-from .errors import (NonVanishingGermError, ParseError,
-                     PathCountUnstableError, ResourceError, UnitGermError,
-                     ZeroInputError)
+from .errors import (CoefficientRangeError, NonVanishingGermError,
+                     ParseError, PathCountUnstableError, ResourceError,
+                     UnitGermError, ZeroInputError)
 from .invariant import analyze_germ, equivalent_possible
 from .parsing import parse_poly
 from .tangency import ExpansionConfig
@@ -366,7 +367,8 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NonVanishingGermError, UnitGermError, ZeroInputError) as exc:
+    except (CoefficientRangeError, NonVanishingGermError, UnitGermError,
+            ZeroInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except PathCountUnstableError as exc:

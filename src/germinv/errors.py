@@ -48,6 +48,11 @@ class NonVanishingGermError(GermInvError):
     """f(0,0) != 0: not a germ of a function vanishing at the origin."""
 
 
+class CoefficientRangeError(GermInvError):
+    """A coefficient has no finite nonzero double, so the float oracle
+    cannot evaluate the germ."""
+
+
 class ResourceError(GermInvError):
     """A certified resource bound was hit; the result is 'gave up', not 'wrong'."""
 

@@ -16,7 +16,7 @@ structure branch expansion ever needs: one adjoined root per branch, with
   changes no element's value).
 
 An element mixes with ``int`` and ``Fraction`` operands in ``+ - * /`` on
-either side, and prints as its 9-digit float in parentheses, so code over
+either side, and prints as its 9-digit value in parentheses, so code over
 exact coefficients treats Q and Q(c) alike and never asks which it has.
 
 m is kept square-free but is not factored into irreducibles; the isolating
@@ -39,6 +39,9 @@ Every other modulus keeps ``AlgebraicReal.is_root_of``.
 
 from __future__ import annotations
 
+import math
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .unipoly import AlgebraicReal, UniPoly, has_rational_root
@@ -271,17 +274,35 @@ class FieldElement:
         no width, excluding 0 (the element must be nonzero)."""
         return self.ctx.enclose(UniPoly(self.coeffs), width, max_bits)
 
-    def __float__(self) -> float:
+    def _midpoint(self) -> Fraction:
         # a relative width of 2^-60 certifies every digit a double holds
         if self.is_zero():
-            return 0.0
+            return Fraction(0)
         lo, hi = self.interval()
         lo, hi = self.interval(min(abs(lo), abs(hi)) / 2**60)
-        return float((lo + hi) / 2)
+        return (lo + hi) / 2
+
+    def __float__(self) -> float:
+        return float(self._midpoint())
+
+    def _digits(self, n: int) -> str:
+        """The value to n significant digits: its double's, unless that is
+        not a normal finite double, then the exact midpoint's in decimal."""
+        m = self._midpoint()
+        try:
+            v = float(m)
+        except OverflowError:
+            v = math.inf
+        if not m or sys.float_info.min <= abs(v) < math.inf:
+            return f"{v:.{n}g}"
+        with localcontext() as ctx:
+            ctx.prec = n
+            d = Decimal(m.numerator) / Decimal(m.denominator)
+            return f"{d.normalize():.{n}g}"
 
     def __str__(self) -> str:
-        return f"({float(self):.9g})"
+        return f"({self._digits(9)})"
 
     def __repr__(self) -> str:
         poly = UniPoly(self.coeffs).to_string("c")
-        return f"FieldElement({poly} ~ {float(self):.6g})"
+        return f"FieldElement({poly} ~ {self._digits(6)})"

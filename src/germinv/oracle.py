@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .bivar import BivarPoly
-from .errors import PathCountUnstableError
+from .errors import CoefficientRangeError, PathCountUnstableError
 
 TWO_PI = 2.0 * math.pi
 # a fitted log-log slope must be within SLOPE_TOL of the predicted order,
@@ -41,6 +41,19 @@ def radius_ladder(tmin: float, tmax: float, n: int) -> list[float]:
     return [float(t) for t in np.geomspace(tmin, tmax, n)]
 
 
+def _double(c) -> float:
+    """c as a double; a nonzero c must give a finite nonzero one."""
+    try:
+        v = float(c)
+    except OverflowError:
+        v = math.inf
+    if c and not (v and math.isfinite(v)):
+        raise CoefficientRangeError(
+            "the numeric oracle needs every coefficient of f and of "
+            "y*f_x - x*f_y as a finite nonzero double")
+    return v
+
+
 def compile_poly(p: BivarPoly):
     """A vectorized float evaluator (x, y) -> sum c x^i y^j."""
     if not p.terms:
@@ -48,7 +61,7 @@ def compile_poly(p: BivarPoly):
     items = sorted(p.terms.items())
     ii = np.array([i for (i, _), _ in items])
     jj = np.array([j for (_, j), _ in items])
-    cc = np.array([float(c) for _, c in items])
+    cc = np.array([_double(c) for _, c in items])
 
     def ev(x, y):
         x = np.asarray(x, dtype=float)
@@ -348,7 +361,7 @@ def crosscheck(f: BivarPoly, analysis, tmin: float = 1e-4, tmax: float = 1e-1,
     legitimately exceed the half-branch count.
     """
     if floor is None:
-        norm = float(sum(abs(float(c)) for c in f.terms.values()))
+        norm = sum(abs(_double(c)) for c in f.terms.values())
         floor = 1e-14 * max(1.0, norm)
     ts = radius_ladder(tmin, tmax, ladder)
     extrema = ladder_extrema(f, ts, grid)

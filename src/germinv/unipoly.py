@@ -4,15 +4,16 @@ real root isolation, and interval-refinable real algebraic numbers.
 ``AlgebraicReal`` is germinv's one representation of a real algebraic number
 (a defining polynomial over Q plus an isolating interval). Isolation returns
 it, and ``numberfield.FieldContext`` is one, for the generator of Q(c). Only
-its own methods refine the interval: ``refine_step`` bisects, and
-``enclose`` is the loop that bisects until a bound on p(a) is decided.
+its own methods refine the interval: ``refine_step`` bisects, ``refine_to``
+bisects to a width, and ``enclose`` until a bound on p(a) is decided.
 
-``isolate_real_roots`` reads rational roots off the isolation, with no
-search over divisors: a rational root of the primitive integer polynomial
-with leading coefficient a_n has a denominator dividing a_n, so a_n r is an
-integer, and integer bisection in r's isolating interval finds it. The
-irrational roots come back over the square-free part divided by every
-rational root's linear factor, a defining polynomial with no rational root.
+``isolate_real_roots`` reads rational roots off the one-root cells of a
+Sturm bisection, with no search over divisors: a root on a bisection point
+is its cell's right end, and otherwise a_n r is an integer for the leading
+coefficient a_n of the primitive integer polynomial, found by integer
+bisection. The irrational roots come back over the square-free part divided
+by every rational root's linear factor, a defining polynomial with no
+rational root.
 
 Coefficients are ``fractions.Fraction`` throughout the public API. The same
 ``UniPoly`` container is reused internally with coefficients in a simple real
@@ -267,11 +268,9 @@ def sturm_variations_at(seq: Sequence[UniPoly], x: Fraction) -> int:
     return _variations([coeff_sign(p.eval(x)) for p in seq])
 
 
-def count_real_roots(p: UniPoly, lo: Fraction, hi: Fraction,
-                     seq: Sequence[UniPoly] | None = None) -> int:
+def count_real_roots(p: UniPoly, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of square-free p in (lo, hi]."""
-    if seq is None:
-        seq = sturm_sequence(p)
+    seq = sturm_sequence(p)
     return sturm_variations_at(seq, lo) - sturm_variations_at(seq, hi)
 
 
@@ -348,8 +347,9 @@ class AlgebraicReal:
             self.lo = mid
 
     def refine_to(self, width: Fraction) -> None:
-        """Bisect until hi - lo <= width: the bound on t at a is [lo, hi]."""
-        self.enclose(_IDENTITY, width)
+        """Bisect until hi - lo <= width."""
+        while self.hi - self.lo > width:
+            self.refine_step()
 
     def is_root_of(self, p: UniPoly) -> bool:
         """Certified test of p(a) = 0 for p over Q: exact at a collapsed
@@ -388,7 +388,6 @@ class AlgebraicReal:
         return v, v
 
 
-_IDENTITY = UniPoly([Fraction(0), Fraction(1)])
 # isolate_real_roots refines each irrational root's interval to this width
 _REFINE_WIDTH = Fraction(1, 4)
 
@@ -426,10 +425,10 @@ def _scaled_integer_poly(p: UniPoly) -> tuple[int, list[int]]:
     return a, [c * a ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
 
 
-def _integer_root(q: list[int], left_sign: int, lo: Fraction,
+def _integer_root(q: list[int], right_sign: int, lo: Fraction,
                   hi: Fraction) -> int | None:
     """The integer root of q in (lo, hi), if any, where q has exactly one
-    root there, simple, and the sign ``left_sign`` just right of lo:
+    root there, simple, and the sign ``right_sign`` just left of hi:
     integer bisection with Horner evaluation."""
     i, j = floor(lo) + 1, ceil(hi) - 1
     if i > j:
@@ -439,7 +438,7 @@ def _integer_root(q: list[int], left_sign: int, lo: Fraction,
         v = 0
         for c in reversed(q):
             v = v * s + c
-        return 0 if v == 0 else (1 if (v > 0) == (left_sign > 0) else -1)
+        return 0 if v == 0 else (-1 if (v > 0) == (right_sign > 0) else 1)
 
     # side: 1 left of the root, -1 right of it
     si = side(i)
@@ -461,14 +460,15 @@ def _integer_root(q: list[int], left_sign: int, lo: Fraction,
 
 
 def _sturm_isolate(p: UniPoly) -> tuple[list[Fraction], list[tuple], UniPoly]:
-    """Bisect (-B, B) with Sturm counts, for square-free monic p over Q.
+    """Bisect (-B, B] with Sturm counts, for square-free monic p over Q.
 
     Returns the rational roots, an isolating interval (lo, hi) for each
     irrational root, and p divided by (t - r) for each rational root r: the
     intervals isolate its roots, and their endpoints are not roots of it.
-    An interval with one root is tested for a rational root by
-    ``_integer_root``; a bisection point that is a root is recorded and
-    deflated at once, so that no endpoint is ever a root.
+    A cell (lo, hi] carries V(lo) and V(hi), whose difference counts its
+    roots even when an end is a root, so a root on a bisection point is the
+    right end of a one-root cell. Any other root of such a cell is interior,
+    and the sign of p(hi) guides ``_integer_root``.
     """
     rats: list[Fraction] = []
     cells: list[tuple[Fraction, Fraction]] = []
@@ -477,33 +477,30 @@ def _sturm_isolate(p: UniPoly) -> tuple[list[Fraction], list[tuple], UniPoly]:
     B = cauchy_bound(p)
     seq = sturm_sequence(p)
     scale, q = _scaled_integer_poly(p)
-    found = []
-    stack = [(-B, B, count_real_roots(p, -B, B, seq))]
+    stack = [(-B, B, sturm_variations_at(seq, -B),
+              sturm_variations_at(seq, B))]
     while stack:
-        lo, hi, n = stack.pop()
-        if n == 0:
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo - vhi > 1:
+            mid = (lo + hi) / 2
+            vmid = sturm_variations_at(seq, mid)
+            stack.append((lo, mid, vlo, vmid))
+            stack.append((mid, hi, vmid, vhi))
             continue
-        if n == 1:
-            s = _integer_root(q, coeff_sign(p.eval(lo)), lo * scale,
-                              hi * scale)
-            if s is None:
-                cells.append((lo, hi))
-            else:
-                found.append(Fraction(s, scale))
+        if vlo == vhi:
             continue
-        mid = (lo + hi) / 2
-        if p.eval(mid) == 0:
-            rats.append(mid)
-            p = _deflate(p, mid)
-            seq = sturm_sequence(p)
-            scale, q = _scaled_integer_poly(p)
-            n -= 1
-        nl = count_real_roots(p, lo, mid, seq)
-        stack.append((lo, mid, nl))
-        stack.append((mid, hi, n - nl))
-    for r in found:
+        v = p.eval(hi)
+        if v == 0:
+            rats.append(hi)
+            continue
+        s = _integer_root(q, coeff_sign(v), lo * scale, hi * scale)
+        if s is None:
+            cells.append((lo, hi))
+        else:
+            rats.append(Fraction(s, scale))
+    for r in rats:
         p = _deflate(p, r)
-    return rats + found, cells, p
+    return rats, cells, p
 
 
 def has_rational_root(p: UniPoly) -> bool:
@@ -515,13 +512,11 @@ def isolate_real_roots(u: UniPoly) -> list[AlgebraicReal]:
     """Isolate all distinct real roots of u (Fraction coefficients).
 
     Returns sorted AlgebraicReal values, one per distinct real root; rational
-    roots come back with degenerate intervals. Rational roots are read off
-    the isolation: a root r of the primitive integer polynomial with leading
-    coefficient a_n has a denominator dividing a_n, so a_n r is an integer,
-    found by integer bisection in r's isolating interval. The other roots
-    share one ``defining`` polynomial, u's square-free part divided by
-    (t - r) for each rational r, so it has no rational root. Their intervals
-    are refined to width at most 1/4 and never contain more than one root.
+    roots come back with degenerate intervals, read off the isolation (see
+    ``_sturm_isolate``). The other roots share one ``defining`` polynomial,
+    u's square-free part divided by (t - r) for each rational r, so it has
+    no rational root, not even at an end of their intervals. Those are
+    refined to width at most 1/4 and never contain more than one root.
     """
     if u.is_zero():
         raise ZeroInputError("cannot isolate roots of the zero polynomial")
@@ -536,7 +531,7 @@ def isolate_real_roots(u: UniPoly) -> list[AlgebraicReal]:
     # midpoint order is value order. The cells of one bisection meet at most
     # in an endpoint, refinement keeps each interval inside its cell, and the
     # midpoint of an irrational root's interval is interior to it. A rational
-    # root lies inside a cell of its own, or is a bisection point, deflated
-    # before its neighbours were counted: at most an endpoint of theirs.
+    # root lies inside a cell of its own, or is the right end of its cell and
+    # so at most an endpoint of a neighbour's.
     out.sort(key=lambda a: (a.lo + a.hi) / 2)
     return out

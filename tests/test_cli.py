@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -210,6 +211,18 @@ def test_exit_contradictory_flags(capsys):
         assert err.startswith("error: need "), flags
 
 
+@pytest.mark.parametrize("command", ["psi", "crosscheck"])
+@pytest.mark.parametrize("germ", [
+    "10^400*x^2 + y^2", "10^308*x^2 + y^2", f"1/1{'0' * 400}*x^2 + y^2"])
+def test_exit_coefficient_outside_double_range(capsys, command, germ):
+    # 10^400 overflows a double and 10^-400 underflows to 0; 10^308 fits,
+    # but y*f_x - x*f_y has the coefficient 2*10^308 - 2, which does not
+    rc, out, err = run(capsys, command, germ)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: the numeric oracle needs ")
+
+
 @pytest.mark.parametrize("argv", [
     ("inv", "0"), ("compare", "0", "x^2 + y^4"), ("branches", "0"),
     ("psi", "0"), ("crosscheck", "x - x")])
@@ -329,6 +342,27 @@ def test_branches_print_certified_digits(capsys):
         assert re.findall(r"\(([^()]*)\)\*s", line) == want, line
         checked += len(want)
     assert checked >= 20
+
+
+def test_branches_print_digits_below_the_double_range(capsys):
+    # two coefficients near 1.4e-401 underflow a double; they print from the
+    # exact value, within half a printed unit of their refined interval
+    germ = "(x^2-2*y^2)*(10^400*x - y)"
+    rc, out, _ = run(capsys, "branches", germ)
+    assert rc == 0
+    lines = [ln for ln in out.splitlines() if ln.startswith("[")]
+    tiny = 0
+    for line, r in zip(lines, analyze_germ(parse_poly(germ)).restrictions):
+        (_, c), = r.branch.y.terms
+        text, = re.findall(r"\(([^()]*)\)\*s", line)
+        mantissa, _, exp = text.partition("e")
+        places = len(mantissa.partition(".")[2])
+        half = Fraction(10) ** (int(exp or 0) - places) / 2
+        lo, hi = c.interval()
+        lo, hi = c.interval(min(abs(lo), abs(hi)) / 2**200)
+        assert lo - half <= Fraction(text) <= hi + half, line
+        tiny += 0 < abs(Fraction(text)) < Fraction(1, 10**400)
+    assert tiny == 2
 
 
 def declared_scripts():

@@ -86,6 +86,12 @@ def test_missing_exponent():
     assert exc.value.offset == 2
 
 
+def test_double_star_power_rejected():
+    with pytest.raises(ParseError) as exc:
+        parse_poly("x**2")
+    assert exc.value.offset == 2
+
+
 def test_zero_denominator():
     with pytest.raises(ParseError):
         parse_poly("1/0*x")

@@ -7,12 +7,12 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from germinv import unipoly
 from germinv.errors import PrecisionExceededError
 from germinv.numberfield import FieldContext, _binomial_irreducible
 from germinv.unipoly import (AlgebraicReal, UniPoly, cauchy_bound,
                              count_all_real_roots, count_real_roots,
-                             isolate_real_roots, sturm_sequence, uni_gcd,
-                             uni_squarefree)
+                             isolate_real_roots, uni_gcd, uni_squarefree)
 
 _t = sympy.Symbol("t")
 
@@ -82,9 +82,8 @@ def test_sturm_count_matches_sympy():
         p = uni_squarefree(p)
         if p.degree < 1:
             continue
-        seq = sturm_sequence(p)
         lo, hi = Fraction(-10), Fraction(10)
-        mine = count_real_roots(p, lo, hi, seq)
+        mine = count_real_roots(p, lo, hi)
         ref = sympy.Poly(to_sympy(p), _t).count_roots(-10, 10)
         # count_real_roots uses the half-open (lo, hi]; sympy counts [lo, hi]
         if to_sympy(p).eval(-10) == 0:
@@ -94,10 +93,25 @@ def test_sturm_count_matches_sympy():
         assert count_all_real_roots(p) == to_sympy(p).count_roots()
 
 
+def _poly(*coeffs) -> UniPoly:
+    return UniPoly([Fraction(c) for c in coeffs])
+
+
+# t (3t - 1)(t^2 - 2)(t^2 - 3): the root 0 is the first bisection point, 1/3
+# lies inside a cell, and four roots are irrational
+_ROOT_ON_FIRST_SPLIT = (_poly(0, 1) * _poly(-1, 3) * _poly(-2, 0, 1)
+                        * _poly(-3, 0, 1))
+
+
 def test_isolate_real_roots_matches_sympy():
     rng = random.Random(5)
-    for _ in range(25):
-        p = rand_poly(rng, rng.randint(1, 6))
+    # (t - 5/2)(t^2 + 8t + 1)(t + 3/2)(t^2 - 8t): rational roots beside
+    # irrational ones, and 0 on a bisection point
+    polys = [_ROOT_ON_FIRST_SPLIT,
+             _poly(Fraction(-5, 2), 1) * _poly(1, 8, 1)
+             * _poly(Fraction(3, 2), 1) * _poly(0, -8, 1)]
+    polys += [rand_poly(rng, rng.randint(1, 6)) for _ in range(25)]
+    for p in polys:
         if p.is_zero() or p.degree < 1:
             continue
         roots = isolate_real_roots(uni_squarefree(p))
@@ -107,6 +121,27 @@ def test_isolate_real_roots_matches_sympy():
         for mine, rr in zip(roots, ref):
             lo, hi = sympy.Rational(mine.lo), sympy.Rational(mine.hi)
             assert lo <= rr <= hi
+            if not mine.is_rational():
+                _, factors = to_sympy(mine.defining).factor_list()
+                assert all(f.degree() > 1 for f, _ in factors), p
+
+
+def test_isolation_evaluates_each_sturm_point_once(monkeypatch):
+    # a split evaluates the chain at its midpoint only, and a root on a
+    # bisection point is not deflated and re-counted: 2 calls for the
+    # bounds and 1 per split
+    calls = []
+    variations = unipoly.sturm_variations_at
+
+    def counted(seq, x):
+        calls.append(x)
+        return variations(seq, x)
+
+    monkeypatch.setattr(unipoly, "sturm_variations_at", counted)
+    roots = isolate_real_roots(_ROOT_ON_FIRST_SPLIT)
+    assert len(calls) <= 13
+    assert [r.lo for r in roots if r.is_rational()] == [0, Fraction(1, 3)]
+    assert sum(not r.is_rational() for r in roots) == 4
 
 
 def test_rational_roots_collapse():
@@ -252,6 +287,14 @@ def test_field_division_and_str():
     for k, m in ((1, Fraction(-7, 5)), (-1, 0), (10**6, 0)):
         y = sqrt2_ctx().generator() * k + m
         assert str(y) == f"({float(y):.9g})"
+    # a value with no normal double prints from its exact value, to the same
+    # digits; zero is still (0)
+    assert str(r * 10**400) == "(1.41421356e+400)"
+    assert str(r / 10**400) == "(1.41421356e-400)"
+    assert str(-r / 10**310) == "(-1.41421356e-310)"   # subnormal
+    assert str(r / (r * 10**400)) == "(1e-400)"
+    assert repr(-r * 10**400).endswith("~ -1.41421e+400)")
+    assert str(r - r) == "(0)"
 
 
 def test_count_all_real_roots_over_extension():

@@ -35,6 +35,14 @@ evaluation, Della Dora-Dicrescenzo-Duval 1985). Two rules certify m:
   that open an extension by pure ramification get such moduli.
 
 Every other modulus keeps ``AlgebraicReal.is_root_of``.
+
+Hot loops work on the vector form instead (``integer_vectors``): a batch of
+coefficients over one positive integer denominator, each an integer vector
+in the power basis 1, c, c^2, ... of its field (length 1 for a rational).
+Vectors multiply as integer polynomials with no reduction, and
+``FieldContext.element_from_integers`` reduces a result once, by integer
+pseudo-division by the primitive integer multiple of the modulus, when it
+becomes an element again.
 """
 
 from __future__ import annotations
@@ -102,7 +110,7 @@ class FieldContext(AlgebraicReal):
     root, such as a ``defining`` from ``isolate_real_roots``; otherwise it is
     checked."""
 
-    __slots__ = ("irreducible",)
+    __slots__ = ("irreducible", "_integer_modulus")
 
     def __init__(self, modulus: UniPoly, lo: Fraction, hi: Fraction,
                  rational_root_free: bool = False):
@@ -114,6 +122,7 @@ class FieldContext(AlgebraicReal):
         # irreducible and Q[t]/(m) is a field; a binomial of higher degree is
         # decided by Capelli's theorem. False means not known.
         m = self.defining
+        self._integer_modulus = None    # made from m when first needed
         if m.degree > 3 and not any(m.coeffs[1:-1]):
             self.irreducible = _binomial_irreducible(
                 m.degree, -Fraction(m.coeffs[0]))
@@ -137,6 +146,44 @@ class FieldContext(AlgebraicReal):
 
     def from_rational(self, q) -> "FieldElement":
         return FieldElement(self, (Fraction(q),) if q else ())
+
+    def reduce_integers(self, vec: list) -> tuple[list, int]:
+        """(r, s) with s * vec = r mod the modulus and len(r) <= its degree,
+        for an integer vector vec: integer pseudo-division by the primitive
+        integer multiple M of the modulus, with leading coefficient L > 0,
+        gives L^k vec = Q M + r after k = deg vec - deg M + 1 steps, and
+        s = L^k."""
+        if self._integer_modulus is None:
+            coeffs = self.defining.coeffs
+            scale = math.lcm(*(x.denominator for x in coeffs))
+            ints = [x.numerator * (scale // x.denominator) for x in coeffs]
+            g = math.gcd(*ints)
+            self._integer_modulus = [x // g for x in ints]
+        m = self._integer_modulus
+        d, lc = len(m) - 1, m[-1]
+        r, s = list(vec), 1
+        while r and not r[-1]:
+            r.pop()
+        while len(r) > d:
+            q = r.pop()
+            if lc != 1:
+                r = [lc * x for x in r]
+                s *= lc
+            for i in range(d):
+                r[len(r) - d + i] -= q * m[i]
+        while r and not r[-1]:
+            r.pop()
+        return r, s
+
+    def element_from_integers(self, vec: list, den: int) -> "FieldElement":
+        """The element sum(vec[i] c^i) / den for integers vec and den > 0,
+        reduced once."""
+        r, s = self.reduce_integers(vec)
+        den *= s
+        out = FieldElement(self, tuple(Fraction(x, den) for x in r))
+        if self.irreducible:
+            out._zero_known = not r
+        return out
 
     def coerce(self, x) -> "FieldElement":
         if isinstance(x, FieldElement):
@@ -166,6 +213,44 @@ class FieldContext(AlgebraicReal):
                 raise RuntimeError("inexact division of the modulus")
             self.defining = q.monic()
             self._certify()
+
+
+def integer_vectors(xs) -> tuple[list, int, list, FieldContext | None]:
+    """Coefficients over one denominator: (vecs, den, ext, ctx) with
+    x = sum(vec[i] c^i) / den for each x in xs and its vector vec, c the
+    generator of ctx, the field of the extension elements among xs (None
+    when there are none), and ``ext`` telling which x are such elements. A
+    rational x, and an element that is visibly rational, has a vector of
+    length 1."""
+    ext = [isinstance(x, FieldElement) for x in xs]
+    parts = [x.coeffs if e else (x,) for x, e in zip(xs, ext)]
+    ctx = next((x.ctx for x, e in zip(xs, ext) if e), None)
+    den = math.lcm(*[y.denominator for p in parts for y in p])
+    vecs = [[y.numerator * (den // y.denominator) for y in p] for p in parts]
+    return vecs, den, ext, ctx
+
+
+def integer_powers(vec: list, den: int, n: int,
+                   ctx: FieldContext | None) -> tuple[list, int]:
+    """The powers c^0, ..., c^n of c = sum(vec[i] g^i) / den, g the
+    generator of ctx (a rational c has a vector of length 1 and needs no
+    ctx), over one denominator: (pows, D) with c^k = sum(pows[k][i] g^i) / D,
+    each power reduced once as it is made."""
+    if len(vec) == 1:
+        x = vec[0]
+        return [[x ** k * den ** (n - k)] for k in range(n + 1)], den ** n
+    pows, dens = [[1]], [1]
+    for _ in range(n):
+        prev = pows[-1]
+        p = [0] * (len(prev) + len(vec) - 1)
+        for i, x in enumerate(prev):
+            for j, y in enumerate(vec):
+                p[i + j] += x * y
+        p, s = ctx.reduce_integers(p)
+        pows.append(p)
+        dens.append(dens[-1] * den * s)
+    top = dens[-1]
+    return [[x * (top // dk) for x in p] for p, dk in zip(pows, dens)], top
 
 
 class FieldElement:

@@ -361,8 +361,14 @@ def crosscheck(f: BivarPoly, analysis, tmin: float = 1e-4, tmax: float = 1e-1,
     legitimately exceed the half-branch count.
     """
     if floor is None:
-        norm = sum(abs(_double(c)) for c in f.terms.values())
-        floor = 1e-14 * max(1.0, norm)
+        mags = [abs(_double(c)) for c in f.terms.values()]
+        norm = sum(mags)
+        if math.isfinite(norm):
+            floor = 1e-14 * max(1.0, norm)
+        else:
+            # finite magnitudes whose sum overflows: scale by the largest, m
+            m = max(mags)
+            floor = 1e-14 * m * sum(v / m for v in mags)
     ts = radius_ladder(tmin, tmax, ladder)
     extrema = ladder_extrema(f, ts, grid)
     psi, psibar = [e.fmin for e in extrema], [e.fmax for e in extrema]

@@ -25,6 +25,12 @@ coefficient through its isolating interval. A branch that would need a
 second nested extension raises TowerDepthExceededError rather than
 returning anything uncertified.
 
+Each substitution q(u^b, u^a (c + z)) / u^v of a chain (``_transform``) runs
+on integers: q's coefficients and the powers of c become integer vectors in
+the power basis of Q(c), over one denominator each, every product of them is
+one integer product, and each output coefficient is reduced mod the modulus
+once, when it becomes a Fraction or an element of Q(c) again.
+
 The parameter exponent e = prod(b_i) is automatically minimal: each level's
 exponent a_i/b_i is in lowest terms and enters the series with a nonzero
 coefficient, so the least common denominator of the exponents present is
@@ -43,7 +49,8 @@ from math import comb, prod
 
 from .bivar import BivarPoly
 from .errors import TowerDepthExceededError, UnitGermError, ZeroInputError
-from .numberfield import FieldContext, FieldElement
+from .numberfield import (FieldContext, FieldElement, integer_powers,
+                          integer_vectors)
 from .unipoly import (UniPoly, count_all_real_roots, isolate_real_roots,
                       uni_squarefree)
 
@@ -313,23 +320,82 @@ def _edge_roots(E: UniPoly, ctx):
     return out
 
 
+def _pack(vec: list, shift: int) -> int:
+    """The integer vector as one integer, sum(vec[i] 2^(shift i)) (Kronecker
+    substitution): sums and products of packed vectors are the packed sums
+    and products, as long as every entry of the result stays below
+    2^(shift - 1) in absolute value."""
+    n = 0
+    for x in reversed(vec):
+        n = (n << shift) + x
+    return n
+
+
+def _unpack(n: int, shift: int, width: int) -> list:
+    """The first ``width`` entries of the vector packed in n (each of
+    absolute value below 2^(shift - 1)), the last taking what is left."""
+    out = []
+    half, mask = 1 << (shift - 1), (1 << shift) - 1
+    for _ in range(width - 1):
+        r = n & mask
+        if r >= half:
+            r -= mask + 1
+        out.append(r)
+        n = (n - r) >> shift
+    out.append(n)
+    return out
+
+
 def _transform(q: BivarPoly, a: int, b: int, c) -> tuple[int, BivarPoly]:
     """(v, q(u1^b, u1^a (c + z)) / u1^v) with u1^v the exact power of u1
-    dividing the substituted polynomial."""
+    dividing the substituted polynomial.
+
+    The term (i, j) of q gives C(j, l) c^(j - l) times its coefficient to the
+    term (i b + j a - v, l). This runs on integers: q's coefficients, and the
+    powers of c, are integer vectors over one denominator each
+    (``numberfield.integer_vectors``, a rational's of length 1), each packed
+    into one integer (``_pack``), so a contribution is one integer product
+    and an output coefficient one integer sum. An output coefficient is reduced mod the
+    modulus once, when it is made, and it is an element of Q(c) exactly when
+    one of its contributions was (an extension coefficient of q, or c^k with
+    k >= 1 for an extension c), a Fraction otherwise: the same coefficients,
+    of the same types, as the substitution computed term by term.
+    """
     v = min(i * b + j * a for (i, j) in q.terms)
-    max_j = q.deg_y()
-    cpows = [Fraction(1)]
-    for _ in range(max_j):
-        cpows.append(cpows[-1] * c)
+    nums, den, ext, ctx = integer_vectors(q.terms.values())
+    (cvec,), cden, (c_ext,), c_ctx = integer_vectors((c,))
+    if c_ctx is not None:
+        ctx = c_ctx
+    J = q.deg_y()
+    pows, pden = integer_powers(cvec, cden, J, ctx)
+    # every entry of a packed sum stays below 2^(shift - 1) in absolute value
+    width_n, width_c = max(map(len, nums)), max(map(len, pows))
+    shift = 1
+    if width_n > 1 or width_c > 1:
+        bound = (sum(j + 1 for _, j in q.terms) * min(width_n, width_c)
+                 * max(abs(x) for vec in nums for x in vec) * comb(J, J // 2)
+                 * max(abs(x) for vec in pows for x in vec))
+        shift += bound.bit_length()
+    cpows = [_pack(vec, shift) for vec in pows]
+    rows = {j: [comb(j, l) * cpows[j - l] for l in range(j + 1)]
+            for j in {j for _, j in q.terms}}
     out: dict = {}
-    for (i, j), coeff in q.terms.items():
+    in_ext = set()
+    for (i, j), vec, x in zip(q.terms, nums, ext):
         base = i * b + j * a - v
+        n = _pack(vec, shift)
+        row = rows[j]
         for l in range(j + 1):
-            t = coeff * (comb(j, l) * cpows[j - l])
             key = (base, l)
-            cur = out.get(key)
-            out[key] = t if cur is None else cur + t
-    return v, BivarPoly(out)
+            out[key] = out.get(key, 0) + n * row[l]
+        if x or c_ext:
+            in_ext.update((base, l) for l in range(j + 1 if x else j))
+    den *= pden
+    width = width_n + width_c - 1
+    return v, BivarPoly({
+        key: (ctx.element_from_integers(_unpack(n, shift, width), den)
+              if key in in_ext else Fraction(n, den))
+        for key, n in out.items() if n})
 
 
 def _np_branches(q: BivarPoly, ctx, gamma_min: Fraction, strict: bool,

@@ -223,6 +223,16 @@ def test_exit_coefficient_outside_double_range(capsys, command, germ):
     assert err.startswith("error: the numeric oracle needs ")
 
 
+def test_crosscheck_floor_when_coefficient_sum_overflows(capsys):
+    # each |c| is a finite double but their sum is not: the automatic floor
+    # sums the magnitudes scaled by the largest, 1e-14 * 1e308 * 2
+    rc, out, _ = run(capsys, "crosscheck", "10^308*x^2 + 10^308*y^2")
+    assert rc == 0
+    assert "result: PASS" in out
+    (line,) = [ln for ln in out.splitlines() if ln.startswith("floor: ")]
+    assert float(line.split()[1]) == 2e294
+
+
 @pytest.mark.parametrize("argv", [
     ("inv", "0"), ("compare", "0", "x^2 + y^4"), ("branches", "0"),
     ("psi", "0"), ("crosscheck", "x - x")])

@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from germinv import (BivarPoly, Classification, GermInvariant, ResourceError,
                      analyze_germ, equivalent_possible, expand_branches,
@@ -145,15 +147,18 @@ def test_rotation_identity_random():
         checked += 1
 
 
+X, Y = BivarPoly.var_x(), BivarPoly.var_y()
+# diffeomorphisms of (R^2, 0): a shear, a diagonal and two with nonlinear
+# terms; and units u with u(0) > 0
+DIFFEOMORPHISMS = [(X + Y.scale(Fraction(1, 2)), Y),
+                   (X.scale(Fraction(2)), Y.scale(Fraction(-1, 3))),
+                   (X + Y**2, Y), (X, Y + X**2)]
+UNITS = [parse_poly(u) for u in ("1", "1 + x", "2 - y")]
+
+
 def test_contact_group_identity_random():
-    # Inv(u * f o phi) = Inv(f) for diffeomorphisms phi of (R^2, 0), a shear,
-    # a diagonal and two with nonlinear terms, and units u with u(0) > 0.
-    # Every analysis must finish: a ResourceError fails the test.
-    x, y = BivarPoly.var_x(), BivarPoly.var_y()
-    phis = [(x + y.scale(Fraction(1, 2)), y),
-            (x.scale(Fraction(2)), y.scale(Fraction(-1, 3))),
-            (x + y**2, y), (x, y + x**2)]
-    units = [parse_poly(u) for u in ("1", "1 + x", "2 - y")]
+    # Inv(u * f o phi) = Inv(f). Every analysis must finish: a ResourceError
+    # fails the test.
     rng = random.Random(1)
     germs = []
     while len(germs) < 12:
@@ -162,12 +167,36 @@ def test_contact_group_identity_random():
             germs.append(f)
     for f in germs:
         want = analyze_germ(f).invariant
-        for px, py in phis:
+        for px, py in DIFFEOMORPHISMS:
             g = f.compose(px, py)
-            for u in units:
+            for u in UNITS:
                 assert analyze_germ(u * g).invariant == want, \
                     (f.to_string(), px.to_string(), py.to_string(),
                      u.to_string())
+
+
+@st.composite
+def small_germs(draw):
+    monomials = st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(
+        lambda ij: 1 <= sum(ij) <= 5)
+    terms = draw(st.dictionaries(monomials, st.integers(-5, 5).filter(bool),
+                                 min_size=1, max_size=4))
+    return BivarPoly({ij: Fraction(c) for ij, c in terms.items()})
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(small_germs(), st.sampled_from([(X, Y)] + DIFFEOMORPHISMS),
+       st.sampled_from(UNITS), st.booleans())
+def test_contact_group_identity_hypothesis(f, phi, unit, rotate):
+    # Inv(u * f o phi) = Inv(f) with phi also the identity, each phi
+    # optionally followed by the rotation, which sends rational branch
+    # directions into Q(c); a draw that either side cannot finish is skipped
+    g = f.compose(*phi)
+    if rotate:
+        g = rotate_germ(g)
+    want, got = try_analyze(f), try_analyze(unit * g)
+    assume(want is not None and got is not None)
+    assert got.invariant == want.invariant
 
 
 def test_rotated_zero_set_uses_extension(reference_germs):

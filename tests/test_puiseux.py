@@ -1,4 +1,5 @@
-"""Newton polygon, branch expansion, and parametrization residuals.
+"""Newton polygon, branch expansion, parametrization residuals, and the
+chain substitution against its term-by-term formula.
 
 The strongest check here is the residual property: substituting a branch
 parametrization back into its curve must give the zero series through the
@@ -9,16 +10,21 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+import germinv.puiseux
 from germinv import (BivarPoly, expand_branches, newton_polygon, parse_poly,
                      squarefree_part, substitute)
 from germinv.errors import (TowerDepthExceededError, UnitGermError,
                             ZeroInputError)
-from germinv.tangency import TangencyCurve
+from germinv.numberfield import FieldContext, FieldElement
+from germinv.puiseux import _transform
+from germinv.tangency import ExpansionConfig, TangencyCurve, restrict
+from germinv.unipoly import UniPoly
 
-from conftest import random_germ, rotate_germ
+from conftest import ROTATED_REPEATED_FACTOR, random_germ, rotate_germ
 
 
 def test_newton_polygon_cusp():
@@ -219,3 +225,134 @@ def test_residuals_on_random_tangency_curves():
         except TowerDepthExceededError:
             continue
         checked += 1
+
+
+def transform_by_terms(q, a, b, c):
+    """q(u^b, u^a (c + z)) / u^v computed coefficient by coefficient, in the
+    coefficients' own arithmetic: the reference for ``_transform``."""
+    v = min(i * b + j * a for (i, j) in q.terms)
+    cpows = [Fraction(1)]
+    for _ in range(q.deg_y()):
+        cpows.append(cpows[-1] * c)
+    out = {}
+    for (i, j), coeff in q.terms.items():
+        base = i * b + j * a - v
+        for l in range(j + 1):
+            t = coeff * (comb(j, l) * cpows[j - l])
+            cur = out.get((base, l))
+            out[(base, l)] = t if cur is None else cur + t
+    return v, BivarPoly(out)
+
+
+def assert_same_transform(got, want):
+    # the same keys in the same order, and per key the same type and value;
+    # an element of Q(c) also in the same field and with the same reduced
+    # coefficients
+    assert got[0] == want[0]
+    assert list(got[1].terms) == list(want[1].terms)
+    for key, w in want[1].terms.items():
+        g = got[1].terms[key]
+        assert type(g) is type(w), key
+        if isinstance(w, FieldElement):
+            assert g.ctx is w.ctx and g.coeffs == w.coeffs, key
+        else:
+            assert g == w, key
+
+
+def random_fraction(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def random_transform_input(rng, ctx):
+    """(q, a, b) for a random q whose coefficients are rationals and, with a
+    field ctx, elements of it."""
+    terms = {}
+    for _ in range(rng.randint(1, 7)):
+        ij = (rng.randint(0, 4), rng.randint(0, 4))
+        if ctx is not None and rng.random() < 0.6:
+            terms[ij] = ctx.element(
+                [random_fraction(rng) for _ in range(ctx.defining.degree)])
+        else:
+            terms[ij] = random_fraction(rng)
+    q = BivarPoly(terms)
+    if q.is_zero():
+        q = BivarPoly({(1, 1): Fraction(1)})
+    return q, rng.randint(1, 4), rng.randint(1, 3)
+
+
+# (modulus coefficients, lowest first, and an interval isolating the root)
+FIELDS = {
+    "quadratic": ([Fraction(-2, 3), 0, 1], Fraction(4, 5), Fraction(1)),
+    "cubic": ([Fraction(-1, 2), -1, 0, 1], Fraction(1), Fraction(2)),
+    "capelli": ([-3, 0, 0, 0, 1], Fraction(1), Fraction(2)),
+    # (t^2 - 2)(t^2 - 1/3) around sqrt(2): not certified irreducible
+    "reducible": ([Fraction(2, 3), 0, Fraction(-7, 3), 0, 1],
+                  Fraction(7, 5), Fraction(3, 2)),
+}
+
+
+def test_transform_matches_term_by_term_over_q():
+    rng = random.Random(20261019)
+    for _ in range(60):
+        q, a, b = random_transform_input(rng, None)
+        c = random_fraction(rng) or Fraction(1)
+        assert_same_transform(_transform(q, a, b, c),
+                               transform_by_terms(q, a, b, c))
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_transform_matches_term_by_term_in_extension(name):
+    coeffs, lo, hi = FIELDS[name]
+    ctx = FieldContext(UniPoly([Fraction(x) for x in coeffs]), lo, hi)
+    assert ctx.irreducible == (name != "reducible")
+    # along z = c u, c the generator g, h y - h g x with h = g^(deg - 1)
+    # has the coefficient h c - h g = 0, which is zero only after reduction
+    g = ctx.generator()
+    h = ctx.element([0] * (ctx.defining.degree - 1) + [1])
+    q = BivarPoly({(0, 1): h, (1, 0): -(h * g)})
+    got = _transform(q, 1, 1, g)
+    assert (0, 0) not in got[1].terms
+    assert_same_transform(got, transform_by_terms(q, 1, 1, g))
+    rng = random.Random(name)
+    for k in range(30):
+        q, a, b = random_transform_input(rng, ctx)
+        # an extension c, the generator itself, and a rational c in Q(c)
+        c = (ctx.element([random_fraction(rng), random_fraction(rng) or 1])
+             if k % 3 == 0 else ctx.generator() if k % 3 == 1
+             else random_fraction(rng) or Fraction(1))
+        assert_same_transform(_transform(q, a, b, c),
+                              transform_by_terms(q, a, b, c))
+
+
+def test_transform_in_extension_makes_no_field_arithmetic(monkeypatch):
+    # the substitution runs on integer vectors and reduces each output
+    # coefficient once: no product or sum of field elements on the way
+    f = rotate_germ(parse_poly(ROTATED_REPEATED_FACTOR))
+    curve = TangencyCurve(f)
+    config = ExpansionConfig()
+    calls = []
+    transform = germinv.puiseux._transform
+
+    def recorded(*args):
+        calls.append(args)
+        return transform(*args)
+
+    monkeypatch.setattr(germinv.puiseux, "_transform", recorded)
+    for b in curve.half_branches(config.order):
+        restrict(f, b, config, curve)
+    monkeypatch.undo()
+    args = next(a for a in calls if isinstance(a[3], FieldElement))
+    ops = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        method = getattr(FieldElement, name)
+
+        def counted(self, other, method=method, name=name):
+            ops.append(name)
+            return method(self, other)
+
+        monkeypatch.setattr(FieldElement, name, counted)
+    v, p = _transform(*args)
+    assert any(isinstance(c, FieldElement) for c in p.terms.values())
+    assert ops == []
+    transform_by_terms(*args)
+    assert len(ops) > 100

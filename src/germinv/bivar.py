@@ -18,18 +18,21 @@ makes a candidate that divides both the greatest common divisor. When
 no candidate is certified after a few growing evaluation points, gcd falls
 back to splitting both inputs into content and primitive part in y, taking
 the gcd of the contents over Q[x], and running the Collins subresultant
-polynomial remainder sequence on the primitive parts. Exact division is
-long division in y with Q[x] coefficients.
+polynomial remainder sequence on the primitive parts.
+
+``gcd_cofactors`` returns the gcd g with the cofactors p/g and q/g, the
+quotients that certified it, so no caller divides by a gcd again. The
+square-free part p / gcd(gcd(p, p_y), p_x) is read off two of them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _igcd, isqrt, lcm
+from math import gcd as _igcd, isqrt
 from typing import Iterable
 
 from .errors import BothZeroError, ZeroInputError
-from .unipoly import UniPoly, uni_gcd, uni_squarefree
+from .unipoly import UniPoly, primitive_integers, uni_gcd
 
 
 def _grlex_key(ij: tuple[int, int]) -> tuple[int, int]:
@@ -204,10 +207,6 @@ class BivarPoly:
                     out[(i, j)] = c
         return BivarPoly(out)
 
-    @staticmethod
-    def from_unipoly_x(p: UniPoly) -> "BivarPoly":
-        return BivarPoly({(i, 0): c for i, c in enumerate(p.coeffs) if c})
-
     # -- printing ---------------------------------------------------------------------
 
     def to_string(self) -> str:
@@ -239,18 +238,7 @@ class BivarPoly:
 
 def normalize(p: BivarPoly) -> BivarPoly:
     """Scale to integer-primitive form with positive grlex-leading coefficient."""
-    if p.is_zero():
-        return p
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // _igcd(den, c.denominator)
-    num = 0
-    for c in p.terms.values():
-        num = _igcd(num, abs(int(c * den)))
-    q = p.scale(Fraction(den, num))
-    if q.leading_coeff_grlex() < 0:
-        q = -q
-    return q
+    return _signed(_integer_primitive(p)[0])[0]
 
 
 # -- gcd and square-free part -------------------------------------------------------------
@@ -335,7 +323,7 @@ def _gcd_prs(p: BivarPoly, q: BivarPoly) -> BivarPoly:
     cp, P = _primitive_y(p.coeffs_in_y())
     cq, Q = _primitive_y(q.coeffs_in_y())
     return normalize(_gcd_primitive_y(P, Q)
-                     * BivarPoly.from_unipoly_x(uni_gcd(cp, cq)))
+                     * BivarPoly.from_coeffs_in_y([uni_gcd(cp, cq)]))
 
 
 # -- heuristic gcd over the integers ------------------------------------------------------
@@ -461,23 +449,36 @@ def _z_heu_gcd(a: list[int], b: list[int]) -> list[int] | None:
     return None
 
 
-def _integer_primitive(p: BivarPoly) -> list[list[int]]:
-    """Nonzero p scaled to a primitive polynomial in Z[x, y]."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
+def _integer_primitive(p: BivarPoly) -> tuple[list[list[int]], Fraction]:
+    """(A, s) with p = s A, A primitive in Z[x, y] (or [] for p = 0)."""
+    ints, s = primitive_integers(list(p.terms.values()))
     cols: list[list[int]] = [[0] * (p.deg_x() + 1) for _ in range(p.deg_y() + 1)]
-    for (i, j), c in p.terms.items():
-        cols[j][i] = c.numerator * (den // c.denominator)
-    g = _igcd(*(v for col in cols for v in col))
-    return [_z_trim([v // g for v in col]) for col in cols]
+    for (i, j), v in zip(p.terms, ints):
+        cols[j][i] = v
+    return [_z_trim(col) for col in cols], s
+
+
+def _from_integers(A: list[list[int]], s: Fraction) -> BivarPoly:
+    """The polynomial s A over Q."""
+    n, d = s.numerator, s.denominator
+    return BivarPoly({(i, j): Fraction(v * n, d) for j, col in enumerate(A)
+                      for i, v in enumerate(col) if v})
+
+
+def _signed(A: list[list[int]]) -> tuple[BivarPoly, int]:
+    """(e A, e) for the sign e = +-1 that makes A's grlex lead positive."""
+    g = _from_integers(A, Fraction(1))
+    return (g, 1) if g.leading_coeff_grlex() >= 0 else (-g, -1)
 
 
 def _zz_norm(A: list[list[int]]) -> int:
     return max(abs(v) for col in A for v in col)
 
 
-def _gcd_heu(p: BivarPoly, q: BivarPoly) -> BivarPoly | None:
-    """GCDHEU gcd of nonzero p and q, normalized, or None when no candidate
-    is certified within _HEU_TRIES evaluation points for x.
+def _gcd_heu(A: list[list[int]], B: list[list[int]]):
+    """(H, A/H, B/H): the GCDHEU gcd H of nonzero primitive A and B in
+    Z[x, y], up to sign, with the quotients that certify it, or None when
+    no candidate is certified within _HEU_TRIES evaluation points for x.
 
     Let B be the one of the primitive integer inputs A, B of smaller norm.
     At xi > 2 + 2 |B|, lc_y(B)(xi) is not zero, so B(xi, y) keeps the degree
@@ -488,7 +489,6 @@ def _gcd_heu(p: BivarPoly, q: BivarPoly) -> BivarPoly | None:
     interpolant, which is a nonzero integer of at most xi/2. So K has
     degree 0 in y, then in x.
     """
-    A, B = _integer_primitive(p), _integer_primitive(q)
     xi = 2 * min(_zz_norm(A), _zz_norm(B)) + 29
     for _ in range(_HEU_TRIES):
         a = _z_trim([_z_eval(col, xi) for col in A])
@@ -498,57 +498,51 @@ def _gcd_heu(p: BivarPoly, q: BivarPoly) -> BivarPoly | None:
             H = [_z_digits(v, xi) for v in g]
             k = _igcd(*(v for col in H for v in col))
             H = [[v // k for v in col] for col in H]
-            if _zz_divide(A, H) is not None and _zz_divide(B, H) is not None:
-                return normalize(BivarPoly(
-                    {(i, j): Fraction(v) for j, col in enumerate(H)
-                     for i, v in enumerate(col) if v}))
+            U = _zz_divide(A, H)
+            V = None if U is None else _zz_divide(B, H)
+            if V is not None:
+                return H, U, V
         xi = _z_grow(xi)
     return None
 
 
-def gcd_bivar(p: BivarPoly, q: BivarPoly) -> BivarPoly:
-    """Greatest common divisor over Q[x, y], normalized integer-primitive with
-    positive grlex-leading coefficient: GCDHEU, and the subresultant PRS
-    when GCDHEU certifies no candidate."""
+def gcd_cofactors(p: BivarPoly,
+                  q: BivarPoly) -> tuple[BivarPoly, BivarPoly, BivarPoly]:
+    """(g, p/g, q/g) for g = gcd(p, q) over Q[x, y], normalized: GCDHEU on
+    the primitive integer forms of p = s A and q = t B, or the subresultant
+    PRS and ``_zz_divide`` when it certifies no candidate H. With g = e H,
+    e = +-1, p/g = e s A/H and q/g = e t B/H."""
     if p.is_zero() and q.is_zero():
         raise BothZeroError("gcd(0, 0) is undefined")
-    if p.is_zero():
-        return normalize(q)
-    if q.is_zero():
-        return normalize(p)
-    g = _gcd_heu(p, q)
-    return _gcd_prs(p, q) if g is None else g
+    (A, s), (B, t) = _integer_primitive(p), _integer_primitive(q)
+    if not A or not B:
+        H, U, V = (A, [[1]], []) if A else (B, [], [[1]])
+    else:
+        HUV = _gcd_heu(A, B)
+        if HUV is None:
+            H = _integer_primitive(_gcd_prs(p, q))[0]
+            HUV = H, _zz_divide(A, H), _zz_divide(B, H)
+        H, U, V = HUV
+    g, e = _signed(H)
+    return g, _from_integers(U, e * s), _from_integers(V, e * t)
 
 
-def divide_exact(p: BivarPoly, d: BivarPoly) -> BivarPoly:
-    """Exact division p / d in Q[x, y]; d must divide p. By Gauss's lemma
-    the primitive integer forms of p and d divide in Z[x, y]
-    (``_zz_divide``), and the quotient takes back the ratio of their
-    contents."""
-    if d.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if p.is_zero():
-        return BivarPoly()
-    A, B = _integer_primitive(p), _integer_primitive(d)
-    Q = _zz_divide(A, B)
-    if Q is None:
-        raise RuntimeError("inexact bivariate division")
-    (i, j), (k, m) = next(iter(p.terms)), next(iter(d.terms))
-    scale = p.terms[(i, j)] * B[m][k] / (d.terms[(k, m)] * A[j][i])
-    return BivarPoly({(i, j): v * scale for j, col in enumerate(Q)
-                      for i, v in enumerate(col) if v})
+def gcd_bivar(p: BivarPoly, q: BivarPoly) -> BivarPoly:
+    """Greatest common divisor over Q[x, y], normalized integer-primitive with
+    positive grlex-leading coefficient (``gcd_cofactors``)."""
+    return gcd_cofactors(p, q)[0]
 
 
 def squarefree_part(p: BivarPoly) -> BivarPoly:
-    """Product of the distinct irreducible factors of p, normalized.
-
-    Same real zero set as p, every factor simple: the square-free part of
-    the content in y times pp / gcd(pp, pp_y) for the primitive part pp.
-    """
+    """Product of the distinct irreducible factors of p, normalized: p / G2,
+    the product of the cofactors p / G and G / G2, for G = gcd(p, p_y) and
+    G2 = gcd(G, p_x). For p = c prod f_i^e_i, G holds f_i^(e_i - 1) for
+    each f_i that involves y, and f_i^e_i for each other f_i, whose nonzero
+    x-derivative cuts it back to f_i^(e_i - 1) in G2. A constant G means
+    that p is already square-free."""
     if p.is_zero():
         raise ZeroInputError("zero polynomial has no square-free part")
-    cont, cols = _primitive_y(p.coeffs_in_y())
-    pp = BivarPoly.from_coeffs_in_y(cols)
-    if pp.deg_y() >= 1:
-        pp = divide_exact(pp, gcd_bivar(pp, pp.diff("y")))
-    return normalize(BivarPoly.from_unipoly_x(uni_squarefree(cont)) * pp)
+    G, P, _ = gcd_cofactors(p, p.diff("y"))
+    if not G.is_constant():
+        P = P * gcd_cofactors(G, p.diff("x"))[1]
+    return normalize(P)

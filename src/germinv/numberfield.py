@@ -52,7 +52,8 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .unipoly import AlgebraicReal, UniPoly, has_rational_root
+from .unipoly import (AlgebraicReal, UniPoly, has_rational_root,
+                      primitive_integers)
 
 
 def _exact_root(n: int, k: int) -> int | None:
@@ -118,11 +119,11 @@ class FieldContext(AlgebraicReal):
         self._certify(rational_root_free)
 
     def _certify(self, rational_root_free: bool = False) -> None:
+        m = self.defining
+        self._integer_modulus = primitive_integers(m.coeffs)[0]
         # degree <= 3 and no rational root: no factor of degree 1, so m is
         # irreducible and Q[t]/(m) is a field; a binomial of higher degree is
         # decided by Capelli's theorem. False means not known.
-        m = self.defining
-        self._integer_modulus = None    # made from m when first needed
         if m.degree > 3 and not any(m.coeffs[1:-1]):
             self.irreducible = _binomial_irreducible(
                 m.degree, -Fraction(m.coeffs[0]))
@@ -153,12 +154,6 @@ class FieldContext(AlgebraicReal):
         integer multiple M of the modulus, with leading coefficient L > 0,
         gives L^k vec = Q M + r after k = deg vec - deg M + 1 steps, and
         s = L^k."""
-        if self._integer_modulus is None:
-            coeffs = self.defining.coeffs
-            scale = math.lcm(*(x.denominator for x in coeffs))
-            ints = [x.numerator * (scale // x.denominator) for x in coeffs]
-            g = math.gcd(*ints)
-            self._integer_modulus = [x // g for x in ints]
         m = self._integer_modulus
         d, lc = len(m) - 1, m[-1]
         r, s = list(vec), 1

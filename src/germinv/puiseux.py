@@ -52,7 +52,7 @@ from .errors import TowerDepthExceededError, UnitGermError, ZeroInputError
 from .numberfield import (FieldContext, FieldElement, integer_powers,
                           integer_vectors)
 from .unipoly import (UniPoly, count_all_real_roots, isolate_real_roots,
-                      uni_squarefree)
+                      squarefree_sturm)
 
 _MAX_DEPTH = 64
 
@@ -287,19 +287,20 @@ def _edge_roots(E: UniPoly, ctx):
     extension inside Q(c). With irrational coefficients only a root in Q(c)
     itself is usable: the square-free part must be linear, or have no real
     root at all, which the signs of its Sturm chain's leading coefficients
-    tell without bounding the roots. A branch that needs more raises
-    TowerDepthExceededError.
+    tell without bounding the roots. The part and its chain come from one
+    remainder sequence (``squarefree_sturm``). A branch that needs more
+    raises TowerDepthExceededError.
     """
     if ctx is not None:
         coeffs = [ctx.coerce(c) for c in E.coeffs]
         rats = [c.as_rational() for c in coeffs]
         if any(q is None for q in rats):
             Ef = UniPoly(coeffs)
-            red = uni_squarefree(Ef)
+            red, seq = squarefree_sturm(Ef)
             if red.degree == 1:
                 c_val = -red.coeffs[0]  # red is monic
                 return [(c_val, bool(Ef.derivative().eval(c_val)), ctx)]
-            if count_all_real_roots(red) == 0:
+            if count_all_real_roots(seq) == 0:
                 return []
             raise TowerDepthExceededError(
                 "branch coefficient needs a second algebraic extension")

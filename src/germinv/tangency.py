@@ -27,20 +27,21 @@ multiplicity.
 Everything here is certified: leading coefficients are exact rationals or
 certified-sign extension elements, and "vanishes identically" is read from
 a nonzero term too. With g = gcd(f, h_sf) and the cofactor r = h_sf / g,
-g and r are coprime because h_sf is square-free, so every half-branch lies
-on exactly one of them: f vanishes on the branches of g, and r, which is
-coprime to f, does not; r vanishes on its own branches, and f does not.
-Carrying f and r through the chain, whichever of them shows a term names
-the class. The intersection-degree bound (a nonzero restriction of a
-degree-d polynomial against a component of a degree-m curve has s-order at
-most d*m) only guards the walk: passing it is an error, never a verdict.
+which the gcd computation returns with g, g and r are coprime because h_sf
+is square-free, so every half-branch lies on exactly one of them: f
+vanishes on the branches of g, and r, which is coprime to f, does not; r
+vanishes on its own branches, and f does not. Carrying f and r through the
+chain, whichever of them shows a term names the class. The
+intersection-degree bound (a nonzero restriction of a degree-d polynomial
+against a component of a degree-m curve has s-order at most d*m) only
+guards the walk: passing it is an error, never a verdict.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .bivar import BivarPoly, divide_exact, gcd_bivar, squarefree_part
+from .bivar import BivarPoly, gcd_bivar, gcd_cofactors, squarefree_part
 from .errors import (IndeterminateSignError, NonVanishingGermError,
                      PrecisionExceededError, ZeroInputError)
 from .puiseux import (HalfBranch, expand_branches, leading_term,
@@ -85,8 +86,9 @@ class TangencyCurve:
     represents them all). Otherwise ``h_sf`` is the square-free part of h,
     and ``cofactor`` is r = h_sf / gcd(f, h_sf) when that gcd vanishes at
     the origin, the witness of the zero class, or None when no branch at
-    the origin lies on the gcd, so that f vanishes on none. Raises
-    ZeroInputError for the zero germ, which has no invariant.
+    the origin lies on the gcd, so that f vanishes on none. Both are read
+    off ``bivar.gcd_cofactors``, with no division. Raises ZeroInputError
+    for the zero germ, which has no invariant.
     """
 
     __slots__ = ("f", "h", "h_sf", "degenerate", "cofactor")
@@ -100,9 +102,9 @@ class TangencyCurve:
         self.h_sf = self.cofactor = None
         if not self.degenerate:
             self.h_sf = squarefree_part(self.h)
-            g = gcd_bivar(f, self.h_sf)
+            g, _, r = gcd_cofactors(f, self.h_sf)
             if (0, 0) not in g.terms:
-                self.cofactor = divide_exact(self.h_sf, g)
+                self.cofactor = r
 
     def half_branches(self, order: int = 12) -> list[HalfBranch]:
         if self.degenerate:

@@ -13,7 +13,9 @@ is its cell's right end, and otherwise a_n r is an integer for the leading
 coefficient a_n of the primitive integer polynomial, found by integer
 bisection. The irrational roots come back over the square-free part divided
 by every rational root's linear factor, a defining polynomial with no
-rational root.
+rational root. The square-free part of u comes with its Sturm chain
+(``squarefree_sturm``): the chain of u ends in gcd(u, u'), so a square-free
+u costs one remainder sequence, and a repeated factor a second one.
 
 Coefficients are ``fractions.Fraction`` throughout the public API. The same
 ``UniPoly`` container is reused internally with coefficients in a simple real
@@ -219,7 +221,7 @@ class UniPoly:
         return mlo, mhi
 
 
-# -- gcd and square-free part ------------------------------------------------
+# -- gcd and integer forms ----------------------------------------------------
 
 
 def uni_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
@@ -230,33 +232,40 @@ def uni_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     return a.monic() if not a.is_zero() else a
 
 
-def uni_squarefree(p: UniPoly) -> UniPoly:
-    """Square-free part p / gcd(p, p'), monic, same real roots without
-    multiplicity."""
-    if p.is_zero():
-        raise ZeroInputError("zero polynomial has no square-free part")
-    if p.degree == 0:
-        return UniPoly.constant(Fraction(1))
-    g = uni_gcd(p, p.derivative())
-    if g.degree == 0:
-        return p.monic()
-    q, r = p.divmod(g)
-    if not r.is_zero():
-        raise RuntimeError("inexact division by gcd(p, p')")
-    return q.monic()
+def primitive_integers(cs: Sequence[Fraction]) -> tuple[list[int], Fraction]:
+    """(ints, s) with cs[k] = s * ints[k] for rationals cs: coprime integers
+    and s > 0, or s = 0 when every entry is zero."""
+    den = lcm(*(c.denominator for c in cs))
+    ints = [c.numerator * (den // c.denominator) for c in cs]
+    g = gcd(*ints)
+    return [v // g for v in ints] if g else ints, Fraction(g, den)
 
 
 # -- Sturm machinery ----------------------------------------------------------
 
 
-def sturm_sequence(p: UniPoly) -> list[UniPoly]:
-    """Standard Sturm chain p, p', -rem, ... for a square-free polynomial."""
-    seq = [p, p.derivative()]
-    while not seq[-1].is_zero() and seq[-1].degree > 0:
+def sturm_sequence(u: UniPoly) -> list[UniPoly]:
+    """Sturm chain u, u', -rem, ... down to the last nonzero remainder,
+    which is gcd(u, u') up to a constant factor: a constant exactly when u
+    is square-free."""
+    seq = [u, u.derivative()]
+    while seq[-1].degree > 0:
         seq.append(-(seq[-2] % seq[-1]))
     if seq[-1].is_zero():
         seq.pop()
     return seq
+
+
+def squarefree_sturm(u: UniPoly) -> tuple[UniPoly, list[UniPoly]]:
+    """(p, seq) for nonzero u: p = u / gcd(u, u'), monic, and seq a Sturm
+    chain of p up to a constant factor, which changes no sign variation.
+    The chain of u ends in the gcd, and only when that is not constant is
+    a second chain made, from the quotient."""
+    seq = sturm_sequence(u)
+    if seq[-1].degree >= 1:
+        u = u.divmod(seq[-1])[0]
+        seq = sturm_sequence(u)
+    return u.monic(), seq
 
 
 def _variations(values: Sequence[int]) -> int:
@@ -274,12 +283,11 @@ def count_real_roots(p: UniPoly, lo: Fraction, hi: Fraction) -> int:
     return sturm_variations_at(seq, lo) - sturm_variations_at(seq, hi)
 
 
-def count_all_real_roots(p: UniPoly) -> int:
-    """Number of distinct real roots of square-free p on the whole line: the
-    sign variations of its Sturm chain at -inf minus those at +inf, where
-    each member has the sign of its leading coefficient, flipped at -inf
-    when its degree is odd."""
-    seq = sturm_sequence(p)
+def count_all_real_roots(seq: Sequence[UniPoly]) -> int:
+    """Number of distinct real roots of the polynomial whose Sturm chain is
+    ``seq``, on the whole line: the sign variations of the chain at -inf
+    minus those at +inf, where each member has the sign of its leading
+    coefficient, flipped at -inf when its degree is odd."""
     at_inf = [coeff_sign(q.lc()) for q in seq]
     return (_variations([-s if q.degree % 2 else s
                          for s, q in zip(at_inf, seq)])
@@ -416,10 +424,7 @@ def _scaled_integer_poly(p: UniPoly) -> tuple[int, list[int]]:
     A rational root r of P has a denominator that divides A, so it is one
     exactly when s = A r is an integer root of Q.
     """
-    den = lcm(*(c.denominator for c in p.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
-    g = gcd(*ints)
-    ints = [c // g for c in ints]
+    ints, _ = primitive_integers(p.coeffs)
     a = ints[-1]
     n = len(ints) - 1
     return a, [c * a ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
@@ -459,8 +464,9 @@ def _integer_root(q: list[int], right_sign: int, lo: Fraction,
     return None
 
 
-def _sturm_isolate(p: UniPoly) -> tuple[list[Fraction], list[tuple], UniPoly]:
-    """Bisect (-B, B] with Sturm counts, for square-free monic p over Q.
+def _sturm_isolate(u: UniPoly) -> tuple[list[Fraction], list[tuple], UniPoly]:
+    """Bisect (-B, B] with Sturm counts, for nonzero u over Q, on its monic
+    square-free part p and the Sturm chain that ``squarefree_sturm`` gives.
 
     Returns the rational roots, an isolating interval (lo, hi) for each
     irrational root, and p divided by (t - r) for each rational root r: the
@@ -472,10 +478,10 @@ def _sturm_isolate(p: UniPoly) -> tuple[list[Fraction], list[tuple], UniPoly]:
     """
     rats: list[Fraction] = []
     cells: list[tuple[Fraction, Fraction]] = []
+    p, seq = squarefree_sturm(u)
     if p.degree < 1:
         return rats, cells, p
     B = cauchy_bound(p)
-    seq = sturm_sequence(p)
     scale, q = _scaled_integer_poly(p)
     stack = [(-B, B, sturm_variations_at(seq, -B),
               sturm_variations_at(seq, B))]
@@ -504,8 +510,8 @@ def _sturm_isolate(p: UniPoly) -> tuple[list[Fraction], list[tuple], UniPoly]:
 
 
 def has_rational_root(p: UniPoly) -> bool:
-    """Whether square-free p over Q has a rational root."""
-    return bool(_sturm_isolate(p.monic())[0])
+    """Whether nonzero p over Q has a rational root."""
+    return bool(_sturm_isolate(p)[0])
 
 
 def isolate_real_roots(u: UniPoly) -> list[AlgebraicReal]:
@@ -516,13 +522,14 @@ def isolate_real_roots(u: UniPoly) -> list[AlgebraicReal]:
     ``_sturm_isolate``). The other roots share one ``defining`` polynomial,
     u's square-free part divided by (t - r) for each rational r, so it has
     no rational root, not even at an end of their intervals. Those are
-    refined to width at most 1/4 and never contain more than one root.
+    refined to width at most 1/4 and never contain more than one root. u
+    may have repeated factors.
     """
     if u.is_zero():
         raise ZeroInputError("cannot isolate roots of the zero polynomial")
     if u.degree < 1:
         return []
-    rats, cells, p = _sturm_isolate(uni_squarefree(u))
+    rats, cells, p = _sturm_isolate(u)
     out = [AlgebraicReal(UniPoly([-r, Fraction(1)]), r, r) for r in rats]
     for lo, hi in cells:
         a = AlgebraicReal(p, lo, hi)

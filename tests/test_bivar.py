@@ -1,18 +1,22 @@
 """Sparse bivariate ring, gcd, and square-free part against sympy."""
 
 import random
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from germinv import analyze_germ, bivar, parse_poly
-from germinv.bivar import (BivarPoly, divide_exact, gcd_bivar, normalize,
+from germinv.bivar import (BivarPoly, gcd_bivar, gcd_cofactors, normalize,
                            squarefree_part)
 from germinv.errors import BothZeroError, ZeroInputError
 from germinv.tangency import TangencyCurve
+
+from conftest import ROTATED_REPEATED_FACTOR, rotate_germ
 
 _x, _y = sympy.symbols("x y")
 
@@ -156,11 +160,10 @@ def test_gcd_heuristic_matches_sympy():
     cases = heu_cases(21)
     assert len(cases) >= 80
     for a, b in cases:
-        mine = bivar._gcd_heu(a, b)
-        assert mine is not None, (a, b)
-        assert_same_up_to_constant(mine, sympy.gcd(to_sympy(a), to_sympy(b),
-                                                   _x, _y))
-        assert gcd_bivar(a, b) == mine
+        A, B = bivar._integer_primitive(a)[0], bivar._integer_primitive(b)[0]
+        assert bivar._gcd_heu(A, B) is not None, (a, b)
+        assert_same_up_to_constant(gcd_bivar(a, b),
+                                   sympy.gcd(to_sympy(a), to_sympy(b), _x, _y))
 
 
 def test_gcd_prs_fallback_matches_sympy(monkeypatch):
@@ -170,10 +173,14 @@ def test_gcd_prs_fallback_matches_sympy(monkeypatch):
     for a, b in cases:
         ref = sympy.gcd(to_sympy(a), to_sympy(b), _x, _y)
         assert_same_up_to_constant(bivar._gcd_prs(a, b), ref)
+    heu = [gcd_cofactors(a, b) for a, b in cases]
     monkeypatch.setattr(bivar, "_HEU_TRIES", 0)
-    for a, b in cases:
-        assert bivar._gcd_heu(a, b) is None
+    for (a, b), want in zip(cases, heu):
+        A, B = bivar._integer_primitive(a)[0], bivar._integer_primitive(b)[0]
+        assert bivar._gcd_heu(A, B) is None
         assert gcd_bivar(a, b) == bivar._gcd_prs(a, b)
+        # both paths give the same cofactors
+        assert gcd_cofactors(a, b) == want
 
 
 def test_squarefree_matches_sympy():
@@ -210,28 +217,67 @@ def test_squarefree_zero_input():
         squarefree_part(BivarPoly.zero())
 
 
-def test_divide_exact_roundtrip():
+def test_squarefree_of_repeated_factors_matches_sympy():
+    # repeated factors in x alone, in y alone and in both, with rational
+    # content: gcd(p, p_y) keeps the whole power of a factor free of y, and
+    # the gcd with p_x cuts it back
+    for text in ("(x-2)^2*(x*y^3-y+2)", "x^3*y^2*(x-y)^2",
+                 "1/7*y^2*(3*x+1)^3", "-2/3*(x-2)^3*(y+1)^2*(x+y^2)^2",
+                 "(x^2-3)^2*y", "5*(x+y)^4"):
+        p = parse_poly(text)
+        assert_same_up_to_constant(squarefree_part(p),
+                                   sympy.sqf_part(to_sympy(p), _x, _y))
+        assert squarefree_part(p) == normalize(squarefree_part(p))
+
+
+def test_gcd_cofactors_roundtrip():
+    # the cofactors of a * b and its factor b are a and a constant
     rng = random.Random(16)
     for _ in range(20):
         a, b = rand_poly(rng), rand_poly(rng, deg=2, terms=3)
         if b.is_zero():
             continue
-        assert divide_exact(a * b, b) == a
-    # an x-only divisor and a constant divisor take the same division loop
+        g, u, v = gcd_cofactors(a * b, b)
+        assert v.is_constant() and u.scale(1 / v.terms[(0, 0)]) == a
+    # an x-only gcd and a constant gcd take the same path
     x, y = BivarPoly.var_x(), BivarPoly.var_y()
     two = BivarPoly.constant(Fraction(2))
     p = (x - two)**2 * (x * y**3 - y + two)
-    for d in ((x - two)**2, BivarPoly.constant(Fraction(-3, 4))):
-        assert sympy.expand(to_sympy(divide_exact(p, d))
-                            - sympy.cancel(to_sympy(p) / to_sympy(d))) == 0
-    assert divide_exact(BivarPoly.zero(), x - two).is_zero()
-    # rational coefficients come back through the ratio of the contents, and
-    # a divisor that does not divide is refused
+    assert gcd_cofactors(p, (x - two)**2) == (
+        (x - two)**2, x * y**3 - y + two, BivarPoly.constant(Fraction(1)))
+    d = BivarPoly.constant(Fraction(-3, 4))
+    assert gcd_cofactors(p, d) == (BivarPoly.constant(Fraction(1)), p, d)
+    # a zero numerator has the cofactor 0
+    assert gcd_cofactors(BivarPoly.zero(), x - two) == (
+        x - two, BivarPoly.zero(), BivarPoly.constant(Fraction(1)))
+    # rational contents come back in the cofactors, whose ratio is the
+    # quotient of the inputs
     q = x.scale(Fraction(3, 7)) - y.scale(Fraction(5, 2))
-    assert (divide_exact(p.scale(Fraction(1, 6)) * q, q.scale(Fraction(-2, 9)))
-            == p.scale(Fraction(-3, 4)))
-    with pytest.raises(RuntimeError):
-        divide_exact(p, x - y)
+    g, u, v = gcd_cofactors(p.scale(Fraction(1, 6)) * q,
+                            q.scale(Fraction(-2, 9)))
+    assert g == normalize(q) and v.is_constant()
+    assert u.scale(1 / v.terms[(0, 0)]) == p.scale(Fraction(-3, 4))
+
+
+def test_tangency_curve_divides_only_to_certify(monkeypatch):
+    # the square-free part and the cofactor are read off the quotients that
+    # certify GCDHEU's gcds: no division outside _gcd_heu, no content in y
+    f = rotate_germ(parse_poly(ROTATED_REPEATED_FACTOR))
+    callers = []
+    zz_divide = bivar._zz_divide
+
+    def divide(A, B):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return zz_divide(A, B)
+
+    def primitive_y(cols):
+        raise AssertionError("content in y taken")
+
+    monkeypatch.setattr(bivar, "_zz_divide", divide)
+    monkeypatch.setattr(bivar, "_primitive_y", primitive_y)
+    curve = TangencyCurve(f)
+    assert curve.cofactor is not None
+    assert callers and set(callers) == {"_gcd_heu"}
 
 
 def test_normalize_integer_primitive():
@@ -271,12 +317,24 @@ def test_diff_product_rule(a, b):
     assert lhs == rhs
 
 
+_X, _Y = BivarPoly.var_x(), BivarPoly.var_y()
+
+
 @settings(max_examples=40, deadline=None)
 @given(polys, polys)
-def test_gcd_divides_both(a, b):
+@example(BivarPoly.zero(), _X.scale(Fraction(-2, 3)) * _Y)
+@example(_Y**2 - _X, BivarPoly.zero())
+@example((_X - _Y.scale(Fraction(3, 4)))**2, (_Y.scale(Fraction(3, 4)) - _X)
+         * _Y.scale(Fraction(5, 6)))
+def test_gcd_cofactors_multiply_back(a, b):
+    # g * (a/g) = a and g * (b/g) = b, on GCDHEU and on the PRS fallback,
+    # which return the same triple; zero inputs, rational content and a
+    # negative grlex-leading coefficient included
     if a.is_zero() and b.is_zero():
         return
-    g = gcd_bivar(a, b)
-    for p in (a, b):
-        if not p.is_zero():
-            assert divide_exact(p, g) * g == p
+    got = gcd_cofactors(a, b)
+    with mock.patch.object(bivar, "_HEU_TRIES", 0):
+        assert gcd_cofactors(a, b) == got
+    g, u, v = got
+    assert g == normalize(g) and g.leading_coeff_grlex() > 0
+    assert g * u == a and g * v == b

@@ -154,17 +154,27 @@ DIFFEOMORPHISMS = [(X + Y.scale(Fraction(1, 2)), Y),
                    (X.scale(Fraction(2)), Y.scale(Fraction(-1, 3))),
                    (X + Y**2, Y), (X, Y + X**2)]
 UNITS = [parse_poly(u) for u in ("1", "1 + x", "2 - y")]
+# germs with irrational tangent directions, whose branches open Q(c)
+IRRATIONAL_CONES = ["(x^2 - 3*y^2)*(x + y)", "x^3 - 2*x*y^2 + y^4",
+                    "x^3 + x*y^2 + 2*y^3", "x^4 - 2*x^2*y^2 + 3*y^4 + x^5",
+                    "x^3 - 6*x*y^2 + y^3"]
 
 
 def test_contact_group_identity_random():
-    # Inv(u * f o phi) = Inv(f). Every analysis must finish: a ResourceError
-    # fails the test.
+    # Inv(u * f o phi) = Inv(f), on random germs and on germs whose
+    # invariant is read in Q(c). Every analysis must finish: a
+    # ResourceError fails the test.
     rng = random.Random(1)
     germs = []
     while len(germs) < 12:
         f = random_germ(rng, max_deg=5, max_terms=4)
         if not f.is_zero():
             germs.append(f)
+    for text in IRRATIONAL_CONES:
+        f = parse_poly(text)
+        assert any(r.branch.ctx is not None
+                   for r in analyze_germ(f).restrictions), text
+        germs.append(f)
     for f in germs:
         want = analyze_germ(f).invariant
         for px, py in DIFFEOMORPHISMS:

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -114,3 +115,41 @@ def test_demos_run_standalone():
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, (demo.name, proc.stderr)
         assert proc.stdout.strip(), demo.name
+
+
+def _readme_block(heading: str, lang: str) -> list[str]:
+    """The lines of the first ```lang block in README's section ``heading``."""
+    text = (SRC.parents[1] / "README.md").read_text()
+    section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+def test_readme_library_example_runs():
+    # each ``expr  # value`` line of the example shows repr(expr)
+    namespace: dict = {}
+    checked = 0
+    for line in _readme_block("Library", "python"):
+        code, _, comment = line.partition("  #")
+        node = ast.parse(code.strip() or "pass").body[0]
+        if isinstance(node, ast.Expr) and comment:
+            assert repr(eval(code, namespace)) == comment.strip(), line
+            checked += 1
+        else:
+            exec(code, namespace)
+    assert checked == 3
+
+
+def test_readme_cli_examples_run(capsys):
+    # every command of the CLI section, with no error output: exit 0, or 1
+    # for compare's excluded verdict
+    from germinv import cli
+    commands = [shlex.split(line, comments=True)
+                for line in _readme_block("CLI", "sh")]
+    assert len(commands) >= 5
+    for argv in commands:
+        assert argv[0] == "germinv", argv
+        code = cli.main(argv[1:])
+        out, err = capsys.readouterr()
+        assert err == "" and out, argv
+        excluded = argv[1] == "compare" and "excluded" in out
+        assert code == (1 if excluded else 0), argv

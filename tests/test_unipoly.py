@@ -12,7 +12,8 @@ from germinv.errors import PrecisionExceededError
 from germinv.numberfield import FieldContext, _binomial_irreducible
 from germinv.unipoly import (AlgebraicReal, UniPoly, cauchy_bound,
                              count_all_real_roots, count_real_roots,
-                             isolate_real_roots, uni_gcd, uni_squarefree)
+                             isolate_real_roots, squarefree_sturm,
+                             sturm_sequence, uni_gcd)
 
 _t = sympy.Symbol("t")
 
@@ -64,13 +65,15 @@ def test_squarefree_matches_sympy():
         p = a * a * b
         if p.is_zero() or p.degree < 1:
             continue
-        mine = uni_squarefree(p)
-        # compare monic squarefree parts
+        mine, seq = squarefree_sturm(p)
+        # the monic square-free part, and the Sturm chain of the same
+        # polynomial up to a constant factor
         prod = sympy.Integer(1)
         for fac, _ in to_sympy(p).sqf_list()[1]:
             prod = prod * fac
         ref = sympy.Poly(prod, _t).monic()
-        assert mine.monic() == from_sympy(ref)
+        assert mine == from_sympy(ref)
+        assert seq[0].monic() == mine and seq[-1].degree == 0
 
 
 def test_sturm_count_matches_sympy():
@@ -79,9 +82,17 @@ def test_sturm_count_matches_sympy():
         p = rand_poly(rng, rng.randint(1, 6))
         if p.is_zero():
             continue
-        p = uni_squarefree(p)
         if p.degree < 1:
             continue
+        # the whole line, from the leading coefficients alone, on the chain
+        # of p and on that of p times a square
+        ref = to_sympy(p).count_roots()
+        assert count_all_real_roots(sturm_sequence(p)) == ref
+        sq = rand_poly(rng, rng.randint(1, 2))
+        if sq.degree >= 1:
+            ref = (to_sympy(p) * to_sympy(sq)).count_roots()
+            assert count_all_real_roots(sturm_sequence(p * sq * sq)) == ref
+        p = squarefree_sturm(p)[0]
         lo, hi = Fraction(-10), Fraction(10)
         mine = count_real_roots(p, lo, hi)
         ref = sympy.Poly(to_sympy(p), _t).count_roots(-10, 10)
@@ -89,8 +100,6 @@ def test_sturm_count_matches_sympy():
         if to_sympy(p).eval(-10) == 0:
             ref -= 1
         assert mine == ref
-        # the whole line, from the leading coefficients alone
-        assert count_all_real_roots(p) == to_sympy(p).count_roots()
 
 
 def _poly(*coeffs) -> UniPoly:
@@ -111,10 +120,15 @@ def test_isolate_real_roots_matches_sympy():
              _poly(Fraction(-5, 2), 1) * _poly(1, 8, 1)
              * _poly(Fraction(3, 2), 1) * _poly(0, -8, 1)]
     polys += [rand_poly(rng, rng.randint(1, 6)) for _ in range(25)]
+    # and inputs with repeated factors, rational and irrational
+    polys += [_poly(Fraction(1, 2), -1)**3 * _poly(-2, 0, 1)**2 * _poly(3, 1),
+              _ROOT_ON_FIRST_SPLIT * _poly(-3, 0, 1), _poly(0, 0, 7)]
+    polys += [rand_poly(rng, rng.randint(1, 3))**2 * rand_poly(rng, 2)
+              for _ in range(10)]
     for p in polys:
         if p.is_zero() or p.degree < 1:
             continue
-        roots = isolate_real_roots(uni_squarefree(p))
+        roots = isolate_real_roots(p)
         ref = sympy.Poly(to_sympy(p), _t).real_roots()
         ref = sorted(set(ref))
         assert len(roots) == len(ref)
@@ -142,6 +156,27 @@ def test_isolation_evaluates_each_sturm_point_once(monkeypatch):
     assert len(calls) <= 13
     assert [r.lo for r in roots if r.is_rational()] == [0, Fraction(1, 3)]
     assert sum(not r.is_rational() for r in roots) == 4
+
+
+def test_isolation_divides_once_per_chain_member(monkeypatch):
+    # a square-free input is its own square-free part: its Sturm chain is
+    # the only remainder sequence, one division per member past u' (the
+    # edge polynomial of 5*x^6 + 6*x*y^5, t^2 - 3 and t^6 - t - 1)
+    calls = []
+    divmod_ = UniPoly.divmod
+
+    def counted(self, other):
+        calls.append(other)
+        return divmod_(self, other)
+
+    for p, want in ((_poly(-5, 0, 0, -5, 0, 1), 4), (_poly(-3, 0, 1), 1),
+                    (_poly(-1, -1, 0, 0, 0, 0, 1), 2)):
+        assert len(sturm_sequence(p)) - 2 == want
+        calls.clear()
+        monkeypatch.setattr(UniPoly, "divmod", counted)
+        isolate_real_roots(p)
+        monkeypatch.setattr(UniPoly, "divmod", divmod_)
+        assert len(calls) == want, p
 
 
 def test_rational_roots_collapse():
@@ -302,9 +337,22 @@ def test_count_all_real_roots_over_extension():
     r = K.generator()
     zero, one = K.from_rational(0), K.from_rational(1)
     # t^2 - sqrt2, t^2 + sqrt2, t^3 - sqrt2 t = t (t^2 - sqrt2)
-    assert count_all_real_roots(UniPoly([-r, zero, one])) == 2
-    assert count_all_real_roots(UniPoly([r, zero, one])) == 0
-    assert count_all_real_roots(UniPoly([zero, -r, zero, one])) == 3
+    assert count_all_real_roots(sturm_sequence(UniPoly([-r, zero, one]))) == 2
+    assert count_all_real_roots(sturm_sequence(UniPoly([r, zero, one]))) == 0
+    assert count_all_real_roots(
+        sturm_sequence(UniPoly([zero, -r, zero, one]))) == 3
+    # repeated factors: (t^2 - sqrt2)^2 (t - 1) and (t + sqrt2)^3 (t^2 + 1);
+    # the square-free part comes from the same chain
+    p = UniPoly([-r, zero, one])**2 * UniPoly([-one, one])
+    assert count_all_real_roots(sturm_sequence(p)) == 3
+    red, seq = squarefree_sturm(p)
+    assert red == UniPoly([-r, zero, one]) * UniPoly([-one, one])
+    assert count_all_real_roots(seq) == 3
+    p = UniPoly([r, one])**3 * UniPoly([one, zero, one])
+    assert count_all_real_roots(sturm_sequence(p)) == 1
+    red, seq = squarefree_sturm(p)
+    assert red == UniPoly([r, one]) * UniPoly([one, zero, one])
+    assert count_all_real_roots(seq) == 1
 
 
 def test_field_golden_ratio():

@@ -18,6 +18,24 @@ the (sign, alpha) that the exact classification gives for each
 pair; sign 0 means identically 0, below the noise floor), and the number of
 critical angles per circle must be stable in t and equal to the number of
 tangency half-branches.
+
+Only the sign of h at a grid point steers the brackets and the bisection,
+and on the circle of radius t
+
+    h(t cos a, t sin a) = sum_k c_k t^(i_k + j_k) cos^i_k a sin^j_k a,
+
+so the grid values of one rung are the product B @ w_t, with
+B[a, k] = cos^i_k a sin^j_k a built once per ladder and
+w_t[k] = c_k t^(i_k + j_k) once per rung. A sign of the product is taken
+only where it clears a forward-error bound (Higham, ch. 3) covering both it
+and the term-by-term evaluator ``compile_poly``; that proves the evaluator
+would give the same nonzero sign (see _sign_certificate). The few points
+it does not settle, exact zeros of h among them, go to the evaluator
+itself, so every bracket and every printed number is what the evaluator
+alone gives. There is one matrix-vector product per rung and no product
+over all rungs at once: that would hold a grid-by-ladder array, and
+OpenBLAS allocates a work buffer on its first matrix-matrix call, both of
+which raise peak memory while no rung needs more than its own column.
 """
 
 from __future__ import annotations
@@ -54,15 +72,16 @@ def _double(c) -> float:
     return v
 
 
-def compile_poly(p: BivarPoly):
-    """A vectorized float evaluator (x, y) -> sum c x^i y^j."""
-    if not p.terms:
-        return lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
+def _term_arrays(p: BivarPoly):
+    """Exponents i, j and coefficients c of p's terms, sorted, as arrays."""
     items = sorted(p.terms.items())
-    ii = np.array([i for (i, _), _ in items])
-    jj = np.array([j for (_, j), _ in items])
+    ii = np.array([i for (i, _), _ in items], dtype=int)
+    jj = np.array([j for (_, j), _ in items], dtype=int)
     cc = np.array([_double(c) for _, c in items])
+    return ii, jj, cc
 
+
+def _evaluator(ii, jj, cc):
     def ev(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -71,33 +90,112 @@ def compile_poly(p: BivarPoly):
     return ev
 
 
+def compile_poly(p: BivarPoly):
+    """A vectorized float evaluator (x, y) -> sum c x^i y^j."""
+    return _evaluator(*_term_arrays(p))
+
+
 def _angular_derivative_poly(f: BivarPoly) -> BivarPoly:
     # y*f_x - x*f_y; equals minus the angular derivative of f on circles
     return (BivarPoly.var_y() * f.diff("x")) - (BivarPoly.var_x() * f.diff("y"))
 
 
-def _critical_angles(hf, ts, grid: int) -> list[np.ndarray]:
-    """Sorted sign-change zeros of a -> hf(t cos a, t sin a) in [0, 2pi) per
-    radius t in ts. All brackets are bisected together, each by the scalar
-    rule: midpoint, stop on an exact zero, width < 1e-15 or 200 steps."""
+def _angle_grid(n: int):
+    """n equispaced angles in [0, 2pi), with their cosines and sines."""
+    base = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    return base, np.cos(base), np.sin(base)
+
+
+# Sign certificate for ev on the grid. With C, S the grid's cos and sin, ev
+# computes X = t*C, Y = t*S and then sum_k fl(fl(c_k * X^i_k) * Y^j_k),
+# while the product computes v = B @ w with B[a, k] = C^i * S^j from powers
+# by repeated multiplication and w_k = c_k * t^(i+j). Both approximate
+# R = sum_k tau_k, tau_k = c_k t^(i+j) C^i S^j. In Higham's model
+# (Accuracy and Stability of Numerical Algorithms, ch. 3), with
+# gamma_m = m u / (1 - m u), u = 2^-53, and pow within _POW_U units of u
+# (4 ulps; numpy's pow erred by at most 0.66 ulp on 20,000 random integer
+# powers of doubles in [-1, 1]), a term of degree d <= D carries
+#   in ev: (1+u)^d from the rounded X, Y raised to i and j, 2 _POW_U from
+#       the two pows and 2 from the two products, then gamma_(n-1) from
+#       summing the n terms in any order;
+#   in v: at most d roundings in B, _POW_U + 1 in w, then gamma_n from the
+#       dot product, whatever BLAS's order or use of FMA.
+# So |ev - v| <= gamma_m sum_k |tau_k| with m = 2D + 3 _POW_U + 2n + 2,
+# and |B| @ |w| is sum_k |tau_k| to within the same factors. Below the
+# normal range each pow or product also errs by up to 2^-1074, times the
+# factors it is multiplied with afterwards, each at most
+# max(1, |c_k|) max(1, t)^d; the d + 4 roundings of an ev term and the
+# d + 3 of a product term give (2D + 7) 2^-1074 scale, with
+# scale = sum_k max(1, |c_k|) max(1, t)^d_k. Sums are exact there. Taking
+# K = 2m >= 2D + 7 absorbs the gammas' denominators and the rounding of
+# the bound itself, so |v| > K (u |B| @ |w| + 2^-1074 scale) proves that ev
+# returns a nonzero number of v's sign. No intermediate of either evaluator
+# exceeds 2 scale, so with scale < 2^1020 neither overflows; past that no
+# sign is certified.
+_U = 2.0 ** -53
+_ETA = 2.0 ** -1074
+_POW_U = 8
+
+
+def _powers(v, n: int):
+    """v^0 .. v^n per row, by repeated multiplication."""
+    out = np.ones((v.size, n + 1))
+    out[:, 1:] = v[:, None]
+    return np.cumprod(out, axis=1, out=out)
+
+
+def _sign_certificate(ii, jj, cc, cos, sin):
+    """t -> signs that ev(t cos, t sin) is proven to have on the grid:
+    +1 or -1 where certified, 0 where only ev itself can tell."""
+    deg = ii + jj
+    top = int(deg.max(initial=0))
+    basis = _powers(cos, top)[:, ii] * _powers(sin, top)[:, jj]
+    abs_basis = np.abs(basis)
+    k = 2 * (2 * top + 3 * _POW_U + 2 * cc.size + 2)
+    big = np.maximum(1.0, np.abs(cc))
+
+    def signs(t):
+        with np.errstate(over="ignore"):
+            scale = float((big * max(1.0, abs(t)) ** deg).sum())
+        if not scale < 2.0 ** 1020:
+            return np.zeros(len(cos))
+        w = cc * t ** deg
+        v = basis @ w
+        bound = k * (_U * (abs_basis @ np.abs(w)) + _ETA * scale)
+        return np.where(np.abs(v) > bound, np.sign(v), 0.0)
+
+    return signs
+
+
+def _critical_angles(h: BivarPoly, ts, angle_grid) -> list[np.ndarray]:
+    """Sorted sign-change zeros of a -> h(t cos a, t sin a) in [0, 2pi) per
+    radius t in ts, bracketed on ``angle_grid`` (see _angle_grid). All
+    brackets are bisected together, each by the scalar rule: midpoint, stop
+    on an exact zero, width < 1e-15 or 200 steps."""
+    ii, jj, cc = _term_arrays(h)
     if not len(ts):
         return []
-    base = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    cos, sin = np.cos(base), np.sin(base)
+    base, cos, sin = angle_grid
+    ev = _evaluator(ii, jj, cc)
+    certified = _sign_certificate(ii, jj, cc, cos, sin)
     brackets = []
     for t in ts:
         thetas = base
-        vals = hf(t * cos, t * sin)
+        signs = certified(t)
+        rest = np.flatnonzero(signs == 0.0)
+        if rest.size:
+            signs[rest] = np.sign(ev(t * cos[rest], t * sin[rest]))
         # nudge exact grid zeros off the knot, into an open bracket
-        bad = vals == 0.0
-        if bad.any():
-            thetas = np.where(bad, base + TWO_PI / grid * 1e-6, base)
-            vals = hf(t * np.cos(thetas), t * np.sin(thetas))
+        bad = np.flatnonzero(signs == 0.0)
+        if bad.size:
+            thetas = base.copy()
+            thetas[bad] += TWO_PI / base.size * 1e-6
+            moved = thetas[bad]
+            signs[bad] = np.sign(ev(t * np.cos(moved), t * np.sin(moved)))
         ends = np.append(thetas[1:], thetas[0] + TWO_PI)
-        nxt = np.roll(vals, -1)
-        # signs, not the product: va * vb underflows to 0 below |h| ~ 1e-154
-        hit = (vals != 0.0) & (nxt != 0.0) & ((vals > 0) != (nxt > 0))
-        brackets.append((thetas[hit], ends[hit], vals[hit]))
+        nxt = np.roll(signs, -1)
+        hit = (signs != 0.0) & (nxt != 0.0) & ((signs > 0) != (nxt > 0))
+        brackets.append((thetas[hit], ends[hit], signs[hit]))
     a, b, va = (np.concatenate(c) for c in zip(*brackets))
     counts = [len(v) for _, _, v in brackets]
     t = np.repeat(np.asarray(ts, dtype=float), counts)
@@ -106,7 +204,7 @@ def _critical_angles(hf, ts, grid: int) -> list[np.ndarray]:
         if not live.size:
             break
         m = 0.5 * (a[live] + b[live])
-        vm = hf(t[live] * np.cos(m), t[live] * np.sin(m))
+        vm = ev(t[live] * np.cos(m), t[live] * np.sin(m))
         zero = vm == 0.0
         up = ~zero & ((vm > 0) == (va[live] > 0))
         down = ~zero & ~up
@@ -141,16 +239,17 @@ def ladder_extrema(f: BivarPoly, ts, grid: int = 4096) -> list[SphereExtrema]:
     vanishing identically (f is radially symmetric), and the grid itself
     supplies the constant value."""
     ff = compile_poly(f)
-    hf = compile_poly(_angular_derivative_poly(f))
+    angle_grid = _angle_grid(grid)
+    _, cos, sin = angle_grid
     out = []
-    for t, angles in zip(ts, _critical_angles(hf, ts, grid)):
+    for t, angles in zip(ts, _critical_angles(_angular_derivative_poly(f),
+                                              ts, angle_grid)):
         if angles.size:
             vs = ff(t * np.cos(angles), t * np.sin(angles)).tolist()
             out.append(SphereExtrema(t, min(vs), max(vs),
                                      list(zip(angles.tolist(), vs))))
         else:
-            th = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-            vals = ff(t * np.cos(th), t * np.sin(th))
+            vals = ff(t * cos, t * sin)
             out.append(SphereExtrema(t, float(vals.min()), float(vals.max()),
                                      []))
     return out

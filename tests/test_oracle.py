@@ -7,12 +7,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from germinv import (PathCountUnstableError, analyze_germ, crosscheck,
-                     parse_poly)
-from germinv.oracle import (TWO_PI, _angular_derivative_poly,
-                            _critical_angles, compile_poly, critical_paths,
-                            estimate_exponent, sphere_extrema)
+from germinv import (BivarPoly, PathCountUnstableError, analyze_germ,
+                     crosscheck, oracle, parse_poly)
+from germinv.oracle import (TWO_PI, _angle_grid, _angular_derivative_poly,
+                            _critical_angles, _sign_certificate, _term_arrays,
+                            compile_poly, critical_paths, estimate_exponent,
+                            sphere_extrema)
 from germinv.tangency import Restriction
 from germinv.invariant import Classification
 
@@ -82,15 +85,100 @@ def _scalar_angles(hf, t, grid):
     return sorted(out)
 
 
+# germs whose h vanishes exactly on the grid knot at angle 0 (y divides h),
+# so every rung nudges that knot
+KNOT_ZERO_GERMS = ["-9*x*y^4", "x^4 - 2*x^2*y^3 + y^6", "7*x^3*y^3"]
+
+
 def test_ladder_angles_match_scalar_bisection(reference_germs):
     ts = [float(t) for t in np.geomspace(1e-3, 1e-1, 5)]
-    for g, *_ in reference_germs:
-        for f in (g, rotate_germ(g)):
-            hf = compile_poly(_angular_derivative_poly(f))
-            for t, got in zip(ts, _critical_angles(hf, ts, 1024)):
-                want = _scalar_angles(hf, t, 1024)
-                assert len(got) == len(want) > 0
-                assert np.max(np.abs(got - np.array(want))) <= 1e-15
+    germs = [f for g, *_ in reference_germs for f in (g, rotate_germ(g))]
+    for f in germs + [parse_poly(text) for text in KNOT_ZERO_GERMS]:
+        h = _angular_derivative_poly(f)
+        hf = compile_poly(h)
+        for t, got in zip(ts, _critical_angles(h, ts, _angle_grid(1024))):
+            want = _scalar_angles(hf, t, 1024)
+            assert len(got) == len(want) > 0
+            assert np.max(np.abs(got - np.array(want))) <= 1e-15
+
+
+def _certified_grid_signs(h, t, grid):
+    """The certificate's signs for h on the circle of radius t, checked
+    against ev at every grid point: a certified sign is ev's sign, and an
+    exact zero of ev is never certified. Returns the certified count."""
+    ii, jj, cc = _term_arrays(h)
+    _, cos, sin = _angle_grid(grid)
+    got = _sign_certificate(ii, jj, cc, cos, sin)(t)
+    want = np.sign(compile_poly(h)(t * cos, t * sin))
+    sure = got != 0.0
+    assert np.array_equal(got[sure], want[sure])
+    assert not sure[want == 0.0].any()
+    return int(sure.sum())
+
+
+# at t = 1e-100 an h of order 4 or more underflows, in ev as in the product,
+# and nothing is certified
+@pytest.mark.parametrize("t, least", [(1e-100, 0), (1e-4, 4090),
+                                      (0.1, 4090), (0.5, 4090)])
+def test_certified_signs_match_ev(reference_germs, t, least):
+    germs = [f for g, *_ in reference_germs for f in (g, rotate_germ(g))]
+    for f in germs + [parse_poly(text) for text in KNOT_ZERO_GERMS]:
+        h = _angular_derivative_poly(f)
+        assert _certified_grid_signs(h, t, 4096) >= least
+
+
+coefficients = st.builds(
+    lambda m, e: Fraction(m) * Fraction(10) ** e,
+    st.integers(-9, 9).filter(bool), st.integers(-30, 30))
+h_polys = st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                          coefficients, min_size=1, max_size=8).map(BivarPoly)
+
+
+@settings(max_examples=80, deadline=None)
+@given(h_polys, st.floats(-100.0, math.log10(0.5)))
+def test_certified_signs_match_ev_hypothesis(h, log_t):
+    _certified_grid_signs(h, 10.0 ** log_t, 512)
+
+
+@pytest.mark.parametrize("text, t", [
+    # h = -2e300*x*y: at t = 1e5 its terms reach 2e310, |B| @ |w| overflows
+    ("10^300*x^2 + 2*10^300*y^2", 1e5),
+    # h = 9e306*(y^2 - x^2) stays finite, but past 2^1020 nothing certifies
+    ("9*10^306*x*y", 0.5),
+])
+def test_certificate_gives_up_at_the_top_of_the_double_range(text, t):
+    h = _angular_derivative_poly(parse_poly(text))
+    ii, jj, cc = _term_arrays(h)
+    grid = _angle_grid(1024)
+    with np.errstate(over="ignore"):
+        assert not _sign_certificate(ii, jj, cc, *grid[1:])(t).any()
+        got = _critical_angles(h, [t], grid)[0]
+        want = _scalar_angles(compile_poly(h), t, 1024)
+    assert len(got) == len(want) > 0
+    assert np.max(np.abs(got - np.array(want))) <= 1e-15
+
+
+def test_crosscheck_evaluates_h_off_the_certified_grid_only(monkeypatch):
+    # the certificate settles the grid: ev sees only the uncertified points,
+    # the nudged knot at angle 0 and the bisection midpoints, never a whole
+    # 4096-angle grid, and over all 40 rungs fewer points than four grids
+    sizes = []
+    evaluator = oracle._evaluator
+
+    def counted(*arrays):
+        ev = evaluator(*arrays)
+
+        def sized(x, y):
+            sizes.append(np.size(x))
+            return ev(x, y)
+
+        return sized
+
+    monkeypatch.setattr(oracle, "_evaluator", counted)
+    f = parse_poly("x^4 - 2*x^2*y^3 + y^6")
+    assert crosscheck(f, analyze_germ(f)).passed
+    assert max(sizes) < 4096
+    assert sum(sizes) < 16384
 
 
 def test_bracket_signs_survive_underflow():

@@ -19,23 +19,30 @@ pair; sign 0 means identically 0, below the noise floor), and the number of
 critical angles per circle must be stable in t and equal to the number of
 tangency half-branches.
 
-Only the sign of h at a grid point steers the brackets and the bisection,
-and on the circle of radius t
+Only the sign of h at a grid point or a bisection midpoint steers the
+brackets, and on the circle of radius t
 
     h(t cos a, t sin a) = sum_k c_k t^(i_k + j_k) cos^i_k a sin^j_k a,
 
 so the grid values of one rung are the product B @ w_t, with
 B[a, k] = cos^i_k a sin^j_k a built once per ladder and
-w_t[k] = c_k t^(i_k + j_k) once per rung. A sign of the product is taken
-only where it clears a forward-error bound (Higham, ch. 3) covering both it
-and the term-by-term evaluator ``compile_poly``; that proves the evaluator
-would give the same nonzero sign (see _sign_certificate). The few points
-it does not settle, exact zeros of h among them, go to the evaluator
-itself, so every bracket and every printed number is what the evaluator
-alone gives. There is one matrix-vector product per rung and no product
-over all rungs at once: that would hold a grid-by-ladder array, and
-OpenBLAS allocates a work buffer on its first matrix-matrix call, both of
-which raise peak memory while no rung needs more than its own column.
+w_t[k] = c_k t^(i_k + j_k) for all rungs at once. A sign of the product is
+taken only where it clears a forward-error bound (Higham, ch. 3) covering
+both it and the term-by-term evaluator ``compile_poly``; that proves the
+evaluator would give the same nonzero sign (see _SignCertificate). At a
+midpoint the certificate is the evaluator's own formula, term by term, on
+|x| and |y|, with each term's sign put back from the signs of c, x and y,
+and the same bound proves its sign. That is worth having because numpy's
+pow takes a slow libm path for negative bases (about 12 to 26 times its
+SIMD path for nonnegative ones, on an AVX-512 box with numpy 2.4), and on
+a circle half of all x and y are negative; the two paths differ in the
+last bits, so the evaluator's values must stay its own. The few points the
+certificate does not settle, exact zeros of h among them, go to the
+evaluator itself, so every bracket and every printed number is what the
+evaluator alone gives. There is one matrix-vector product per rung and no
+product over all rungs at once: that would hold a grid-by-ladder array,
+and OpenBLAS allocates a work buffer on its first matrix-matrix call, both
+of which raise peak memory while no rung needs more than its own column.
 """
 
 from __future__ import annotations
@@ -106,34 +113,53 @@ def _angle_grid(n: int):
     return base, np.cos(base), np.sin(base)
 
 
-# Sign certificate for ev on the grid. With C, S the grid's cos and sin, ev
-# computes X = t*C, Y = t*S and then sum_k fl(fl(c_k * X^i_k) * Y^j_k),
-# while the product computes v = B @ w with B[a, k] = C^i * S^j from powers
-# by repeated multiplication and w_k = c_k * t^(i+j). Both approximate
-# R = sum_k tau_k, tau_k = c_k t^(i+j) C^i S^j. In Higham's model
-# (Accuracy and Stability of Numerical Algorithms, ch. 3), with
-# gamma_m = m u / (1 - m u), u = 2^-53, and pow within _POW_U units of u
-# (4 ulps; numpy's pow erred by at most 0.66 ulp on 20,000 random integer
-# powers of doubles in [-1, 1]), a term of degree d <= D carries
+# Sign certificate for ev, at the grid knots of each rung and at the
+# bisection midpoints, the two places where a sign of h steers the search.
+#
+# Grid. With C, S the grid's cos and sin, ev computes X = t*C, Y = t*S and
+# then sum_k fl(fl(c_k * X^i_k) * Y^j_k), while the product computes
+# v = B @ w with B[a, k] = C^i * S^j from powers by repeated multiplication
+# and w_k = c_k * t^(i+j). Both approximate R = sum_k tau_k,
+# tau_k = c_k t^(i+j) C^i S^j. In Higham's model (Accuracy and Stability of
+# Numerical Algorithms, ch. 3), with gamma_m = m u / (1 - m u), u = 2^-53,
+# and pow within _POW_U units of u, a term of degree d <= D carries
 #   in ev: (1+u)^d from the rounded X, Y raised to i and j, 2 _POW_U from
 #       the two pows and 2 from the two products, then gamma_(n-1) from
 #       summing the n terms in any order;
 #   in v: at most d roundings in B, _POW_U + 1 in w, then gamma_n from the
 #       dot product, whatever BLAS's order or use of FMA.
 # So |ev - v| <= gamma_m sum_k |tau_k| with m = 2D + 3 _POW_U + 2n + 2,
-# and |B| @ |w| is sum_k |tau_k| to within the same factors. Below the
-# normal range each pow or product also errs by up to 2^-1074, times the
-# factors it is multiplied with afterwards, each at most
-# max(1, |c_k|) max(1, t)^d; the d + 4 roundings of an ev term and the
-# d + 3 of a product term give (2D + 7) 2^-1074 scale, with
-# scale = sum_k max(1, |c_k|) max(1, t)^d_k. Sums are exact there. Taking
-# K = 2m >= 2D + 7 absorbs the gammas' denominators and the rounding of
-# the bound itself, so |v| > K (u |B| @ |w| + 2^-1074 scale) proves that ev
-# returns a nonzero number of v's sign. No intermediate of either evaluator
-# exceeds 2 scale, so with scale < 2^1020 neither overflows; past that no
-# sign is certified.
+# and |B| @ |w| is sum_k |tau_k| to within the same factors.
+#
+# Midpoints. There X = t*cos(mid) and Y = t*sin(mid) are the very doubles
+# ev gets, and the certificate is ev's own formula, term by term, on |X|
+# and |Y|: T_k = fl(fl(c'_k |X|^i_k) |Y|^j_k), where c'_k is c_k negated
+# once for each of X < 0 with i_k odd and Y < 0 with j_k odd. So T_k
+# rounds as ev's k-th term does except in its two pows, which take
+# nonnegative bases. Against R' = sum_k c_k X^i Y^j each side carries
+# 2 _POW_U + 2 per term and gamma_(n-1) for the sum, so with
+# v = sum_k T_k, |ev - v| <= gamma_m' sum_k |c_k X^i Y^j| for
+# m' = 4 _POW_U + 2n + 2, and mag = sum_k |T_k| is that sum to within the
+# same factors. K = 2m below exceeds m' by at least 2 _POW_U + 2n + 2.
+#
+# Below the normal range each pow errs by up to _POW_U 2^-1074, and each
+# product, and the rounded X and Y, by up to 2^-1074, times the factors it
+# is multiplied with afterwards, each at most max(1, |c_k|) max(1, t)^d;
+# sums are exact there. That is at most (D + 3 _POW_U + 6) 2^-1074 scale
+# on the grid and (4 _POW_U + 4) 2^-1074 scale at midpoints, with
+# scale = sum_k max(1, |c_k|) max(1, t)^d_k. Taking K = 2m absorbs all of
+# it, the gammas' denominators and the rounding of the bound itself,
+# underflow included, so |v| > K (u |B| @ |w| + 2^-1074 scale) on the grid,
+# and |v| > K (u mag + 2^-1074 scale) at a midpoint, proves that ev returns
+# a nonzero number of v's sign. No intermediate of any of the three
+# evaluators exceeds 2 scale, so with scale < 2^1020 none overflows; past
+# that no sign is certified and nothing is computed for one.
 _U = 2.0 ** -53
 _ETA = 2.0 ** -1074
+# pow within 4 ulps: against exact Fraction powers x^i, for 20,000 random x
+# from 2^-1074 to 1 and i from 0 to 12, numpy 2.4's pow erred by at most
+# 0.75 ulp on x >= 0 (the SIMD path the certificate's pows take) and on -x
+# (the libm path of ev's negative bases) alike
 _POW_U = 8
 
 
@@ -144,71 +170,117 @@ def _powers(v, n: int):
     return np.cumprod(out, axis=1, out=out)
 
 
-def _sign_certificate(ii, jj, cc, cos, sin):
-    """t -> signs that ev(t cos, t sin) is proven to have on the grid:
-    +1 or -1 where certified, 0 where only ev itself can tell."""
-    deg = ii + jj
-    top = int(deg.max(initial=0))
-    basis = _powers(cos, top)[:, ii] * _powers(sin, top)[:, jj]
-    abs_basis = np.abs(basis)
-    k = 2 * (2 * top + 3 * _POW_U + 2 * cc.size + 2)
-    big = np.maximum(1.0, np.abs(cc))
+class _SignCertificate:
+    """Signs that ev = _evaluator(ii, jj, cc) is proven to have on the
+    circles of radii ``ts``: on the angle grid with cosines ``cos`` and sines
+    ``sin`` (``grid``), and at any points of those circles (``at``)."""
 
-    def signs(t):
+    def __init__(self, ii, jj, cc, ts, cos, sin):
+        deg = ii + jj
+        top = int(deg.max(initial=0))
+        self.basis = _powers(cos, top)[:, ii] * _powers(sin, top)[:, jj]
+        self.abs_basis = np.abs(self.basis)
+        k = 2 * (2 * top + 3 * _POW_U + 2 * cc.size + 2)
+        self.ku = k * _U
+        t = np.asarray(ts, dtype=float)[:, None]
         with np.errstate(over="ignore"):
-            scale = float((big * max(1.0, abs(t)) ** deg).sum())
-        if not scale < 2.0 ** 1020:
-            return np.zeros(len(cos))
-        w = cc * t ** deg
-        v = basis @ w
-        bound = k * (_U * (abs_basis @ np.abs(w)) + _ETA * scale)
-        return np.where(np.abs(v) > bound, np.sign(v), 0.0)
+            scale = (np.maximum(1.0, np.abs(cc))
+                     * np.maximum(1.0, np.abs(t)) ** deg).sum(axis=1)
+            self.w = cc * t ** deg
+        self.fits = scale < 2.0 ** 1020
+        self.every_rung_fits = bool(self.fits.all())
+        self.ku_abs_w = self.ku * np.abs(self.w)
+        self.slack = k * _ETA * scale
+        self.ii, self.jj = ii, jj
+        # c'_k by the quadrant of (X, Y): X < 0 adds 1, Y < 0 adds 2
+        fx = np.where(ii % 2, -1.0, 1.0)
+        fy = np.where(jj % 2, -1.0, 1.0)
+        self.by_quadrant = np.stack([cc, cc * fx, cc * fy, cc * fx * fy])
 
-    return signs
+    def grid(self, r: int, out):
+        """Writes sign(B @ w) of rung r into ``out`` and returns the grid
+        indices where that sign is not certified: all of them on a rung
+        past the overflow limit, where ``out`` is left as it was."""
+        if not self.fits[r]:
+            return np.arange(out.size)
+        v = self.basis @ self.w[r]
+        np.sign(v, out=out)
+        return np.flatnonzero(
+            np.abs(v) <= self.abs_basis @ self.ku_abs_w[r] + self.slack[r])
+
+    def at(self, x, y, r):
+        """ev's proven signs at the points (x, y), x = t cos a and
+        y = t sin a on the circle of rung r (an index array): +1 or -1
+        where certified, 0 where only ev itself can tell."""
+        if not self.every_rung_fits:
+            keep = self.fits[r]
+            out = np.zeros(x.size)
+            if keep.any():
+                out[keep] = self._at(x[keep], y[keep], r[keep])
+            return out
+        return self._at(x, y, r)
+
+    def _at(self, x, y, r):
+        terms = (self.by_quadrant[(x < 0) + 2 * (y < 0)]
+                 * np.abs(x)[:, None] ** self.ii
+                 * np.abs(y)[:, None] ** self.jj)
+        v = terms.sum(axis=1)
+        sure = np.abs(v) > self.ku * np.abs(terms).sum(axis=1) + self.slack[r]
+        return np.where(sure, np.sign(v), 0.0)
 
 
 def _critical_angles(h: BivarPoly, ts, angle_grid) -> list[np.ndarray]:
     """Sorted sign-change zeros of a -> h(t cos a, t sin a) in [0, 2pi) per
     radius t in ts, bracketed on ``angle_grid`` (see _angle_grid). All
     brackets are bisected together, each by the scalar rule: midpoint, stop
-    on an exact zero, width < 1e-15 or 200 steps."""
+    on an exact zero, width < 1e-15 or 200 steps. Every sign comes from
+    _SignCertificate where it is certified and from ev where it is not."""
     ii, jj, cc = _term_arrays(h)
     if not len(ts):
         return []
     base, cos, sin = angle_grid
+    n = base.size
     ev = _evaluator(ii, jj, cc)
-    certified = _sign_certificate(ii, jj, cc, cos, sin)
+    cert = _SignCertificate(ii, jj, cc, ts, cos, sin)
+    # knot n is knot 0 a turn later, so that knot k and k + 1 bracket
+    # every interval, the wrap-around one included
+    knots = np.append(base, TWO_PI)
+    signs = np.empty(n + 1)
     brackets = []
-    for t in ts:
-        thetas = base
-        signs = certified(t)
-        rest = np.flatnonzero(signs == 0.0)
+    for r, t in enumerate(ts):
+        thetas = knots
+        rest = cert.grid(r, signs[:n])
         if rest.size:
             signs[rest] = np.sign(ev(t * cos[rest], t * sin[rest]))
-        # nudge exact grid zeros off the knot, into an open bracket
-        bad = np.flatnonzero(signs == 0.0)
-        if bad.size:
-            thetas = base.copy()
-            thetas[bad] += TWO_PI / base.size * 1e-6
-            moved = thetas[bad]
-            signs[bad] = np.sign(ev(t * np.cos(moved), t * np.sin(moved)))
-        ends = np.append(thetas[1:], thetas[0] + TWO_PI)
-        nxt = np.roll(signs, -1)
-        hit = (signs != 0.0) & (nxt != 0.0) & ((signs > 0) != (nxt > 0))
-        brackets.append((thetas[hit], ends[hit], signs[hit]))
-    a, b, va = (np.concatenate(c) for c in zip(*brackets))
-    counts = [len(v) for _, _, v in brackets]
-    t = np.repeat(np.asarray(ts, dtype=float), counts)
+            # nudge exact grid zeros off the knot, into an open bracket
+            bad = rest[signs[rest] == 0.0]
+            if bad.size:
+                thetas = knots.copy()
+                thetas[bad] += TWO_PI / n * 1e-6
+                thetas[n] = thetas[0] + TWO_PI
+                moved = thetas[bad]
+                signs[bad] = np.sign(ev(t * np.cos(moved), t * np.sin(moved)))
+        signs[n] = signs[0]
+        hit = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
+        brackets.append((thetas[hit], thetas[hit + 1], signs[hit]))
+    a, b, sa = (np.concatenate(c) for c in zip(*brackets))
+    counts = [len(s) for _, _, s in brackets]
+    rung = np.repeat(np.arange(len(ts)), counts)
+    radii = np.asarray(ts, dtype=float)[rung]
     live = np.arange(a.size)
     for _ in range(200):
         if not live.size:
             break
         m = 0.5 * (a[live] + b[live])
-        vm = ev(t[live] * np.cos(m), t[live] * np.sin(m))
-        zero = vm == 0.0
-        up = ~zero & ((vm > 0) == (va[live] > 0))
+        x, y = radii[live] * np.cos(m), radii[live] * np.sin(m)
+        sm = cert.at(x, y, rung[live])
+        rest = np.flatnonzero(sm == 0.0)
+        if rest.size:
+            sm[rest] = np.sign(ev(x[rest], y[rest]))
+        zero = sm == 0.0
+        up = sm == sa[live]
         down = ~zero & ~up
-        a[live[up]], va[live[up]] = m[up], vm[up]
+        a[live[up]] = m[up]
         b[live[down]] = m[down]
         a[live[zero]] = b[live[zero]] = m[zero]
         live = live[~zero & ~(b[live] - a[live] < 1e-15)]
@@ -241,11 +313,18 @@ def ladder_extrema(f: BivarPoly, ts, grid: int = 4096) -> list[SphereExtrema]:
     ff = compile_poly(f)
     angle_grid = _angle_grid(grid)
     _, cos, sin = angle_grid
-    out = []
-    for t, angles in zip(ts, _critical_angles(_angular_derivative_poly(f),
-                                              ts, angle_grid)):
+    crit = _critical_angles(_angular_derivative_poly(f), ts, angle_grid)
+    if not crit:
+        return []
+    # f at every rung's critical angles in one call
+    flat = np.concatenate(crit)
+    radii = np.repeat(np.asarray(ts, dtype=float), [a.size for a in crit])
+    values = ff(radii * np.cos(flat), radii * np.sin(flat)).tolist()
+    out, k = [], 0
+    for t, angles in zip(ts, crit):
         if angles.size:
-            vs = ff(t * np.cos(angles), t * np.sin(angles)).tolist()
+            vs = values[k:k + angles.size]
+            k += angles.size
             out.append(SphereExtrema(t, min(vs), max(vs),
                                      list(zip(angles.tolist(), vs))))
         else:
@@ -326,34 +405,80 @@ class CriticalPath:
         return f"CriticalPath(id={self.path_id}, n={len(self.thetas)})"
 
 
-def _circ_dist(a: float, b: float) -> float:
+def _circ_dist(a, b):
+    """Distance on the circle between angles in [0, 2pi), elementwise."""
     d = abs(a - b) % TWO_PI
-    return min(d, TWO_PI - d)
+    return np.minimum(d, TWO_PI - d)
+
+
+def _nearest_maps(angles):
+    """For rows b and b + 1 of ``angles``, each sorted in [0, 2pi) and of
+    one length k, the index in row b + 1 of the angle nearest on the circle
+    to each angle of row b, the lowest among equal distances: an array
+    (rows - 1) x k of min(range(k), key=lambda j: _circ_dist(next[j], a)).
+
+    Each side of a in the next row, the angles below it and the angles from
+    it on, is a run along which the computed distance rises and then falls
+    with the index. So only a side's first index and the run of equal
+    distances that ends it are compared, and the lower side wins a tie."""
+    theta, nxt = angles[:-1], angles[1:]
+    rows = np.arange(len(theta))[:, None]
+    k = angles.shape[1]
+    split = np.array([np.searchsorted(r, a) for a, r in zip(theta, nxt)],
+                     dtype=int).reshape(theta.shape)
+
+    def dist(j):
+        return _circ_dist(nxt[rows, j], theta)
+
+    best = np.full(theta.shape, np.inf)
+    pick = np.zeros(theta.shape, dtype=int)
+    sides = ((np.zeros_like(split), split), (split, np.full_like(split, k)))
+    for lo, hi in sides:
+        # an empty side (lo == hi) reads some angle and is masked out
+        first, j = np.minimum(lo, k - 1), hi - 1
+        d_first, d = dist(first), dist(j)
+        side = lo < hi
+        end = side & (d < d_first)
+        run = end
+        while run.any():   # a run stops above first, whose distance is larger
+            run = run & (dist(np.maximum(j - 1, 0)) == d)
+            j = j - run
+        d = np.where(end, d, np.where(side, d_first, np.inf))
+        win = d < best
+        best = np.where(win, d, best)
+        pick = np.where(win, np.where(end, j, first), pick)
+    return pick
 
 
 def _track(rungs: list[SphereExtrema]):
     """Follow the critical points of ``rungs`` (ascending radii) inward, each
-    to the nearest angle on the next circle, up to the first rung whose angle
-    count changes or where two paths collide. Returns the rungs above it,
-    ascending, as (angle, value) lists in path order, and its error or None."""
-    tracked, exc = [], None
-    for e in reversed(rungs):
-        crit = e.critical
-        if tracked and len(crit) != len(tracked[-1]):
-            exc = PathCountUnstableError(
-                f"critical angle count changed from {len(tracked[-1])} to "
-                f"{len(crit)}", e.t)
-            break
-        if tracked:
-            picks = [min(range(len(crit)),
-                         key=lambda j: _circ_dist(crit[j][0], theta))
-                     for theta, _ in tracked[-1]]
-            if len(set(picks)) < len(picks):
-                exc = PathCountUnstableError(
-                    "critical paths collided during continuation", e.t)
-                break
-            crit = [crit[j] for j in picks]
-        tracked.append(crit)
+    to the nearest angle on the next circle (_nearest_maps), up to the first
+    rung whose angle count changes or where two paths collide. Returns the
+    rungs above it, ascending, as (angle, value) lists in path order, and
+    its error or None."""
+    down = rungs[::-1]
+    if not down:
+        return [], None
+    k = len(down[0].critical)
+    block = next((b for b, e in enumerate(down) if len(e.critical) != k),
+                 len(down))
+    maps = _nearest_maps(np.array([[a for a, _ in e.critical]
+                                   for e in down[:block]]).reshape(block, k))
+    collided = np.flatnonzero(
+        (np.diff(np.sort(maps, axis=1)) == 0).any(axis=1))
+    exc = None
+    if collided.size:
+        block = int(collided[0]) + 1
+        exc = PathCountUnstableError(
+            "critical paths collided during continuation", down[block].t)
+    elif block < len(down):
+        exc = PathCountUnstableError(
+            f"critical angle count changed from {k} to "
+            f"{len(down[block].critical)}", down[block].t)
+    tracked, order = [down[0].critical], np.arange(k)
+    for b in range(1, block):
+        order = maps[b - 1][order]
+        tracked.append([down[b].critical[j] for j in order.tolist()])
     if exc is not None:  # rungs of equal radius above it go too
         del tracked[sum(e.t > exc.t for e in rungs):]
     return tracked[::-1], exc

@@ -313,7 +313,9 @@ class AlgebraicReal:
     irrational roots the endpoints are never roots of ``defining`` and the
     interval contains exactly one root. ``refine_step`` halves the interval;
     the value itself never changes, so monotone refinement is semantically
-    pure and safe to share.
+    pure and safe to share. It alone moves ``lo``, and only to a point where
+    the defining polynomial has the sign it has at ``lo``, so that sign is
+    evaluated once per number.
 
     Questions about p(a) for a polynomial p over Q are answered here and
     nowhere else: ``is_root_of`` decides p(a) = 0 exactly, and ``enclose``
@@ -322,12 +324,13 @@ class AlgebraicReal:
     this class for the generator of Q(a).
     """
 
-    __slots__ = ("defining", "lo", "hi")
+    __slots__ = ("defining", "lo", "hi", "_lo_sign")
 
     def __init__(self, defining: UniPoly, lo: Fraction, hi: Fraction):
         self.defining = defining
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
+        self._lo_sign = None
 
     def __repr__(self) -> str:
         if self.is_rational():
@@ -349,7 +352,9 @@ class AlgebraicReal:
             # the isolated root is exactly mid: collapse to a rational
             self.lo = self.hi = mid
             return
-        if coeff_sign(v) * coeff_sign(self.defining.eval(self.lo)) < 0:
+        if self._lo_sign is None:
+            self._lo_sign = coeff_sign(self.defining.eval(self.lo))
+        if coeff_sign(v) * self._lo_sign < 0:
             self.hi = mid
         else:
             self.lo = mid

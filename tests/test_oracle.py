@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from germinv import (BivarPoly, PathCountUnstableError, analyze_germ,
                      crosscheck, oracle, parse_poly)
-from germinv.oracle import (TWO_PI, _angle_grid, _angular_derivative_poly,
-                            _critical_angles, _sign_certificate, _term_arrays,
-                            compile_poly, critical_paths, estimate_exponent,
-                            sphere_extrema)
+from germinv.oracle import (_POW_U, TWO_PI, _angle_grid,
+                            _angular_derivative_poly, _critical_angles,
+                            _nearest_maps, _SignCertificate, _term_arrays,
+                            _track, compile_poly, critical_paths,
+                            estimate_exponent, sphere_extrema, SphereExtrema)
 from germinv.tangency import Restriction
 from germinv.invariant import Classification
 
@@ -108,7 +109,8 @@ def _certified_grid_signs(h, t, grid):
     exact zero of ev is never certified. Returns the certified count."""
     ii, jj, cc = _term_arrays(h)
     _, cos, sin = _angle_grid(grid)
-    got = _sign_certificate(ii, jj, cc, cos, sin)(t)
+    got = np.empty(grid)
+    got[_SignCertificate(ii, jj, cc, [t], cos, sin).grid(0, got)] = 0.0
     want = np.sign(compile_poly(h)(t * cos, t * sin))
     sure = got != 0.0
     assert np.array_equal(got[sure], want[sure])
@@ -140,28 +142,217 @@ def test_certified_signs_match_ev_hypothesis(h, log_t):
     _certified_grid_signs(h, 10.0 ** log_t, 512)
 
 
-@pytest.mark.parametrize("text, t", [
-    # h = -2e300*x*y: at t = 1e5 its terms reach 2e310, |B| @ |w| overflows
-    ("10^300*x^2 + 2*10^300*y^2", 1e5),
+def _certified_point_signs(h, t, angles):
+    """The certificate's signs for h at the given angles on the circle of
+    radius t, as the bisection asks for them, checked against ev there: a
+    certified sign is ev's sign, and an exact zero of ev is never
+    certified. Returns the certified count."""
+    ii, jj, cc = _term_arrays(h)
+    _, cos, sin = _angle_grid(8)
+    x, y = t * np.cos(angles), t * np.sin(angles)
+    got = _SignCertificate(ii, jj, cc, [t], cos, sin).at(
+        x, y, np.zeros(angles.size, dtype=int))
+    want = np.sign(compile_poly(h)(x, y))
+    sure = got != 0.0
+    assert np.array_equal(got[sure], want[sure])
+    assert not sure[want == 0.0].any()
+    return int(sure.sum())
+
+
+# the axis angles, where x or y is 0 or a rounding error away from it, and
+# the 1024-grid's knots nudged as _critical_angles nudges a knot zero
+_SPECIAL_ANGLES = np.concatenate([
+    [0.0, math.pi / 2, math.pi, 3 * math.pi / 2],
+    _angle_grid(1024)[0] + TWO_PI / 1024 * 1e-6])
+
+
+def _near_roots(h, t):
+    """The sign changes of h on the circle of radius t, and a few doubles
+    either side of each: where the last bisection steps land and h is all
+    cancellation."""
+    roots = _critical_angles(h, [t], _angle_grid(512))[0]
+    return (roots[:, None] + np.arange(-4, 5) * np.spacing(roots)[:, None]
+            ).ravel()
+
+
+@pytest.mark.parametrize("t", [1e-4, 0.1, 0.5])
+def test_certified_midpoint_signs_match_ev(reference_germs, t):
+    angles = np.concatenate([
+        np.random.default_rng(4).uniform(0.0, TWO_PI, 2000),
+        _SPECIAL_ANGLES])
+    germs = [f for g, *_ in reference_germs for f in (g, rotate_germ(g))]
+    for f in germs + [parse_poly(text) for text in KNOT_ZERO_GERMS]:
+        h = _angular_derivative_poly(f)
+        assert _certified_point_signs(h, t, angles) >= 3000
+        _certified_point_signs(h, t, _near_roots(h, t))
+
+
+def test_nothing_is_certified_where_h_underflows():
+    # at t = 1e-100 these h, of order 4 and more, are 0 in ev at every
+    # point, and the certificate leaves every point to it
+    angles = np.concatenate([np.linspace(0.0, TWO_PI, 500), _SPECIAL_ANGLES])
+    for text in KNOT_ZERO_GERMS:
+        h = _angular_derivative_poly(parse_poly(text))
+        assert _certified_point_signs(h, 1e-100, angles) == 0
+        assert _certified_grid_signs(h, 1e-100, 1024) == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(h_polys, st.floats(-100.0, math.log10(0.5)),
+       st.lists(st.floats(0.0, TWO_PI, exclude_max=True), max_size=64))
+def test_certified_midpoint_signs_match_ev_hypothesis(h, log_t, angles):
+    t = 10.0 ** log_t
+    _certified_point_signs(h, t, np.concatenate([angles, _SPECIAL_ANGLES,
+                                                 _near_roots(h, t)]))
+
+
+def _exact_ulp(e: Fraction) -> Fraction:
+    """The spacing of doubles at |e| != 0, 2^-1074 below the normal range."""
+    e = abs(e)
+    k = e.numerator.bit_length() - e.denominator.bit_length()
+    if Fraction(2) ** k > e:
+        k -= 1
+    return Fraction(2) ** max(k - 52, -1074)
+
+
+def test_pow_errs_within_the_certificates_allowance():
+    # the bound takes each pow within _POW_U units of u, _POW_U / 2 ulps:
+    # numpy's pow on nonnegative bases (the certificate's) and on negative
+    # ones (ev's), against exact powers, down into the subnormal range
+    rng = np.random.default_rng(6)
+    x = np.ldexp(rng.uniform(1.0, 2.0, 150), rng.integers(-1075, 0, 150))
+    x = np.concatenate([x, [5e-324, 2.0 ** -1022, 0.5, 1.0 - 2.0 ** -53]])
+    for bases in (x, -x):
+        got = bases[:, None] ** np.arange(13)
+        for b, row in zip(bases.tolist(), got.tolist()):
+            for i, r in enumerate(row):
+                e = Fraction(b) ** i
+                if e:
+                    assert abs(Fraction(r) - e) <= _POW_U / 2 * _exact_ulp(e)
+                else:
+                    assert r == 0.0
+
+
+@pytest.mark.parametrize("text, ts", [
+    # h = -2e300*x*y: at t = 1e5 its terms reach 2e310, |B| @ |w| overflows;
+    # the rung at 1e-3 is certified as usual in the same ladder
+    ("10^300*x^2 + 2*10^300*y^2", [1e-3, 1e5]),
     # h = 9e306*(y^2 - x^2) stays finite, but past 2^1020 nothing certifies
-    ("9*10^306*x*y", 0.5),
+    ("9*10^306*x*y", [0.5]),
 ])
-def test_certificate_gives_up_at_the_top_of_the_double_range(text, t):
+def test_certificate_gives_up_at_the_top_of_the_double_range(text, ts):
     h = _angular_derivative_poly(parse_poly(text))
     ii, jj, cc = _term_arrays(h)
     grid = _angle_grid(1024)
+    cert = _SignCertificate(ii, jj, cc, ts, *grid[1:])
+    top = len(ts) - 1
+    assert cert.grid(top, np.empty(1024)).size == 1024
+    x = np.concatenate([t * grid[1] for t in ts])
+    y = np.concatenate([t * grid[2] for t in ts])
+    got = cert.at(x, y, np.repeat(np.arange(len(ts)), 1024))
+    assert not got[top * 1024:].any()
+    assert np.count_nonzero(got) >= 1000 * top
     with np.errstate(over="ignore"):
-        assert not _sign_certificate(ii, jj, cc, *grid[1:])(t).any()
-        got = _critical_angles(h, [t], grid)[0]
-        want = _scalar_angles(compile_poly(h), t, 1024)
-    assert len(got) == len(want) > 0
-    assert np.max(np.abs(got - np.array(want))) <= 1e-15
+        for t, got in zip(ts, _critical_angles(h, ts, grid)):
+            want = _scalar_angles(compile_poly(h), t, 1024)
+            assert len(got) == len(want) > 0
+            assert np.max(np.abs(got - np.array(want))) <= 1e-15
+
+
+def _scalar_circ_dist(a, b):
+    d = abs(a - b) % TWO_PI
+    return min(d, TWO_PI - d)
+
+
+def _nearest_by_min(angles, theta):
+    return min(range(len(angles)),
+               key=lambda j: _scalar_circ_dist(angles[j], theta))
+
+
+def _track_by_min(rungs):
+    """_track as it was, scanning every angle of the next rung per path."""
+    tracked, exc = [], None
+    for e in reversed(rungs):
+        crit = e.critical
+        if tracked and len(crit) != len(tracked[-1]):
+            exc = PathCountUnstableError(
+                f"critical angle count changed from {len(tracked[-1])} to "
+                f"{len(crit)}", e.t)
+            break
+        if tracked:
+            angles = [a for a, _ in crit]
+            picks = [_nearest_by_min(angles, theta)
+                     for theta, _ in tracked[-1]]
+            if len(set(picks)) < len(picks):
+                exc = PathCountUnstableError(
+                    "critical paths collided during continuation", e.t)
+                break
+            crit = [crit[j] for j in picks]
+        tracked.append(crit)
+    if exc is not None:
+        del tracked[sum(e.t > exc.t for e in rungs):]
+    return tracked[::-1], exc
+
+
+# dyadic angles give exact distance ties and duplicates; those near 0 and
+# 2pi wrap around; runs of adjacent doubles far from a tiny angle round to
+# equal distances
+track_angles = st.one_of(
+    st.sampled_from([j / 8 for j in range(51)]),
+    st.sampled_from([0.0, 5e-324, 1e-17, math.pi,
+                     math.nextafter(TWO_PI, 0.0)]),
+    st.builds(lambda v, k: v + k * math.ulp(v),
+              st.sampled_from([1.0, 3.0, 6.0, 6.25]), st.integers(0, 3)),
+    st.floats(0.0, TWO_PI, exclude_max=True))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(track_angles, track_angles), min_size=1,
+                max_size=12))
+def test_nearest_maps_pick_as_min_does(pairs):
+    here = sorted(a for a, _ in pairs)
+    there = sorted(b for _, b in pairs)
+    got = _nearest_maps(np.array([here, there]))[0].tolist()
+    assert got == [_nearest_by_min(there, a) for a in here]
+
+
+@st.composite
+def ladders(draw):
+    """Rungs of ascending (sometimes equal) radii whose angle counts mostly
+    agree, each either fresh angles or the rung above moved a little."""
+    k = draw(st.integers(0, 5))
+    ts = sorted(draw(st.lists(st.sampled_from([0.01, 0.02, 0.05, 0.1]),
+                              min_size=1, max_size=8)))
+    rungs, angles = [], None
+    for t in reversed(ts):
+        if angles is not None and draw(st.booleans()):
+            step = draw(st.sampled_from([0.0, 1e-3, 0.125, -0.125, 3.0]))
+            angles = sorted((a + step) % TWO_PI for a in angles)
+        else:
+            m = draw(st.sampled_from([k, k, k, k + 1, max(k - 1, 0)]))
+            angles = sorted(draw(st.lists(track_angles, min_size=m,
+                                          max_size=m)))
+        rungs.append(SphereExtrema(t, 0.0, 0.0,
+                                   [(a, float(j)) for j, a in
+                                    enumerate(angles)]))
+    return rungs[::-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ladders())
+def test_track_matches_the_full_scan(rungs):
+    got, exc = _track(rungs)
+    want, want_exc = _track_by_min(rungs)
+    assert got == want
+    assert repr(exc) == repr(want_exc)
+    assert (exc and exc.t) == (want_exc and want_exc.t)
 
 
 def test_crosscheck_evaluates_h_off_the_certified_grid_only(monkeypatch):
-    # the certificate settles the grid: ev sees only the uncertified points,
-    # the nudged knot at angle 0 and the bisection midpoints, never a whole
-    # 4096-angle grid, and over all 40 rungs fewer points than four grids
+    # the certificate settles the grid and the bisection: ev sees only the
+    # points it leaves open, the nudged knot at angle 0 and f at the
+    # critical angles, never a whole 4096-angle grid, and over all 40 rungs
+    # fewer points than a quarter of one
     sizes = []
     evaluator = oracle._evaluator
 
@@ -178,7 +369,7 @@ def test_crosscheck_evaluates_h_off_the_certified_grid_only(monkeypatch):
     f = parse_poly("x^4 - 2*x^2*y^3 + y^6")
     assert crosscheck(f, analyze_germ(f)).passed
     assert max(sizes) < 4096
-    assert sum(sizes) < 16384
+    assert sum(sizes) < 1024
 
 
 def test_bracket_signs_survive_underflow():

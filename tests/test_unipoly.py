@@ -252,6 +252,25 @@ def test_algebraic_sqrt2():
     assert FieldContext(r.defining, r.lo, r.hi).generator().sign() == 1
 
 
+def test_refine_step_evaluates_the_left_end_once(monkeypatch):
+    # p(lo) keeps its sign while lo moves, so k steps evaluate p at k
+    # midpoints and at lo once
+    calls = []
+    evaluate = UniPoly.eval
+
+    def counted(self, x):
+        calls.append(x)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(UniPoly, "eval", counted)
+    r = AlgebraicReal(_T2_MINUS_2, Fraction(1), Fraction(2))
+    for _ in range(20):
+        r.refine_step()
+    assert len(calls) == 21
+    assert r.hi - r.lo == Fraction(1, 2**20)
+    assert r.lo ** 2 < 2 < r.hi ** 2
+
+
 def test_cauchy_bound_contains_roots():
     rng = random.Random(6)
     for _ in range(20):

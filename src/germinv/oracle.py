@@ -164,10 +164,13 @@ _POW_U = 8
 
 
 def _powers(v, n: int):
-    """v^0 .. v^n per row, by repeated multiplication."""
-    out = np.ones((v.size, n + 1))
-    out[:, 1:] = v[:, None]
-    return np.cumprod(out, axis=1, out=out)
+    """Rows v^0 .. v^n, by repeated multiplication (a loop of whole-row
+    products; np.cumprod does the same products several times slower)."""
+    out = np.empty((n + 1, v.size))
+    out[0] = 1.0
+    for k in range(1, n + 1):
+        np.multiply(out[k - 1], v, out=out[k])
+    return out
 
 
 class _SignCertificate:
@@ -178,7 +181,9 @@ class _SignCertificate:
     def __init__(self, ii, jj, cc, ts, cos, sin):
         deg = ii + jj
         top = int(deg.max(initial=0))
-        self.basis = _powers(cos, top)[:, ii] * _powers(sin, top)[:, jj]
+        # B kept transposed, as _powers builds it: a row of grid values
+        # per term
+        self.basis = _powers(cos, top)[ii] * _powers(sin, top)[jj]
         self.abs_basis = np.abs(self.basis)
         k = 2 * (2 * top + 3 * _POW_U + 2 * cc.size + 2)
         self.ku = k * _U
@@ -203,10 +208,10 @@ class _SignCertificate:
         past the overflow limit, where ``out`` is left as it was."""
         if not self.fits[r]:
             return np.arange(out.size)
-        v = self.basis @ self.w[r]
+        v = self.w[r] @ self.basis
         np.sign(v, out=out)
         return np.flatnonzero(
-            np.abs(v) <= self.abs_basis @ self.ku_abs_w[r] + self.slack[r])
+            np.abs(v) <= self.ku_abs_w[r] @ self.abs_basis + self.slack[r])
 
     def at(self, x, y, r):
         """ev's proven signs at the points (x, y), x = t cos a and
@@ -215,8 +220,7 @@ class _SignCertificate:
         if not self.every_rung_fits:
             keep = self.fits[r]
             out = np.zeros(x.size)
-            if keep.any():
-                out[keep] = self._at(x[keep], y[keep], r[keep])
+            out[keep] = self._at(x[keep], y[keep], r[keep])
             return out
         return self._at(x, y, r)
 
@@ -265,25 +269,31 @@ def _critical_angles(h: BivarPoly, ts, angle_grid) -> list[np.ndarray]:
         brackets.append((thetas[hit], thetas[hit + 1], signs[hit]))
     a, b, sa = (np.concatenate(c) for c in zip(*brackets))
     counts = [len(s) for _, _, s in brackets]
-    rung = np.repeat(np.arange(len(ts)), counts)
-    radii = np.asarray(ts, dtype=float)[rung]
-    live = np.arange(a.size)
+    # the brackets still open, with their rungs and radii, compacted
+    # whenever some of them close
+    rl = np.repeat(np.arange(len(ts)), counts)
+    tl = np.asarray(ts, dtype=float)[rl]
+    live, al, bl, sl = np.arange(a.size), a, b, sa
     for _ in range(200):
         if not live.size:
             break
-        m = 0.5 * (a[live] + b[live])
-        x, y = radii[live] * np.cos(m), radii[live] * np.sin(m)
-        sm = cert.at(x, y, rung[live])
+        m = 0.5 * (al + bl)
+        x, y = tl * np.cos(m), tl * np.sin(m)
+        sm = cert.at(x, y, rl)
         rest = np.flatnonzero(sm == 0.0)
         if rest.size:
             sm[rest] = np.sign(ev(x[rest], y[rest]))
-        zero = sm == 0.0
-        up = sm == sa[live]
-        down = ~zero & ~up
-        a[live[up]] = m[up]
-        b[live[down]] = m[down]
-        a[live[zero]] = b[live[zero]] = m[zero]
-        live = live[~zero & ~(b[live] - a[live] < 1e-15)]
+        # > 0: m replaces a, < 0: m replaces b, 0 (a root): it replaces both
+        side = sm * sl
+        al = np.where(side >= 0.0, m, al)
+        bl = np.where(side <= 0.0, m, bl)
+        done = bl - al < 1e-15
+        if done.any():
+            a[live[done]], b[live[done]] = al[done], bl[done]
+            keep = ~done
+            live, al, bl, sl, rl, tl = (
+                v[keep] for v in (live, al, bl, sl, rl, tl))
+    a[live], b[live] = al, bl
     angles = (0.5 * (a + b)) % TWO_PI
     return [np.sort(r) for r in np.split(angles, np.cumsum(counts)[:-1])]
 

@@ -245,6 +245,12 @@ def _critical_angles(h: BivarPoly, ts, angle_grid) -> list[np.ndarray]:
     base, cos, sin = angle_grid
     n = base.size
     ev = _evaluator(ii, jj, cc)
+
+    def ev_sign(x, y):
+        # a NaN (ev past the double range) counts as negative, as the test
+        # ev > 0 that steers a bracket counts it
+        return np.nan_to_num(np.sign(ev(x, y)), nan=-1.0)
+
     cert = _SignCertificate(ii, jj, cc, ts, cos, sin)
     # knot n is knot 0 a turn later, so that knot k and k + 1 bracket
     # every interval, the wrap-around one included
@@ -255,7 +261,7 @@ def _critical_angles(h: BivarPoly, ts, angle_grid) -> list[np.ndarray]:
         thetas = knots
         rest = cert.grid(r, signs[:n])
         if rest.size:
-            signs[rest] = np.sign(ev(t * cos[rest], t * sin[rest]))
+            signs[rest] = ev_sign(t * cos[rest], t * sin[rest])
             # nudge exact grid zeros off the knot, into an open bracket
             bad = rest[signs[rest] == 0.0]
             if bad.size:
@@ -263,7 +269,7 @@ def _critical_angles(h: BivarPoly, ts, angle_grid) -> list[np.ndarray]:
                 thetas[bad] += TWO_PI / n * 1e-6
                 thetas[n] = thetas[0] + TWO_PI
                 moved = thetas[bad]
-                signs[bad] = np.sign(ev(t * np.cos(moved), t * np.sin(moved)))
+                signs[bad] = ev_sign(t * np.cos(moved), t * np.sin(moved))
         signs[n] = signs[0]
         hit = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
         brackets.append((thetas[hit], thetas[hit + 1], signs[hit]))
@@ -282,7 +288,7 @@ def _critical_angles(h: BivarPoly, ts, angle_grid) -> list[np.ndarray]:
         sm = cert.at(x, y, rl)
         rest = np.flatnonzero(sm == 0.0)
         if rest.size:
-            sm[rest] = np.sign(ev(x[rest], y[rest]))
+            sm[rest] = ev_sign(x[rest], y[rest])
         # > 0: m replaces a, < 0: m replaces b, 0 (a root): it replaces both
         side = sm * sl
         al = np.where(side >= 0.0, m, al)

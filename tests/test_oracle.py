@@ -233,6 +233,68 @@ def test_pow_errs_within_the_certificates_allowance():
                     assert r == 0.0
 
 
+def _critical_angles_by_ev(h, ts, grid):
+    """_critical_angles with every sign read off ev itself, as it was before
+    any sign was certified: what the certified search must give exactly."""
+    ev = compile_poly(h)
+    base, cos, sin = _angle_grid(grid)
+    brackets = []
+    for t in ts:
+        thetas = base
+        signs = np.sign(ev(t * cos, t * sin))
+        bad = np.flatnonzero(signs == 0.0)
+        if bad.size:
+            thetas = base.copy()
+            thetas[bad] += TWO_PI / grid * 1e-6
+            moved = thetas[bad]
+            signs[bad] = np.sign(ev(t * np.cos(moved), t * np.sin(moved)))
+        ends = np.append(thetas[1:], thetas[0] + TWO_PI)
+        nxt = np.roll(signs, -1)
+        hit = (signs != 0.0) & (nxt != 0.0) & ((signs > 0) != (nxt > 0))
+        brackets.append((thetas[hit], ends[hit], signs[hit]))
+    a, b, va = (np.concatenate(c) for c in zip(*brackets))
+    counts = [len(v) for _, _, v in brackets]
+    t = np.repeat(np.asarray(ts, dtype=float), counts)
+    live = np.arange(a.size)
+    for _ in range(200):
+        if not live.size:
+            break
+        m = 0.5 * (a[live] + b[live])
+        vm = ev(t[live] * np.cos(m), t[live] * np.sin(m))
+        zero = vm == 0.0
+        up = ~zero & ((vm > 0) == (va[live] > 0))
+        down = ~zero & ~up
+        a[live[up]], va[live[up]] = m[up], vm[up]
+        b[live[down]] = m[down]
+        a[live[zero]] = b[live[zero]] = m[zero]
+        live = live[~zero & ~(b[live] - a[live] < 1e-15)]
+    angles = (0.5 * (a + b)) % TWO_PI
+    return [np.sort(r) for r in np.split(angles, np.cumsum(counts)[:-1])]
+
+
+# coefficients across the double range, and radii past 1, so that some
+# rungs overflow and ev returns inf or NaN there
+wide_h_polys = st.dictionaries(
+    st.tuples(st.integers(0, 7), st.integers(0, 7)),
+    st.builds(lambda m, e: Fraction(m) * Fraction(10) ** e,
+              st.integers(-99, 99).filter(bool), st.integers(-300, 300)),
+    min_size=1, max_size=8).map(BivarPoly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_h_polys,
+       st.lists(st.floats(-150.0, 3.0), min_size=1, max_size=5),
+       st.sampled_from([16, 64, 256, 1000]))
+def test_critical_angles_are_evs_own(h, log_ts, grid):
+    ts = [10.0 ** e for e in sorted(log_ts)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _critical_angles(h, ts, _angle_grid(grid))
+        want = _critical_angles_by_ev(h, ts, grid)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
 @pytest.mark.parametrize("text, ts", [
     # h = -2e300*x*y: at t = 1e5 its terms reach 2e310, |B| @ |w| overflows;
     # the rung at 1e-3 is certified as usual in the same ladder

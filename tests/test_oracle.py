@@ -295,25 +295,42 @@ def test_critical_angles_are_evs_own(h, log_ts, grid):
         assert np.array_equal(g, w)
 
 
-@pytest.mark.parametrize("text, ts", [
-    # h = -2e300*x*y: at t = 1e5 its terms reach 2e310, |B| @ |w| overflows;
-    # the rung at 1e-3 is certified as usual in the same ladder
-    ("10^300*x^2 + 2*10^300*y^2", [1e-3, 1e5]),
+@pytest.mark.parametrize("text, t", [
+    # h = -2e300*x*y: at t = 1e5 its terms reach 2e310, |B| @ |w| overflows
+    ("10^300*x^2 + 2*10^300*y^2", 1e5),
     # h = 9e306*(y^2 - x^2) stays finite, but past 2^1020 nothing certifies
-    ("9*10^306*x*y", [0.5]),
+    ("9*10^306*x*y", 0.5),
 ])
-def test_certificate_gives_up_at_the_top_of_the_double_range(text, ts):
+def test_certificate_gives_up_at_the_top_of_the_double_range(text, t):
     h = _angular_derivative_poly(parse_poly(text))
     ii, jj, cc = _term_arrays(h)
     grid = _angle_grid(1024)
+    cert = _SignCertificate(ii, jj, cc, [t], *grid[1:])
+    assert cert.grid(0, np.empty(1024)).size == 1024
+    x, y = t * grid[1], t * grid[2]
+    assert not cert.at(x, y, np.zeros(1024, dtype=int)).any()
+    with np.errstate(over="ignore"):
+        got = _critical_angles(h, [t], grid)[0]
+        want = _scalar_angles(compile_poly(h), t, 1024)
+    assert len(got) == len(want) > 0
+    assert np.max(np.abs(got - np.array(want))) <= 1e-15
+
+
+def test_certificate_holds_below_an_overflowing_rung():
+    # in one ladder the rung at 1e-3 is certified as usual and the one at
+    # 1e5, where h = -2e300*x*y overflows, is left to ev
+    h = _angular_derivative_poly(parse_poly("10^300*x^2 + 2*10^300*y^2"))
+    ii, jj, cc = _term_arrays(h)
+    grid = _angle_grid(1024)
+    ts = [1e-3, 1e5]
     cert = _SignCertificate(ii, jj, cc, ts, *grid[1:])
-    top = len(ts) - 1
-    assert cert.grid(top, np.empty(1024)).size == 1024
+    assert cert.grid(0, np.empty(1024)).size < 10
+    assert cert.grid(1, np.empty(1024)).size == 1024
     x = np.concatenate([t * grid[1] for t in ts])
     y = np.concatenate([t * grid[2] for t in ts])
-    got = cert.at(x, y, np.repeat(np.arange(len(ts)), 1024))
-    assert not got[top * 1024:].any()
-    assert np.count_nonzero(got) >= 1000 * top
+    got = cert.at(x, y, np.repeat([0, 1], 1024))
+    assert np.count_nonzero(got[:1024]) > 1000
+    assert not got[1024:].any()
     with np.errstate(over="ignore"):
         for t, got in zip(ts, _critical_angles(h, ts, grid)):
             want = _scalar_angles(compile_poly(h), t, 1024)

@@ -1,8 +1,10 @@
 """Univariate exact arithmetic, root isolation, and the real extension
 field, checked against sympy as an independent oracle."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -177,6 +179,19 @@ def test_isolation_divides_once_per_chain_member(monkeypatch):
         isolate_real_roots(p)
         monkeypatch.setattr(UniPoly, "divmod", divmod_)
         assert len(calls) == want, p
+
+
+def test_isolation_matches_golden():
+    # the distinct isolate_real_roots inputs of one pass over the
+    # benchmark's random and sheared corpora at seed 1, with the roots, the
+    # isolating intervals and the defining polynomials the Fraction Sturm
+    # bisection gave them
+    path = Path(__file__).resolve().parent / "golden" / "isolation.json"
+    for case in json.loads(path.read_text()):
+        u = UniPoly([Fraction(c) for c in case["u"]])
+        got = [[str(r.lo), str(r.hi), [str(c) for c in r.defining.coeffs]]
+               for r in isolate_real_roots(u)]
+        assert got == case["roots"], case["u"]
 
 
 def test_rational_roots_collapse():

@@ -10,10 +10,11 @@ structure branch expansion ever needs: one adjoined root per branch, with
   polynomial over Q at c: ``AlgebraicReal.is_root_of`` (gcd with m and a
   Sturm count on the isolating interval, never numerics) and
   ``AlgebraicReal.enclose`` (exact interval Horner refined by bisection,
-  with a bit budget), which also gives every rational bound and float,
+  with a bit budget), which also gives every rational bound and float;
+  both run on integer forms, the one of m cached on c,
 * division (extended Euclid; if m turns out reducible and a zero divisor
   appears, m is replaced by its factor that still has c as a root, which
-  changes no element's value).
+  changes no element's value; ``AlgebraicReal._define`` resets its caches).
 
 An element mixes with ``int`` and ``Fraction`` operands in ``+ - * /`` on
 either side, and prints as its 9-digit value in parentheses, so code over
@@ -40,8 +41,8 @@ Hot loops work on the vector form instead (``integer_vectors``): a batch of
 coefficients over one positive integer denominator, each an integer vector
 in the power basis 1, c, c^2, ... of its field (length 1 for a rational).
 Vectors multiply as integer polynomials with no reduction, and
-``FieldContext.element_from_integers`` reduces a result once, by integer
-pseudo-division by the primitive integer multiple of the modulus, when it
+``FieldContext.element_from_integers`` reduces a result once, by
+``unipoly.pseudo_remainder`` by that integer form of the modulus, when it
 becomes an element again.
 """
 
@@ -53,7 +54,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .unipoly import (AlgebraicReal, UniPoly, has_rational_root,
-                      primitive_integers)
+                      pseudo_remainder)
 
 
 def _exact_root(n: int, k: int) -> int | None:
@@ -111,7 +112,7 @@ class FieldContext(AlgebraicReal):
     root, such as a ``defining`` from ``isolate_real_roots``; otherwise it is
     checked."""
 
-    __slots__ = ("irreducible", "_integer_modulus")
+    __slots__ = ("irreducible",)
 
     def __init__(self, modulus: UniPoly, lo: Fraction, hi: Fraction,
                  rational_root_free: bool = False):
@@ -120,7 +121,6 @@ class FieldContext(AlgebraicReal):
 
     def _certify(self, rational_root_free: bool = False) -> None:
         m = self.defining
-        self._integer_modulus = primitive_integers(m.coeffs)[0]
         # degree <= 3 and no rational root: no factor of degree 1, so m is
         # irreducible and Q[t]/(m) is a field; a binomial of higher degree is
         # decided by Capelli's theorem. False means not known.
@@ -149,26 +149,10 @@ class FieldContext(AlgebraicReal):
         return FieldElement(self, (Fraction(q),) if q else ())
 
     def reduce_integers(self, vec: list) -> tuple[list, int]:
-        """(r, s) with s * vec = r mod the modulus and len(r) <= its degree,
-        for an integer vector vec: integer pseudo-division by the primitive
-        integer multiple M of the modulus, with leading coefficient L > 0,
-        gives L^k vec = Q M + r after k = deg vec - deg M + 1 steps, and
-        s = L^k."""
-        m = self._integer_modulus
-        d, lc = len(m) - 1, m[-1]
-        r, s = list(vec), 1
-        while r and not r[-1]:
-            r.pop()
-        while len(r) > d:
-            q = r.pop()
-            if lc != 1:
-                r = [lc * x for x in r]
-                s *= lc
-            for i in range(d):
-                r[len(r) - d + i] -= q * m[i]
-        while r and not r[-1]:
-            r.pop()
-        return r, s
+        """(r, s) with s * vec = r mod the modulus, s > 0 and len(r) <= its
+        degree, for an integer vector vec: the pseudo-remainder by the
+        modulus's integer form."""
+        return pseudo_remainder(vec, self._integer_defining)
 
     def element_from_integers(self, vec: list, den: int) -> "FieldElement":
         """The element sum(vec[i] c^i) / den for integers vec and den > 0,
@@ -206,7 +190,7 @@ class FieldContext(AlgebraicReal):
             q, r = self.defining.divmod(g)
             if not r.is_zero():
                 raise RuntimeError("inexact division of the modulus")
-            self.defining = q.monic()
+            self._define(q.monic())
             self._certify()
 
 

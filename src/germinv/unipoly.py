@@ -13,18 +13,20 @@ is its cell's right end, and otherwise a_n r is an integer for the leading
 coefficient a_n of the primitive integer polynomial, found by integer
 bisection. The irrational roots come back over the square-free part divided
 by every rational root's linear factor, a defining polynomial with no
-rational root. The square-free part of u comes with its Sturm chain
-(``squarefree_sturm``): the chain of u ends in gcd(u, u'), so a square-free
-u costs one remainder sequence, and a repeated factor a second one.
+rational root. The square-free part of u comes with its Sturm chain: the
+chain of u ends in gcd(u, u'), so a square-free u costs one remainder
+sequence, and a repeated factor a second one.
 
-Coefficients are ``fractions.Fraction`` throughout the public API. The same
-``UniPoly`` container is reused internally with coefficients in a simple real
-extension field (see ``numberfield``), whose elements act like Fractions:
-every routine only uses ``+ - * /``, truth testing (certified nonzero), and
-``coeff_sign``, and none of them asks which coefficient type it has. Nothing
-here bounds the roots of a polynomial over Q(c): the number of its real roots
-comes from the signs of its Sturm chain's leading coefficients
-(``count_all_real_roots``).
+Coefficients are ``fractions.Fraction`` throughout the public API. Over Q,
+Sturm chains, signs and interval bounds run on integer forms (lists of ints,
+lowest degree first), each a positive multiple of the polynomial it stands
+for. The same ``UniPoly`` container is reused internally with coefficients
+in a simple real extension field (see ``numberfield``), whose elements act
+like Fractions: every routine only uses ``+ - * /``, truth testing
+(certified nonzero), and ``coeff_sign``, and none of them asks which
+coefficient type it has. Nothing here bounds the roots of a polynomial over
+Q(c): the number of its real roots comes from the signs of its Sturm chain's
+leading coefficients (``count_all_real_roots``).
 
 Zero-or-not questions are decided exactly: a quantity is declared zero only
 when the coefficient type proves it (``Fraction == 0``, or the extension
@@ -36,7 +38,7 @@ budget.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import PrecisionExceededError, ZeroInputError
@@ -214,11 +216,10 @@ class UniPoly:
     def eval_interval(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
         """Exact interval Horner bound for Fraction coefficients: returns
         (m, M) with m <= p(x) <= M for every x in [lo, hi]."""
-        mlo, mhi = Fraction(0), Fraction(0)
-        for c in reversed(self.coeffs):
-            cands = (mlo * lo, mlo * hi, mhi * lo, mhi * hi)
-            mlo, mhi = min(cands) + c, max(cands) + c
-        return mlo, mhi
+        ints, s = primitive_integers(self.coeffs)
+        m, M, D = _interval_horner(ints, lo, hi)
+        return (Fraction(m * s.numerator, D * s.denominator),
+                Fraction(M * s.numerator, D * s.denominator))
 
 
 # -- gcd and integer forms ----------------------------------------------------
@@ -273,14 +274,99 @@ def _variations(values: Sequence[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
-def sturm_variations_at(seq: Sequence[UniPoly], x: Fraction) -> int:
-    return _variations([coeff_sign(p.eval(x)) for p in seq])
+def pseudo_remainder(a: list[int], b: list[int]) -> tuple[list[int], int]:
+    """(r, s) with s a = q b + r and len(r) < len(b) for integer polynomials
+    a and b, so that r = s rem(a, b): s = lc(b)^k after the k steps of the
+    pseudo-division that meet a nonzero leading coefficient."""
+    r, s, db, lead = list(a), 1, len(b) - 1, b[-1]
+    while len(r) > db:
+        q = r.pop()
+        if not q:
+            continue
+        if lead != 1:
+            r = [lead * x for x in r]
+            s *= lead
+        off = len(r) - db
+        for i in range(db):
+            r[off + i] -= q * b[i]
+    while r and not r[-1]:
+        r.pop()
+    return r, s
+
+
+def _integer_sturm(P: list[int]) -> list[list[int]]:
+    """``sturm_sequence`` of integer P as primitive integer polynomials, each
+    a positive multiple of that chain's member."""
+    dP = [k * c for k, c in enumerate(P)][1:]
+    g = gcd(*dP)
+    seq = [P, [c // g for c in dP]]
+    while len(seq[-1]) > 1:
+        r, s = pseudo_remainder(seq[-2], seq[-1])
+        g = gcd(*r) if s > 0 else -gcd(*r)
+        seq.append([-x // g for x in r])
+    if not seq[-1]:
+        seq.pop()
+    return seq
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials that b divides with an integer
+    quotient, as for a primitive b (Gauss's lemma)."""
+    r, db = list(a), len(b) - 1
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + db] // b[-1]
+        for i in range(db + 1):
+            r[k + i] -= c * b[i]
+    if any(r):
+        raise RuntimeError("inexact polynomial division")
+    return q
+
+
+def _signs_at(polys: Sequence[list[int]], n: int, d: int) -> list[int]:
+    """Signs of the integer polynomials at n/d, d > 0, the first of highest
+    degree: each a homogeneous Horner sum of P[i] n^i d^(deg P - i), which
+    is P(n/d) d^deg P, over one table of the powers of d."""
+    pw = [d ** k for k in range(len(polys[0]))]
+    signs = []
+    for P in polys:
+        v = 0
+        for c, w in zip(reversed(P), pw):
+            v = v * n + c * w
+        signs.append((v > 0) - (v < 0))
+    return signs
+
+
+def _interval_horner(P: list[int], lo: Fraction, hi: Fraction
+                     ) -> tuple[int, int, int]:
+    """(m, M, D) with m/D <= P(x) <= M/D for x in [lo, hi] and integer P:
+    exact interval Horner scaled by D = d^deg P, for the common denominator
+    d of lo and hi; [m, M] * [d lo, d hi] takes two products, by signs."""
+    d = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (d // lo.denominator)
+    b = hi.numerator * (d // hi.denominator)
+    it = reversed(P)
+    m = M = next(it, 0)
+    D = 1
+    for c in it:
+        D *= d
+        if a >= 0:
+            m, M = m * (a if m >= 0 else b), M * (b if M >= 0 else a)
+        elif b <= 0:
+            m, M = M * (a if M >= 0 else b), m * (b if m >= 0 else a)
+        else:
+            m, M = min(m * b, M * a), max(m * a, M * b)
+        c *= D
+        m += c
+        M += c
+    return m, M, D
 
 
 def count_real_roots(p: UniPoly, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of square-free p in (lo, hi]."""
-    seq = sturm_sequence(p)
-    return sturm_variations_at(seq, lo) - sturm_variations_at(seq, hi)
+    seq = _integer_sturm(primitive_integers(p.coeffs)[0])
+    return (_variations(_signs_at(seq, lo.numerator, lo.denominator))
+            - _variations(_signs_at(seq, hi.numerator, hi.denominator)))
 
 
 def count_all_real_roots(seq: Sequence[UniPoly]) -> int:
@@ -299,7 +385,7 @@ def cauchy_bound(p: UniPoly) -> Fraction:
     if p.degree < 1:
         return Fraction(1)
     m = max(abs(c) for c in p.coeffs[:-1])
-    return 1 + m / abs(p.lc())
+    return 1 + Fraction(m, abs(p.lc()))
 
 
 # -- real algebraic numbers ----------------------------------------------------
@@ -315,7 +401,7 @@ class AlgebraicReal:
     the value itself never changes, so monotone refinement is semantically
     pure and safe to share. It alone moves ``lo``, and only to a point where
     the defining polynomial has the sign it has at ``lo``, so that sign is
-    evaluated once per number.
+    evaluated once per defining polynomial, on its integer form.
 
     Questions about p(a) for a polynomial p over Q are answered here and
     nowhere else: ``is_root_of`` decides p(a) = 0 exactly, and ``enclose``
@@ -324,12 +410,17 @@ class AlgebraicReal:
     this class for the generator of Q(a).
     """
 
-    __slots__ = ("defining", "lo", "hi", "_lo_sign")
+    __slots__ = ("defining", "lo", "hi", "_lo_sign", "_integer_defining")
 
     def __init__(self, defining: UniPoly, lo: Fraction, hi: Fraction):
-        self.defining = defining
+        self._define(defining)
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
+
+    def _define(self, defining: UniPoly) -> None:
+        """Set ``defining`` and its integer form; forget the old sign at lo."""
+        self.defining = defining
+        self._integer_defining = primitive_integers(defining.coeffs)[0]
         self._lo_sign = None
 
     def __repr__(self) -> str:
@@ -347,14 +438,16 @@ class AlgebraicReal:
         if self.lo == self.hi:
             return
         mid = (self.lo + self.hi) / 2
-        v = self.defining.eval(mid)
-        if v == 0:
+        P = (self._integer_defining,)
+        s = _signs_at(P, mid.numerator, mid.denominator)[0]
+        if s == 0:
             # the isolated root is exactly mid: collapse to a rational
             self.lo = self.hi = mid
             return
         if self._lo_sign is None:
-            self._lo_sign = coeff_sign(self.defining.eval(self.lo))
-        if coeff_sign(v) * self._lo_sign < 0:
+            self._lo_sign = _signs_at(P, self.lo.numerator,
+                                      self.lo.denominator)[0]
+        if s * self._lo_sign < 0:
             self.hi = mid
         else:
             self.lo = mid
@@ -385,14 +478,20 @@ class AlgebraicReal:
         The interval is bisected until the bound excludes 0 (no ``width``:
         p(a) must be certified nonzero first) or until M - m <= ``width``.
         The bound is checked before each of at most ``max_bits`` steps; a
-        root that collapses to a rational gives the exact value.
+        root that collapses to a rational gives the exact value. The bound
+        is ``UniPoly.eval_interval``'s, compared in its integer form.
         """
+        P, s = primitive_integers(p.coeffs)
         for _ in range(max_bits):
             if self.lo == self.hi:
                 break
-            lo, hi = p.eval_interval(self.lo, self.hi)
-            if (lo > 0 or hi < 0) if width is None else hi - lo <= width:
-                return lo, hi
+            lo, hi, D = _interval_horner(P, self.lo, self.hi)
+            if ((lo > 0 or hi < 0) if width is None else
+                    (hi - lo) * s.numerator * width.denominator
+                    <= width.numerator * s.denominator * D):
+                D *= s.denominator
+                return (Fraction(lo * s.numerator, D),
+                        Fraction(hi * s.numerator, D))
             self.refine_step()
         if self.lo != self.hi:
             raise PrecisionExceededError(
@@ -408,39 +507,11 @@ _REFINE_WIDTH = Fraction(1, 4)
 # -- isolation -----------------------------------------------------------------
 
 
-def _deflate(p: UniPoly, r: Fraction) -> UniPoly:
-    """Exact division of p by (t - r)."""
-    out = []
-    acc = Fraction(0)
-    for c in reversed(p.coeffs):
-        acc = acc * r + c
-        out.append(acc)
-    if out[-1] != 0:
-        raise RuntimeError("deflation by a non-root")
-    out.pop()
-    return UniPoly(list(reversed(out)))
-
-
-def _scaled_integer_poly(p: UniPoly) -> tuple[int, list[int]]:
-    """(A, Q) for p over Q with a positive leading coefficient: P is the
-    primitive integer polynomial with the roots of p, A > 0 its leading
-    coefficient, and Q(s) = A^(n-1) P(s/A), a monic integer polynomial.
-
-    A rational root r of P has a denominator that divides A, so it is one
-    exactly when s = A r is an integer root of Q.
-    """
-    ints, _ = primitive_integers(p.coeffs)
-    a = ints[-1]
-    n = len(ints) - 1
-    return a, [c * a ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
-
-
-def _integer_root(q: list[int], right_sign: int, lo: Fraction,
-                  hi: Fraction) -> int | None:
-    """The integer root of q in (lo, hi), if any, where q has exactly one
-    root there, simple, and the sign ``right_sign`` just left of hi:
-    integer bisection with Horner evaluation."""
-    i, j = floor(lo) + 1, ceil(hi) - 1
+def _integer_root(q: list[int], right_sign: int, i: int,
+                  j: int) -> int | None:
+    """The integer root of q in [i, j], if any, where [i, j] lies in an
+    interval on which q has exactly one root, simple, and the sign
+    ``right_sign`` right of it: integer bisection with Horner evaluation."""
     if i > j:
         return None
 
@@ -448,7 +519,7 @@ def _integer_root(q: list[int], right_sign: int, lo: Fraction,
         v = 0
         for c in reversed(q):
             v = v * s + c
-        return 0 if v == 0 else (-1 if (v > 0) == (right_sign > 0) else 1)
+        return -right_sign * ((v > 0) - (v < 0))
 
     # side: 1 left of the root, -1 right of it
     si = side(i)
@@ -471,7 +542,7 @@ def _integer_root(q: list[int], right_sign: int, lo: Fraction,
 
 def _sturm_isolate(u: UniPoly) -> tuple[list[Fraction], list[tuple], UniPoly]:
     """Bisect (-B, B] with Sturm counts, for nonzero u over Q, on its monic
-    square-free part p and the Sturm chain that ``squarefree_sturm`` gives.
+    square-free part p and its Sturm chain, both as integer polynomials.
 
     Returns the rational roots, an isolating interval (lo, hi) for each
     irrational root, and p divided by (t - r) for each rational root r: the
@@ -479,39 +550,50 @@ def _sturm_isolate(u: UniPoly) -> tuple[list[Fraction], list[tuple], UniPoly]:
     A cell (lo, hi] carries V(lo) and V(hi), whose difference counts its
     roots even when an end is a root, so a root on a bisection point is the
     right end of a one-root cell. Any other root of such a cell is interior,
-    and the sign of p(hi) guides ``_integer_root``.
+    and the sign of p(hi), read with V(hi), guides ``_integer_root`` on
+    q(s) = A^(n-1) P(s/A), for P = A t^n + ... the integer form of p. Cell
+    ends are integers over B's denominator times 2^k.
     """
     rats: list[Fraction] = []
     cells: list[tuple[Fraction, Fraction]] = []
-    p, seq = squarefree_sturm(u)
-    if p.degree < 1:
-        return rats, cells, p
-    B = cauchy_bound(p)
-    scale, q = _scaled_integer_poly(p)
-    stack = [(-B, B, sturm_variations_at(seq, -B),
-              sturm_variations_at(seq, B))]
+    P = primitive_integers(u.coeffs)[0]
+    seq = _integer_sturm(P)
+    if len(seq[-1]) > 1:
+        P = _exact_quotient(P, seq[-1])
+        seq = _integer_sturm(P)
+    lead = 1 if P[-1] > 0 else -1
+    P = [lead * c for c in P]
+    B = cauchy_bound(UniPoly(P))
+    A, n = P[-1], len(P) - 1
+    q = [c * A ** (n - 1 - k) for k, c in enumerate(P[:-1])] + [1]
+
+    def point(x: int, d: int) -> tuple[int, int]:
+        # V(x/d) and the sign of p(x/d)
+        signs = _signs_at(seq, x, d)
+        return _variations(signs), lead * signs[0]
+
+    top, d = B.numerator, B.denominator
+    stack = [(-top, top, d, point(-top, d)[0]) + point(top, d)]
     while stack:
-        lo, hi, vlo, vhi = stack.pop()
+        a, b, d, vlo, vhi, shi = stack.pop()
         if vlo - vhi > 1:
-            mid = (lo + hi) / 2
-            vmid = sturm_variations_at(seq, mid)
-            stack.append((lo, mid, vlo, vmid))
-            stack.append((mid, hi, vmid, vhi))
+            vmid, smid = point(a + b, 2 * d)
+            stack.append((2 * a, a + b, 2 * d, vlo, vmid, smid))
+            stack.append((a + b, 2 * b, 2 * d, vmid, vhi, shi))
             continue
         if vlo == vhi:
             continue
-        v = p.eval(hi)
-        if v == 0:
-            rats.append(hi)
+        if shi == 0:
+            rats.append(Fraction(b, d))
             continue
-        s = _integer_root(q, coeff_sign(v), lo * scale, hi * scale)
+        s = _integer_root(q, shi, a * A // d + 1, -(-b * A // d) - 1)
         if s is None:
-            cells.append((lo, hi))
+            cells.append((Fraction(a, d), Fraction(b, d)))
         else:
-            rats.append(Fraction(s, scale))
+            rats.append(Fraction(s, A))
     for r in rats:
-        p = _deflate(p, r)
-    return rats, cells, p
+        P = _exact_quotient(P, [-r.numerator, r.denominator])
+    return rats, cells, UniPoly([Fraction(c, P[-1]) for c in P])
 
 
 def has_rational_root(p: UniPoly) -> bool:

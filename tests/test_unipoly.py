@@ -2,19 +2,23 @@
 field, checked against sympy as an independent oracle."""
 
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from germinv import unipoly
 from germinv.errors import PrecisionExceededError
 from germinv.numberfield import FieldContext, _binomial_irreducible
 from germinv.unipoly import (AlgebraicReal, UniPoly, cauchy_bound,
-                             count_all_real_roots, count_real_roots,
-                             isolate_real_roots, squarefree_sturm,
+                             coeff_sign, count_all_real_roots,
+                             count_real_roots, isolate_real_roots,
+                             primitive_integers, squarefree_sturm,
                              sturm_sequence, uni_gcd)
 
 _t = sympy.Symbol("t")
@@ -143,41 +147,42 @@ def test_isolate_real_roots_matches_sympy():
 
 
 def test_isolation_evaluates_each_sturm_point_once(monkeypatch):
-    # a split evaluates the chain at its midpoint only, and a root on a
-    # bisection point is not deflated and re-counted: 2 calls for the
-    # bounds and 1 per split
+    # a split evaluates the chain at its midpoint only, a one-root cell
+    # reads the sign of p at its right end off that end's evaluation, and a
+    # root on a bisection point is not deflated and re-counted: 2 calls for
+    # the bounds and 1 for each of the 11 splits
     calls = []
-    variations = unipoly.sturm_variations_at
+    signs_at = unipoly._signs_at
 
-    def counted(seq, x):
-        calls.append(x)
-        return variations(seq, x)
+    def counted(polys, n, d):
+        calls.append(Fraction(n, d))
+        return signs_at(polys, n, d)
 
-    monkeypatch.setattr(unipoly, "sturm_variations_at", counted)
-    roots = isolate_real_roots(_ROOT_ON_FIRST_SPLIT)
-    assert len(calls) <= 13
-    assert [r.lo for r in roots if r.is_rational()] == [0, Fraction(1, 3)]
-    assert sum(not r.is_rational() for r in roots) == 4
+    monkeypatch.setattr(unipoly, "_signs_at", counted)
+    rats, cells, _ = unipoly._sturm_isolate(_ROOT_ON_FIRST_SPLIT)
+    assert len(calls) == 13 and len(set(calls)) == 13
+    assert sorted(rats) == [0, Fraction(1, 3)] and len(cells) == 4
 
 
 def test_isolation_divides_once_per_chain_member(monkeypatch):
     # a square-free input is its own square-free part: its Sturm chain is
-    # the only remainder sequence, one division per member past u' (the
-    # edge polynomial of 5*x^6 + 6*x*y^5, t^2 - 3 and t^6 - t - 1)
+    # the only remainder sequence, one pseudo-division per member past u'
+    # (the edge polynomial of 5*x^6 + 6*x*y^5, t^2 - 3 and t^6 - t - 1)
     calls = []
-    divmod_ = UniPoly.divmod
+    pseudo_remainder = unipoly.pseudo_remainder
 
-    def counted(self, other):
-        calls.append(other)
-        return divmod_(self, other)
+    def counted(a, b):
+        calls.append(b)
+        return pseudo_remainder(a, b)
 
     for p, want in ((_poly(-5, 0, 0, -5, 0, 1), 4), (_poly(-3, 0, 1), 1),
                     (_poly(-1, -1, 0, 0, 0, 0, 1), 2)):
         assert len(sturm_sequence(p)) - 2 == want
         calls.clear()
-        monkeypatch.setattr(UniPoly, "divmod", counted)
+        monkeypatch.setattr(unipoly, "pseudo_remainder", counted)
         isolate_real_roots(p)
-        monkeypatch.setattr(UniPoly, "divmod", divmod_)
+        monkeypatch.setattr(unipoly, "pseudo_remainder",
+                            pseudo_remainder)
         assert len(calls) == want, p
 
 
@@ -259,6 +264,141 @@ def test_irrational_roots_have_no_rational_root_in_defining():
                 assert all(f.degree() > 1 for f, _ in factors), p
 
 
+# -- references: the Fraction forms of the Sturm bisection and of the interval
+# Horner that unipoly computes on integers; results must be equal
+
+
+def _ref_variations_at(seq, x):
+    return unipoly._variations([coeff_sign(p.eval(x)) for p in seq])
+
+
+def _ref_integer_root(q, right_sign, lo, hi):
+    i, j = math.floor(lo) + 1, math.ceil(hi) - 1
+    if i > j:
+        return None
+
+    def side(s):
+        v = 0
+        for c in reversed(q):
+            v = v * s + c
+        return 0 if v == 0 else (-1 if (v > 0) == (right_sign > 0) else 1)
+
+    si = side(i)
+    if si <= 0:
+        return i if si == 0 else None
+    sj = side(j)
+    if sj >= 0:
+        return j if sj == 0 else None
+    while j - i > 1:
+        m = (i + j) // 2
+        sm = side(m)
+        if sm == 0:
+            return m
+        i, j = (m, j) if sm > 0 else (i, m)
+    return None
+
+
+def _ref_isolate(u):
+    """isolate_real_roots on Fractions, as sorted (lo, hi, defining)."""
+    rats, cells = [], []
+    p, seq = squarefree_sturm(u)
+    B = cauchy_bound(p)
+    ints = primitive_integers(p.coeffs)[0]
+    a, n = ints[-1], len(ints) - 1
+    q = [c * a ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
+    stack = [(-B, B, _ref_variations_at(seq, -B), _ref_variations_at(seq, B))]
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo - vhi > 1:
+            mid = (lo + hi) / 2
+            vmid = _ref_variations_at(seq, mid)
+            stack += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
+        elif vlo != vhi:
+            v = p.eval(hi)
+            s = None if v == 0 else _ref_integer_root(q, coeff_sign(v),
+                                                      lo * a, hi * a)
+            if v == 0 or s is not None:
+                rats.append(hi if v == 0 else Fraction(s, a))
+            else:
+                cells.append((lo, hi))
+    for r in rats:
+        p = p.divmod(_poly(-r, 1))[0]
+    out = [(r, r, _poly(-r, 1)) for r in rats]
+    for lo, hi in cells:
+        lo_sign = coeff_sign(p.eval(lo))
+        while hi - lo > Fraction(1, 4):
+            mid = (lo + hi) / 2
+            v = p.eval(mid)
+            if v == 0:
+                lo = hi = mid
+            elif coeff_sign(v) * lo_sign < 0:
+                hi = mid
+            else:
+                lo = mid
+        out.append((lo, hi, p))
+    return sorted(out, key=lambda t: (t[0] + t[1]) / 2)
+
+
+def _ref_eval_interval(p, lo, hi):
+    mlo, mhi = Fraction(0), Fraction(0)
+    for c in reversed(p.coeffs):
+        cands = (mlo * lo, mlo * hi, mhi * lo, mhi * hi)
+        mlo, mhi = min(cands) + c, max(cands) + c
+    return mlo, mhi
+
+
+_small = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+_huge = st.builds(Fraction, st.integers(-10**400, 10**400),
+                  st.integers(10**399, 10**400))
+_coeff = st.one_of(_small, _small, _huge)
+_nonzero = _coeff.filter(bool)
+
+
+@st.composite
+def _isolation_inputs(draw):
+    """Products of a few factors, some squared, times a nonzero constant:
+    rational roots (t, on the first bisection point, among them), quadratics
+    and random factors, with coefficients up to 10^400 over large
+    denominators, and a leading coefficient of either sign."""
+    factors = draw(st.lists(st.one_of(
+        st.builds(lambda r: _poly(-r, 1), _coeff),
+        st.builds(lambda b: _poly(b, 0, 1), _small),
+        st.lists(_small, min_size=2, max_size=4).map(lambda cs: _poly(*cs)),
+        st.just(_poly(0, 1)), st.just(_T2_MINUS_2)),
+        min_size=1, max_size=3))
+    p = _poly(draw(_nonzero))
+    for f in factors:
+        p = p * f ** draw(st.integers(1, 2))
+    return p
+
+
+@settings(max_examples=60, deadline=None)
+@given(_isolation_inputs(), _coeff, _coeff, st.lists(_coeff, max_size=6))
+@example(_ROOT_ON_FIRST_SPLIT, Fraction(-2), Fraction(3, 2), [1, -2, 3])
+@example((_linear(10**400 + 1, 10**400 - 3) * _T2_MINUS_2**2 * _poly(0, 1))
+         .scale(Fraction(-3, 10**400 + 1)), Fraction(-10**400, 7),
+         Fraction(1, 10**399), [Fraction(10**400, 3), 0, -1])
+def test_integer_forms_match_fraction_references(u, x, y, coeffs):
+    # isolation: the same roots, intervals and defining polynomials
+    roots = isolate_real_roots(u) if u.degree >= 1 else []
+    if u.degree >= 1:
+        assert [(r.lo, r.hi, r.defining) for r in roots] == _ref_isolate(u)
+    # interval Horner: the same bounds, from the same enclosing loop
+    lo, hi = min(x, y), max(x, y)
+    p = UniPoly(coeffs)
+    assert p.eval_interval(lo, hi) == _ref_eval_interval(p, lo, hi)
+    for r in roots:
+        width = Fraction(1, 2**20)
+        a, b = (AlgebraicReal(r.defining, r.lo, r.hi) for _ in range(2))
+        want = _ref_eval_interval(p, b.lo, b.hi)
+        while b.lo != b.hi and want[1] - want[0] > width:
+            b.refine_step()
+            want = _ref_eval_interval(p, b.lo, b.hi)
+        if b.lo == b.hi:
+            want = (p.eval(b.lo),) * 2
+        assert a.enclose(p, width) == want and (a.lo, a.hi) == (b.lo, b.hi)
+
+
 def test_algebraic_sqrt2():
     p = UniPoly([Fraction(-2), Fraction(0), Fraction(1)])
     (r,) = [r for r in isolate_real_roots(p) if r.lo > 0]
@@ -271,17 +411,17 @@ def test_refine_step_evaluates_the_left_end_once(monkeypatch):
     # p(lo) keeps its sign while lo moves, so k steps evaluate p at k
     # midpoints and at lo once
     calls = []
-    evaluate = UniPoly.eval
+    signs_at = unipoly._signs_at
 
-    def counted(self, x):
-        calls.append(x)
-        return evaluate(self, x)
+    def counted(polys, n, d):
+        calls.append(Fraction(n, d))
+        return signs_at(polys, n, d)
 
-    monkeypatch.setattr(UniPoly, "eval", counted)
+    monkeypatch.setattr(unipoly, "_signs_at", counted)
     r = AlgebraicReal(_T2_MINUS_2, Fraction(1), Fraction(2))
     for _ in range(20):
         r.refine_step()
-    assert len(calls) == 21
+    assert len(calls) == 21 and calls.count(1) == 1
     assert r.hi - r.lo == Fraction(1, 2**20)
     assert r.lo ** 2 < 2 < r.hi ** 2
 
@@ -411,6 +551,24 @@ def test_field_reducible_modulus():
     assert (c * c - 3).inverse() == -1
     assert K.defining == UniPoly([Fraction(-2), Fraction(0), Fraction(1)])
     assert (c - Fraction(7, 5)).sign() == 1
+
+
+def test_shrinking_the_modulus_forgets_its_old_forms():
+    # m = (t^2 - 2)(t^2 - 3) on [1, 3/2] isolates sqrt2; a refine step
+    # caches the sign of m at lo = 5/4, which t^2 - 2 does not have there
+    m = _T2_MINUS_2 * UniPoly([Fraction(-3), Fraction(0), Fraction(1)])
+    K = FieldContext(m, Fraction(1), Fraction(3, 2))
+    K.refine_step()
+    c = K.generator()
+    (c * c - 3).inverse()
+    assert K.defining == _T2_MINUS_2
+    # the sign at lo and the integer form are those of the new modulus
+    for _ in range(2):
+        K.refine_step()
+    assert K.lo ** 2 < 2 < K.hi ** 2 and (K.lo, K.hi) == (Fraction(11, 8),
+                                                          Fraction(23, 16))
+    assert abs(float(c) - 2**0.5) < 1e-12
+    assert K.reduce_integers([0, 0, 1]) == ([2], 1)
 
 
 def test_field_reducible_cubic_modulus():

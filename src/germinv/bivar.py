@@ -16,9 +16,11 @@ part is the candidate. Exact division of both inputs certifies it, and
 every evaluation point exceeds twice a root bound of the inputs, which
 makes a candidate that divides both the greatest common divisor. When
 no candidate is certified after a few growing evaluation points, gcd falls
-back to splitting both inputs into content and primitive part in y, taking
-the gcd of the contents over Q[x], and running the Collins subresultant
-polynomial remainder sequence on the primitive parts.
+back, on the integer lists that GCDHEU holds, to splitting both inputs into
+content and primitive part in y, taking the gcd of the contents over Z[x]
+(``unipoly.integer_gcd``), and running Collins' subresultant polynomial
+remainder sequence (J. ACM 14, 1967) on the primitive parts, whose
+divisions are exact in Z[x].
 
 ``gcd_cofactors`` returns the gcd g with the cofactors p/g and q/g, the
 quotients that certified it, so no caller divides by a gcd again. The
@@ -32,7 +34,7 @@ from math import gcd as _igcd, isqrt
 from typing import Iterable
 
 from .errors import BothZeroError, ZeroInputError
-from .unipoly import UniPoly, primitive_integers, uni_gcd
+from .unipoly import exact_quotient, integer_gcd, primitive_integers
 
 
 def _grlex_key(ij: tuple[int, int]) -> tuple[int, int]:
@@ -185,28 +187,6 @@ class BivarPoly:
             raise RuntimeError("shift_down by a monomial that does not divide")
         return BivarPoly({(i - a, j - b): c for (i, j), c in self.terms.items()})
 
-    # -- views ------------------------------------------------------------------------
-
-    def coeffs_in_y(self) -> list[UniPoly]:
-        """List indexed by j of UniPoly-in-x coefficients (Fraction terms only)."""
-        n = self.deg_y() + 1
-        cols: list[list] = [[] for _ in range(max(n, 0))]
-        for (i, j), c in self.terms.items():
-            col = cols[j]
-            if len(col) <= i:
-                col.extend([Fraction(0)] * (i + 1 - len(col)))
-            col[i] = c
-        return [UniPoly(col) for col in cols]
-
-    @staticmethod
-    def from_coeffs_in_y(cols: list[UniPoly]) -> "BivarPoly":
-        out = {}
-        for j, p in enumerate(cols):
-            for i, c in enumerate(p.coeffs):
-                if c:
-                    out[(i, j)] = c
-        return BivarPoly(out)
-
     # -- printing ---------------------------------------------------------------------
 
     def to_string(self) -> str:
@@ -239,91 +219,6 @@ class BivarPoly:
 def normalize(p: BivarPoly) -> BivarPoly:
     """Scale to integer-primitive form with positive grlex-leading coefficient."""
     return _signed(_integer_primitive(p)[0])[0]
-
-
-# -- gcd and square-free part -------------------------------------------------------------
-
-
-def _primitive_y(cols: list[UniPoly]) -> tuple[UniPoly, list[UniPoly]]:
-    """Content and primitive part in y of a nonzero polynomial given by its
-    y-coefficients: their monic gcd over Q[x], and the coefficients divided
-    by it."""
-    g = UniPoly()
-    for c in cols:
-        if c:
-            g = uni_gcd(g, c) if g else c.monic()
-            if g.degree == 0:
-                return g, cols
-    return g, _divide_coeffs(cols, g)
-
-
-def _prem(F: list[UniPoly], G: list[UniPoly]) -> list[UniPoly]:
-    """Pseudo-remainder of y-polynomials with UniPoly-in-x coefficients:
-    lc(G)^(degF-degG+1) * F mod G."""
-    f = list(F)
-    dG = len(G) - 1
-    lg = G[-1]
-    steps = len(f) - 1 - dG + 1
-    for _ in range(steps):
-        if len(f) - 1 < dG:
-            # degree dropped early: keep multiplying to match the pseudo factor
-            f = [c * lg for c in f]
-            continue
-        top = f[-1]
-        f = [c * lg for c in f[:-1]]
-        for k in range(dG):
-            f[len(f) - dG + k] = f[len(f) - dG + k] - top * G[k]
-        while f and f[-1].is_zero():
-            f.pop()
-    return f
-
-
-def _divide_coeffs(F: list[UniPoly], d: UniPoly) -> list[UniPoly]:
-    out = []
-    for c in F:
-        q, r = c.divmod(d)
-        if not r.is_zero():
-            raise RuntimeError("inexact subresultant division")
-        out.append(q)
-    return out
-
-
-def _gcd_primitive_y(F: list[UniPoly], G: list[UniPoly]) -> BivarPoly:
-    """gcd of two y-primitive polynomials (given as y-coefficient lists),
-    via the subresultant PRS. Returns a y-primitive BivarPoly."""
-    if len(F) - 1 < len(G) - 1:
-        F, G = G, F
-    g = UniPoly.constant(Fraction(1))
-    h = UniPoly.constant(Fraction(1))
-    while True:
-        delta = (len(F) - 1) - (len(G) - 1)
-        R = _prem(F, G)
-        if not R:
-            break
-        if len(R) - 1 == 0:
-            # nonzero constant in y: primitive parts are coprime
-            return BivarPoly.constant(Fraction(1))
-        beta = g * h**delta
-        if delta % 2 == 0:
-            beta = -beta
-        R = _divide_coeffs(R, beta)
-        F, G = G, R
-        g = F[-1]
-        if delta >= 1:
-            hn = g**delta
-            if delta > 1:
-                hn = _divide_coeffs([hn], h**(delta - 1))[0]
-            h = hn
-    return BivarPoly.from_coeffs_in_y(_primitive_y(G)[1])
-
-
-def _gcd_prs(p: BivarPoly, q: BivarPoly) -> BivarPoly:
-    """gcd of nonzero p and q, normalized: the gcd of the contents in y
-    times the subresultant PRS gcd of the primitive parts."""
-    cp, P = _primitive_y(p.coeffs_in_y())
-    cq, Q = _primitive_y(q.coeffs_in_y())
-    return normalize(_gcd_primitive_y(P, Q)
-                     * BivarPoly.from_coeffs_in_y([uni_gcd(cp, cq)]))
 
 
 # -- heuristic gcd over the integers ------------------------------------------------------
@@ -506,6 +401,70 @@ def _gcd_heu(A: list[list[int]], B: list[list[int]]):
     return None
 
 
+# -- subresultant fallback over Z[x][y] --------------------------------------------------
+
+
+def _z_pow(a: list[int], n: int) -> list[int]:
+    out = [1]
+    for _ in range(n):
+        out = _z_mul(out, a)
+    return out
+
+
+def _zz_content(A: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """(c, A/c) for nonzero A in Z[x, y]: its content in y, the gcd in Z[x]
+    of its y-coefficients with a positive lead, and its primitive part."""
+    c: list[int] = []
+    for col in A:
+        c = integer_gcd(c, col)
+    k = _igcd(*(v for col in A for v in col))
+    c = [k * v for v in c]
+    return c, [exact_quotient(col, c) for col in A]
+
+
+def _zz_prem(F: list[list[int]], G: list[list[int]]) -> list[list[int]]:
+    """lc(G)^(deg F - deg G + 1) F rem G in Z[x][y], for deg F >= deg G."""
+    R, dG, lead = list(F), len(G) - 1, G[-1]
+    for _ in range(len(F) - dG):
+        top = R.pop() if len(R) > dG else []
+        R = [_z_mul(lead, c) for c in R]
+        if top:
+            off = len(R) - dG
+            for i in range(dG):
+                R[off + i] = _z_sub(R[off + i], _z_mul(top, G[i]))
+        while R and not R[-1]:
+            R.pop()
+    return R
+
+
+def _gcd_prs(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
+    """gcd of nonzero A and B in Z[x, y], primitive, up to sign: the gcd of
+    their contents in y times the primitive part in y of the last nonzero
+    member of Collins' subresultant PRS of their primitive parts, whose
+    divisions by beta and by a power of h are exact in Z[x]."""
+    (a, F), (b, G) = _zz_content(A), _zz_content(B)
+    if len(F) < len(G):
+        F, G = G, F
+    g = h = [1]
+    while len(G) > 1:
+        delta = len(F) - len(G)
+        R = _zz_prem(F, G)
+        if not R:
+            break
+        beta = _z_mul(g, _z_pow(h, delta))
+        if delta % 2 == 0:
+            beta = [-v for v in beta]
+        F, G = G, [exact_quotient(col, beta) for col in R]
+        g = F[-1]
+        if delta:
+            h = exact_quotient(_z_pow(g, delta), _z_pow(h, delta - 1))
+    c = integer_gcd(a, b)
+    return [_z_mul(c, col) for col in _zz_content(G)[1]]
+
+
+# -- gcd and square-free part -------------------------------------------------------------
+
+
 def gcd_cofactors(p: BivarPoly,
                   q: BivarPoly) -> tuple[BivarPoly, BivarPoly, BivarPoly]:
     """(g, p/g, q/g) for g = gcd(p, q) over Q[x, y], normalized: GCDHEU on
@@ -520,7 +479,7 @@ def gcd_cofactors(p: BivarPoly,
     else:
         HUV = _gcd_heu(A, B)
         if HUV is None:
-            H = _integer_primitive(_gcd_prs(p, q))[0]
+            H = _gcd_prs(A, B)
             HUV = H, _zz_divide(A, H), _zz_divide(B, H)
         H, U, V = HUV
     g, e = _signed(H)

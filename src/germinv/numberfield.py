@@ -7,8 +7,8 @@ polynomials in c of degree < deg m, reduced mod m. This is all the field
 structure branch expansion ever needs: one adjoined root per branch, with
 
 * certified zero tests and signs, both asked of c as questions about a
-  polynomial over Q at c: ``AlgebraicReal.is_root_of`` (gcd with m and a
-  Sturm count on the isolating interval, never numerics) and
+  polynomial over Q at c: ``AlgebraicReal.is_root_of`` (gcd with m and
+  its signs at the ends of the isolating interval, never numerics) and
   ``AlgebraicReal.enclose`` (exact interval Horner refined by bisection,
   with a bit budget), which also gives every rational bound and float;
   both run on integer forms, the one of m cached on c,

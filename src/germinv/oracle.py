@@ -249,7 +249,8 @@ def _critical_angles(h: BivarPoly, ts, angle_grid) -> list[np.ndarray]:
     def ev_sign(x, y):
         # a NaN (ev past the double range) counts as negative, as the test
         # ev > 0 that steers a bracket counts it
-        return np.nan_to_num(np.sign(ev(x, y)), nan=-1.0)
+        v = ev(x, y)
+        return np.where(v > 0, 1.0, np.where(v == 0, 0.0, -1.0))
 
     cert = _SignCertificate(ii, jj, cc, ts, cos, sin)
     # knot n is knot 0 a turn later, so that knot k and k + 1 bracket
@@ -431,39 +432,14 @@ def _nearest_maps(angles):
     """For rows b and b + 1 of ``angles``, each sorted in [0, 2pi) and of
     one length k, the index in row b + 1 of the angle nearest on the circle
     to each angle of row b, the lowest among equal distances: an array
-    (rows - 1) x k of min(range(k), key=lambda j: _circ_dist(next[j], a)).
-
-    Each side of a in the next row, the angles below it and the angles from
-    it on, is a run along which the computed distance rises and then falls
-    with the index. So only a side's first index and the run of equal
-    distances that ends it are compared, and the lower side wins a tie."""
+    (rows - 1) x k of min(range(k), key=lambda j: _circ_dist(next[j], a)),
+    argmin's first minimum over all pairs at once. That takes (rows - 1) x
+    k x k doubles, and k <= 2 deg h, the most sign changes h has on a
+    circle."""
     theta, nxt = angles[:-1], angles[1:]
-    rows = np.arange(len(theta))[:, None]
-    k = angles.shape[1]
-    split = np.array([np.searchsorted(r, a) for a, r in zip(theta, nxt)],
-                     dtype=int).reshape(theta.shape)
-
-    def dist(j):
-        return _circ_dist(nxt[rows, j], theta)
-
-    best = np.full(theta.shape, np.inf)
-    pick = np.zeros(theta.shape, dtype=int)
-    sides = ((np.zeros_like(split), split), (split, np.full_like(split, k)))
-    for lo, hi in sides:
-        # an empty side (lo == hi) reads some angle and is masked out
-        first, j = np.minimum(lo, k - 1), hi - 1
-        d_first, d = dist(first), dist(j)
-        side = lo < hi
-        end = side & (d < d_first)
-        run = end
-        while run.any():   # a run stops above first, whose distance is larger
-            run = run & (dist(np.maximum(j - 1, 0)) == d)
-            j = j - run
-        d = np.where(end, d, np.where(side, d_first, np.inf))
-        win = d < best
-        best = np.where(win, d, best)
-        pick = np.where(win, np.where(end, j, first), pick)
-    return pick
+    if not angles.shape[1]:
+        return np.zeros(theta.shape, dtype=int)
+    return np.argmin(_circ_dist(nxt[:, None, :], theta[:, :, None]), axis=2)
 
 
 def _track(rungs: list[SphereExtrema]):

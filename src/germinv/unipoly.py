@@ -18,11 +18,13 @@ chain of u ends in gcd(u, u'), so a square-free u costs one remainder
 sequence, and a repeated factor a second one.
 
 Coefficients are ``fractions.Fraction`` throughout the public API. Over Q,
-Sturm chains, signs and interval bounds run on integer forms (lists of ints,
-lowest degree first), each a positive multiple of the polynomial it stands
-for. The same ``UniPoly`` container is reused internally with coefficients
-in a simple real extension field (see ``numberfield``), whose elements act
-like Fractions: every routine only uses ``+ - * /``, truth testing
+Sturm chains, gcds, signs and interval bounds run on integer forms (lists of
+ints, lowest degree first), each a positive multiple of the polynomial it
+stands for: no gcd here runs Euclid on Fractions. ``AlgebraicReal.is_root_of``
+reads p(a) = 0 off the signs of gcd(p, defining) at the interval's ends.
+The same ``UniPoly`` container is reused internally with coefficients in a
+simple real extension field (see ``numberfield``), whose elements act like
+Fractions: every routine only uses ``+ - * /``, truth testing
 (certified nonzero), and ``coeff_sign``, and none of them asks which
 coefficient type it has. Nothing here bounds the roots of a polynomial over
 Q(c): the number of its real roots comes from the signs of its Sturm chain's
@@ -213,24 +215,8 @@ class UniPoly:
             return 0.0 if isinstance(x, float) else Fraction(0)
         return acc
 
-    def eval_interval(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-        """Exact interval Horner bound for Fraction coefficients: returns
-        (m, M) with m <= p(x) <= M for every x in [lo, hi]."""
-        ints, s = primitive_integers(self.coeffs)
-        m, M, D = _interval_horner(ints, lo, hi)
-        return (Fraction(m * s.numerator, D * s.denominator),
-                Fraction(M * s.numerator, D * s.denominator))
-
 
 # -- gcd and integer forms ----------------------------------------------------
-
-
-def uni_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic gcd over a coefficient field (Euclid)."""
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
 
 
 def primitive_integers(cs: Sequence[Fraction]) -> tuple[list[int], Fraction]:
@@ -240,6 +226,19 @@ def primitive_integers(cs: Sequence[Fraction]) -> tuple[list[int], Fraction]:
     ints = [c.numerator * (den // c.denominator) for c in cs]
     g = gcd(*ints)
     return [v // g for v in ints] if g else ints, Fraction(g, den)
+
+
+def integer_gcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd of integer polynomials a and b, primitive with a positive leading
+    coefficient, or [] when both are zero: a primitive remainder sequence
+    of ``pseudo_remainder`` steps, whose first step swaps a shorter a."""
+    while b:
+        a, b = b, pseudo_remainder(a, b)[0]
+        if b:
+            g = gcd(*b)
+            b = [c // g for c in b]
+    g = -gcd(*a) if a and a[-1] < 0 else gcd(*a)
+    return [c // g for c in a]
 
 
 # -- Sturm machinery ----------------------------------------------------------
@@ -309,7 +308,7 @@ def _integer_sturm(P: list[int]) -> list[list[int]]:
     return seq
 
 
-def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+def exact_quotient(a: list[int], b: list[int]) -> list[int]:
     """a / b for integer polynomials that b divides with an integer
     quotient, as for a primitive b (Gauss's lemma)."""
     r, db = list(a), len(b) - 1
@@ -360,13 +359,6 @@ def _interval_horner(P: list[int], lo: Fraction, hi: Fraction
         m += c
         M += c
     return m, M, D
-
-
-def count_real_roots(p: UniPoly, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of square-free p in (lo, hi]."""
-    seq = _integer_sturm(primitive_integers(p.coeffs)[0])
-    return (_variations(_signs_at(seq, lo.numerator, lo.denominator))
-            - _variations(_signs_at(seq, hi.numerator, hi.denominator)))
 
 
 def count_all_real_roots(seq: Sequence[UniPoly]) -> int:
@@ -459,17 +451,22 @@ class AlgebraicReal:
 
     def is_root_of(self, p: UniPoly) -> bool:
         """Certified test of p(a) = 0 for p over Q: exact at a collapsed
-        root, else the interval bound, then a Sturm count of
-        gcd(p, defining) on the isolating interval."""
+        root, else the interval bound, then whether g = gcd(p, defining)
+        changes sign between lo and hi. g divides the square-free defining
+        polynomial, whose only root in [lo, hi] is a, at neither end, so g
+        has a root there exactly when a is one, and it is simple."""
         if p.degree < 1:
             return p.is_zero()
-        if self.lo == self.hi:
-            return p.eval(self.lo) == 0
-        lo, hi = p.eval_interval(self.lo, self.hi)
-        if lo > 0 or hi < 0:
+        lo, hi = self.lo, self.hi
+        if lo == hi:
+            return p.eval(lo) == 0
+        P = primitive_integers(p.coeffs)[0]
+        m, M, _ = _interval_horner(P, lo, hi)
+        if m > 0 or M < 0:
             return False
-        g = uni_gcd(p, self.defining)
-        return g.degree >= 1 and count_real_roots(g, self.lo, self.hi) > 0
+        g = (integer_gcd(P, self._integer_defining),)
+        return (_signs_at(g, lo.numerator, lo.denominator)[0]
+                * _signs_at(g, hi.numerator, hi.denominator)[0] < 0)
 
     def enclose(self, p: UniPoly, width: Fraction | None = None,
                 max_bits: int = 4096) -> tuple[Fraction, Fraction]:
@@ -479,7 +476,7 @@ class AlgebraicReal:
         p(a) must be certified nonzero first) or until M - m <= ``width``.
         The bound is checked before each of at most ``max_bits`` steps; a
         root that collapses to a rational gives the exact value. The bound
-        is ``UniPoly.eval_interval``'s, compared in its integer form.
+        is ``_interval_horner``'s on the integer form of p.
         """
         P, s = primitive_integers(p.coeffs)
         for _ in range(max_bits):
@@ -559,7 +556,7 @@ def _sturm_isolate(u: UniPoly) -> tuple[list[Fraction], list[tuple], UniPoly]:
     P = primitive_integers(u.coeffs)[0]
     seq = _integer_sturm(P)
     if len(seq[-1]) > 1:
-        P = _exact_quotient(P, seq[-1])
+        P = exact_quotient(P, seq[-1])
         seq = _integer_sturm(P)
     lead = 1 if P[-1] > 0 else -1
     P = [lead * c for c in P]
@@ -592,7 +589,7 @@ def _sturm_isolate(u: UniPoly) -> tuple[list[Fraction], list[tuple], UniPoly]:
         else:
             rats.append(Fraction(s, A))
     for r in rats:
-        P = _exact_quotient(P, [-r.numerator, r.denominator])
+        P = exact_quotient(P, [-r.numerator, r.denominator])
     return rats, cells, UniPoly([Fraction(c, P[-1]) for c in P])
 
 

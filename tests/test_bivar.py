@@ -167,20 +167,39 @@ def test_gcd_heuristic_matches_sympy():
 
 
 def test_gcd_prs_fallback_matches_sympy(monkeypatch):
-    # the subresultant PRS that gcd_bivar falls back on, called directly,
-    # and through gcd_bivar once GCDHEU may try no evaluation point
+    # the subresultant PRS that gcd_bivar falls back on, called directly on
+    # the primitive integer forms, and through gcd_bivar once GCDHEU may try
+    # no evaluation point
     cases = heu_cases(22)[::3]
-    for a, b in cases:
+    forms = [(bivar._integer_primitive(a)[0], bivar._integer_primitive(b)[0])
+             for a, b in cases]
+    for (a, b), (A, B) in zip(cases, forms):
         ref = sympy.gcd(to_sympy(a), to_sympy(b), _x, _y)
-        assert_same_up_to_constant(bivar._gcd_prs(a, b), ref)
+        H = bivar._gcd_prs(A, B)
+        assert_same_up_to_constant(bivar._from_integers(H, Fraction(1)), ref)
+    heu = [gcd_cofactors(a, b) for a, b in cases]
+    monkeypatch.setattr(bivar, "_HEU_TRIES", 0)
+    for (a, b), (A, B), want in zip(cases, forms, heu):
+        assert bivar._gcd_heu(A, B) is None
+        assert gcd_bivar(a, b) == bivar._signed(bivar._gcd_prs(A, B))[0]
+        # both paths give the same cofactors
+        assert gcd_cofactors(a, b) == want
+
+
+def test_prs_fallback_takes_contents_in_y_over_z_x(monkeypatch):
+    # contents in y that are polynomials in x with integer content, shared
+    # or not, and an input free of y: the fallback returns GCDHEU's triple
+    texts = [("(2*x+2)*(y-x)", "(4*x+4)*(y+x)^2"),
+             ("(6*x^2-6)*(y-x)*(x*y+1)", "(4*x+4)^2*(y-x)^2"),
+             ("1/3*(2*x+2)*(y^2-x)", "(9*x^2+9*x)*(y^2-x)*(y+1)"),
+             ("(2*x+2)*(y-x)", "3*x^2 - 3"), ("(4*x-2)*y^3", "(6*x-3)*y")]
+    cases = [(parse_poly(a), parse_poly(b)) for a, b in texts]
     heu = [gcd_cofactors(a, b) for a, b in cases]
     monkeypatch.setattr(bivar, "_HEU_TRIES", 0)
     for (a, b), want in zip(cases, heu):
-        A, B = bivar._integer_primitive(a)[0], bivar._integer_primitive(b)[0]
-        assert bivar._gcd_heu(A, B) is None
-        assert gcd_bivar(a, b) == bivar._gcd_prs(a, b)
-        # both paths give the same cofactors
-        assert gcd_cofactors(a, b) == want
+        assert_same_up_to_constant(want[0], sympy.gcd(to_sympy(a),
+                                                      to_sympy(b), _x, _y))
+        assert gcd_cofactors(a, b) == want, (a, b)
 
 
 def test_squarefree_matches_sympy():
@@ -270,11 +289,11 @@ def test_tangency_curve_divides_only_to_certify(monkeypatch):
         callers.append(sys._getframe(1).f_code.co_name)
         return zz_divide(A, B)
 
-    def primitive_y(cols):
+    def content(A):
         raise AssertionError("content in y taken")
 
     monkeypatch.setattr(bivar, "_zz_divide", divide)
-    monkeypatch.setattr(bivar, "_primitive_y", primitive_y)
+    monkeypatch.setattr(bivar, "_zz_content", content)
     curve = TangencyCurve(f)
     assert curve.cofactor is not None
     assert callers and set(callers) == {"_gcd_heu"}
@@ -293,15 +312,6 @@ def test_swap_and_shift():
     assert p.swap_vars().terms == {(1, 3): Fraction(2), (2, 1): Fraction(-1)}
     assert p.shift_down(1, 1).terms == {(2, 0): Fraction(2),
                                         (0, 1): Fraction(-1)}
-
-
-def test_eval_and_unipoly_views():
-    p = BivarPoly({(2, 0): Fraction(1), (0, 2): Fraction(1),
-                   (1, 1): Fraction(-3)})
-    row = p.coeffs_in_y()
-    # p(2, 1) from the coefficients in y
-    assert sum(c.eval(Fraction(2)) for c in row) == Fraction(4 + 1 - 6)
-    assert BivarPoly.from_coeffs_in_y(row) == p
 
 
 coeffs = st.fractions(min_value=-20, max_value=20).filter(bool)

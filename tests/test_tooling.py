@@ -40,6 +40,17 @@ def test_package_does_not_import_sympy():
     assert found == []
 
 
+def test_bivariate_layer_uses_no_unipoly():
+    # the bivariate layer is BivarPoly plus integer lists: its gcd takes
+    # contents in y over Z[x] with unipoly's integer gcd, not on UniPoly
+    tree = ast.parse((SRC / "bivar.py").read_text())
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {a.asname or a.name for n in ast.walk(tree)
+              if isinstance(n, (ast.Import, ast.ImportFrom))
+              for a in n.names}
+    assert "UniPoly" not in names
+
+
 def _resolves(target: str) -> bool:
     """Is ``module.attr`` or ``module.Class.attr`` defined, the attribute in
     the module's or the class's own namespace, where the tracer patches it?"""

@@ -16,10 +16,9 @@ from germinv import unipoly
 from germinv.errors import PrecisionExceededError
 from germinv.numberfield import FieldContext, _binomial_irreducible
 from germinv.unipoly import (AlgebraicReal, UniPoly, cauchy_bound,
-                             coeff_sign, count_all_real_roots,
-                             count_real_roots, isolate_real_roots,
-                             primitive_integers, squarefree_sturm,
-                             sturm_sequence, uni_gcd)
+                             coeff_sign, count_all_real_roots, integer_gcd,
+                             isolate_real_roots, primitive_integers,
+                             squarefree_sturm, sturm_sequence)
 
 _t = sympy.Symbol("t")
 
@@ -50,17 +49,39 @@ def test_divmod_matches_sympy():
         assert q == from_sympy(sq) and r == from_sympy(sr)
 
 
-def test_gcd_matches_sympy():
-    rng = random.Random(2)
-    for _ in range(30):
-        g = rand_poly(rng, rng.randint(0, 3))
-        a = rand_poly(rng, rng.randint(0, 3)) * g
-        b = rand_poly(rng, rng.randint(0, 3)) * g
-        if a.is_zero() and b.is_zero():
-            continue
-        mine = uni_gcd(a, b)
-        ref = to_sympy(a).gcd(to_sympy(b)).monic()
-        assert mine == from_sympy(ref)
+def _to_ints(p) -> list[int]:
+    """A sympy Poly over ZZ as an integer list, lowest degree first."""
+    out = [int(c) for c in reversed(p.all_coeffs())]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+_int_small = st.integers(-9, 9)
+_int_huge = st.builds(lambda s, v: s * v, st.sampled_from((-1, 1)),
+                      st.integers(10**400 - 10**6, 10**400))
+_int_factor = st.lists(st.one_of(_int_small, _int_small, _int_huge),
+                       max_size=4).map(
+    lambda cs: sympy.Poly(cs[::-1] or [0], _t, domain="ZZ"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_int_factor, _int_factor, _int_factor, st.integers(1, 3))
+@example(*(sympy.Poly(cs, _t, domain="ZZ") for cs in ([0], [0], [0])), 1)
+@example(*(sympy.Poly(cs, _t, domain="ZZ") for cs in ([0], [-6], [1])), 1)
+@example(*(sympy.Poly(cs, _t, domain="ZZ") for cs in ([4], [-6], [1])), 1)
+@example(*(sympy.Poly(cs, _t, domain="ZZ")
+           for cs in ([-2, 0, 6], [0], [-10**400, 3])), 3)
+def test_gcd_matches_sympy(a, b, g, e):
+    # zero and constant inputs, negative leading coefficients, a common
+    # factor repeated in one input, and coefficients near 10^400; the gcd
+    # comes back primitive with a positive leading coefficient
+    a, b = a * g**e, b * g
+    want = _to_ints(a.gcd(b))
+    if want:
+        k = math.gcd(*want) * (1 if want[-1] > 0 else -1)
+        want = [c // k for c in want]
+    assert integer_gcd(_to_ints(a), _to_ints(b)) == want
 
 
 def test_squarefree_matches_sympy():
@@ -100,9 +121,9 @@ def test_sturm_count_matches_sympy():
             assert count_all_real_roots(sturm_sequence(p * sq * sq)) == ref
         p = squarefree_sturm(p)[0]
         lo, hi = Fraction(-10), Fraction(10)
-        mine = count_real_roots(p, lo, hi)
+        mine = _ref_count_real_roots(p, lo, hi)
         ref = sympy.Poly(to_sympy(p), _t).count_roots(-10, 10)
-        # count_real_roots uses the half-open (lo, hi]; sympy counts [lo, hi]
+        # the count is over the half-open (lo, hi]; sympy counts [lo, hi]
         if to_sympy(p).eval(-10) == 0:
             ref -= 1
         assert mine == ref
@@ -116,6 +137,57 @@ def _poly(*coeffs) -> UniPoly:
 # lies inside a cell, and four roots are irrational
 _ROOT_ON_FIRST_SPLIT = (_poly(0, 1) * _poly(-1, 3) * _poly(-2, 0, 1)
                         * _poly(-3, 0, 1))
+
+
+def _ref_count_real_roots(p, lo, hi):
+    """Number of distinct real roots of square-free p in (lo, hi], by the
+    Sturm chain, as is_root_of counted them on gcd(p, defining)."""
+    seq = unipoly._integer_sturm(primitive_integers(p.coeffs)[0])
+    return (unipoly._variations(unipoly._signs_at(seq, lo.numerator,
+                                                  lo.denominator))
+            - unipoly._variations(unipoly._signs_at(seq, hi.numerator,
+                                                    hi.denominator)))
+
+
+def _ref_is_root_of(a, p):
+    """is_root_of by a Sturm count of gcd(p, defining) on a's interval."""
+    if a.lo == a.hi or p.degree < 1:
+        return p.eval(a.lo) == 0
+    g = from_sympy(to_sympy(p).gcd(to_sympy(a.defining)))
+    return g.degree >= 1 and _ref_count_real_roots(g, a.lo, a.hi) > 0
+
+
+# square-free factors with irrational real roots, pairwise coprime: sqrt2
+# and sqrt3, the golden ratio, the cube root of 2, +-sqrt2 +- sqrt3, and
+# +-sqrt(11/5), which lies within 1/4 of sqrt2
+_ROOT_FACTORS = (_poly(-2, 0, 1), _poly(-3, 0, 1), _poly(-1, -1, 1),
+                 _poly(-2, 0, 0, 1), _poly(1, 0, -10, 0, 1),
+                 _poly(-11, 0, 5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(range(len(_ROOT_FACTORS))), min_size=2,
+                max_size=3, unique=True),
+       st.lists(st.sampled_from(range(len(_ROOT_FACTORS))), max_size=2),
+       st.lists(st.integers(-5, 5), max_size=3))
+@example([0, 5], [5], [1])
+@example([0, 1, 4], [1, 4], [0, 1])
+def test_is_root_of_matches_the_sturm_count(modulus, factors, rest):
+    # a reducible modulus of two or three square-free factors isolates c
+    # on each factor in turn; p is a product of some factors times a small
+    # polynomial, a root of it exactly where c is a root of one of them
+    m = _poly(1)
+    for i in modulus:
+        m = m * _ROOT_FACTORS[i]
+    p = UniPoly([Fraction(c) for c in rest] or [Fraction(1)])
+    for i in factors:
+        p = p * _ROOT_FACTORS[i]
+    for c in isolate_real_roots(m):
+        assert c.defining == m.monic() and not c.is_rational()
+        (f,) = [_ROOT_FACTORS[i] for i in modulus
+                if _ref_count_real_roots(_ROOT_FACTORS[i], c.lo, c.hi)]
+        want = to_sympy(p).rem(to_sympy(f)).is_zero
+        assert c.is_root_of(p) == _ref_is_root_of(c, p) == want
 
 
 def test_isolate_real_roots_matches_sympy():
@@ -339,6 +411,13 @@ def _ref_isolate(u):
     return sorted(out, key=lambda t: (t[0] + t[1]) / 2)
 
 
+def _horner_bounds(p, lo, hi):
+    """_interval_horner's bounds on p(x) for x in [lo, hi], as Fractions."""
+    P, s = primitive_integers(p.coeffs)
+    m, M, D = unipoly._interval_horner(P, lo, hi)
+    return Fraction(m, D) * s, Fraction(M, D) * s
+
+
 def _ref_eval_interval(p, lo, hi):
     mlo, mhi = Fraction(0), Fraction(0)
     for c in reversed(p.coeffs):
@@ -386,7 +465,7 @@ def test_integer_forms_match_fraction_references(u, x, y, coeffs):
     # interval Horner: the same bounds, from the same enclosing loop
     lo, hi = min(x, y), max(x, y)
     p = UniPoly(coeffs)
-    assert p.eval_interval(lo, hi) == _ref_eval_interval(p, lo, hi)
+    assert _horner_bounds(p, lo, hi) == _ref_eval_interval(p, lo, hi)
     for r in roots:
         width = Fraction(1, 2**20)
         a, b = (AlgebraicReal(r.defining, r.lo, r.hi) for _ in range(2))
@@ -663,7 +742,7 @@ def test_eval_interval_bounds():
     for _ in range(20):
         p = rand_poly(rng, rng.randint(0, 5))
         lo, hi = Fraction(-2), Fraction(3, 2)
-        blo, bhi = p.eval_interval(lo, hi)
+        blo, bhi = _horner_bounds(p, lo, hi)
         for k in range(8):
             x = lo + (hi - lo) * Fraction(k, 7)
             assert blo <= p.eval(x) <= bhi

@@ -34,7 +34,8 @@ from math import gcd as _igcd, isqrt
 from typing import Iterable
 
 from .errors import BothZeroError, ZeroInputError
-from .unipoly import exact_quotient, integer_gcd, primitive_integers
+from .unipoly import (exact_quotient, integer_gcd, integer_product,
+                      primitive_integers)
 
 
 def _grlex_key(ij: tuple[int, int]) -> tuple[int, int]:
@@ -257,40 +258,11 @@ def _z_digits(v: int, t: int) -> list[int]:
     return out
 
 
-def _z_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        if u:
-            for j, v in enumerate(b):
-                out[i + j] += u * v
-    return out
-
-
 def _z_sub(a: list[int], b: list[int]) -> list[int]:
     out = list(a) + [0] * (len(b) - len(a))
     for i, v in enumerate(b):
         out[i] -= v
     return _z_trim(out)
-
-
-def _z_divide(a: list[int], b: list[int]) -> list[int] | None:
-    """a / b in Z[t] for nonzero b, or None when b does not divide a."""
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return None if a else []
-    r = list(a)
-    q = [0] * (len(a) - db)
-    for k in range(len(q) - 1, -1, -1):
-        c, m = divmod(r[k + db], b[-1])
-        if m:
-            return None
-        if c:
-            q[k] = c
-            for i in range(db):
-                r[k + i] -= c * b[i]
-    return None if any(r[:db]) else q
 
 
 def _zz_divide(A: list[list[int]], B: list[list[int]]) -> list[list[int]] | None:
@@ -303,13 +275,21 @@ def _zz_divide(A: list[list[int]], B: list[list[int]]) -> list[list[int]] | None
     for k in range(len(Q) - 1, -1, -1):
         if not R[k + dB]:
             continue
-        c = _z_divide(R[k + dB], B[-1])
+        c = exact_quotient(R[k + dB], B[-1])
         if c is None:
             return None
         Q[k] = c
         for i in range(dB):
-            R[k + i] = _z_sub(R[k + i], _z_mul(c, B[i]))
+            R[k + i] = _z_sub(R[k + i], integer_product(c, B[i]))
     return None if any(R[:dB]) else Q
+
+
+def _zz_exact(A: list[list[int]], b: list[int]) -> list[list[int]]:
+    """A / b in Z[x, y] for nonzero b in Z[x] known to divide A."""
+    Q = _zz_divide(A, [b])
+    if Q is None:
+        raise RuntimeError("inexact polynomial division")
+    return Q
 
 
 def _z_grow(t: int) -> int:
@@ -337,7 +317,8 @@ def _z_heu_gcd(a: list[int], b: list[int]) -> list[int] | None:
         h = _z_digits(_igcd(_z_eval(a, t), _z_eval(b, t)), t)
         k = _igcd(*h)
         h = [v // k for v in h]
-        if _z_divide(a, h) is not None and _z_divide(b, h) is not None:
+        if (exact_quotient(a, h) is not None
+                and exact_quotient(b, h) is not None):
             c = _igcd(ca, cb)
             return [c * v for v in h]
         t = _z_grow(t)
@@ -407,7 +388,7 @@ def _gcd_heu(A: list[list[int]], B: list[list[int]]):
 def _z_pow(a: list[int], n: int) -> list[int]:
     out = [1]
     for _ in range(n):
-        out = _z_mul(out, a)
+        out = integer_product(out, a)
     return out
 
 
@@ -419,7 +400,7 @@ def _zz_content(A: list[list[int]]) -> tuple[list[int], list[list[int]]]:
         c = integer_gcd(c, col)
     k = _igcd(*(v for col in A for v in col))
     c = [k * v for v in c]
-    return c, [exact_quotient(col, c) for col in A]
+    return c, _zz_exact(A, c)
 
 
 def _zz_prem(F: list[list[int]], G: list[list[int]]) -> list[list[int]]:
@@ -427,11 +408,11 @@ def _zz_prem(F: list[list[int]], G: list[list[int]]) -> list[list[int]]:
     R, dG, lead = list(F), len(G) - 1, G[-1]
     for _ in range(len(F) - dG):
         top = R.pop() if len(R) > dG else []
-        R = [_z_mul(lead, c) for c in R]
+        R = [integer_product(lead, c) for c in R]
         if top:
             off = len(R) - dG
             for i in range(dG):
-                R[off + i] = _z_sub(R[off + i], _z_mul(top, G[i]))
+                R[off + i] = _z_sub(R[off + i], integer_product(top, G[i]))
         while R and not R[-1]:
             R.pop()
     return R
@@ -451,15 +432,15 @@ def _gcd_prs(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
         R = _zz_prem(F, G)
         if not R:
             break
-        beta = _z_mul(g, _z_pow(h, delta))
+        beta = integer_product(g, _z_pow(h, delta))
         if delta % 2 == 0:
             beta = [-v for v in beta]
-        F, G = G, [exact_quotient(col, beta) for col in R]
+        F, G = G, _zz_exact(R, beta)
         g = F[-1]
         if delta:
-            h = exact_quotient(_z_pow(g, delta), _z_pow(h, delta - 1))
+            h = _zz_exact([_z_pow(g, delta)], _z_pow(h, delta - 1))[0]
     c = integer_gcd(a, b)
-    return [_z_mul(c, col) for col in _zz_content(G)[1]]
+    return [integer_product(c, col) for col in _zz_content(G)[1]]
 
 
 # -- gcd and square-free part -------------------------------------------------------------

@@ -2,29 +2,38 @@
 
 A ``FieldContext`` is the real algebraic number c itself (a
 ``unipoly.AlgebraicReal``: monic square-free defining polynomial m over Q and
-an isolating interval) plus reduction and inversion mod m. Elements are
-polynomials in c of degree < deg m, reduced mod m. This is all the field
-structure branch expansion ever needs: one adjoined root per branch, with
+an isolating interval) plus reduction and inversion mod m. An element is one
+integer vector in the power basis 1, c, c^2, ... over one denominator: a
+polynomial in c reduced mod m when it is made, with no trailing zero, over a
+denominator den > 0 with gcd(*vec, den) = 1. This is all the field structure
+branch expansion ever needs: one adjoined root per branch, with
 
-* certified zero tests and signs, both asked of c as questions about a
-  polynomial over Q at c: ``AlgebraicReal.is_root_of`` (gcd with m and
-  its signs at the ends of the isolating interval, never numerics) and
+* certified zero tests and signs, both asked of c as questions about the
+  element's vector at c: ``AlgebraicReal.is_root_of`` (gcd with m and its
+  signs at the ends of the isolating interval, never numerics) and
   ``AlgebraicReal.enclose`` (exact interval Horner refined by bisection,
   with a bit budget), which also gives every rational bound and float;
   both run on integer forms, the one of m cached on c,
-* division (extended Euclid; if m turns out reducible and a zero divisor
-  appears, m is replaced by its factor that still has c as a root, which
-  changes no element's value; ``AlgebraicReal._define`` resets its caches).
+* sums and products on ints: a product is one ``unipoly.integer_product``,
+  and ``FieldContext.element_from_integers`` reduces it once, by
+  ``unipoly.pseudo_remainder`` by the integer form of m, and divides out
+  one gcd,
+* division (extended Euclid over Q; if m turns out reducible and a zero
+  divisor appears, m is replaced by its factor that still has c as a root,
+  which changes no element's value; ``AlgebraicReal._define`` resets its
+  caches).
 
 An element mixes with ``int`` and ``Fraction`` operands in ``+ - * /`` on
 either side, and prints as its 9-digit value in parentheses, so code over
 exact coefficients treats Q and Q(c) alike and never asks which it has.
+Hot loops take a batch of coefficients, rationals and elements alike, as
+vectors over one common denominator (``integer_vectors``).
 
 m is kept square-free but is not factored into irreducibles; the isolating
 interval does the job of choosing the root. When m is certified irreducible,
 Q[t]/(m) is a field, and the zero test is syntactic: an element is zero
-exactly when its coefficients reduced mod m are all zero (dynamic
-evaluation, Della Dora-Dicrescenzo-Duval 1985). Two rules certify m:
+exactly when its vector reduced mod m is zero (dynamic evaluation, Della
+Dora-Dicrescenzo-Duval 1985). Two rules certify m:
 
 * degree <= 3 and no rational root (no factor of degree 1). Moduli from
   ``unipoly.isolate_real_roots`` have no rational root by construction, and
@@ -36,14 +45,6 @@ evaluation, Della Dora-Dicrescenzo-Duval 1985). Two rules certify m:
   that open an extension by pure ramification get such moduli.
 
 Every other modulus keeps ``AlgebraicReal.is_root_of``.
-
-Hot loops work on the vector form instead (``integer_vectors``): a batch of
-coefficients over one positive integer denominator, each an integer vector
-in the power basis 1, c, c^2, ... of its field (length 1 for a rational).
-Vectors multiply as integer polynomials with no reduction, and
-``FieldContext.element_from_integers`` reduces a result once, by
-``unipoly.pseudo_remainder`` by that integer form of the modulus, when it
-becomes an element again.
 """
 
 from __future__ import annotations
@@ -52,9 +53,10 @@ import math
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import zip_longest
 
 from .unipoly import (AlgebraicReal, UniPoly, has_rational_root,
-                      pseudo_remainder)
+                      integer_product, primitive_integers, pseudo_remainder)
 
 
 def _exact_root(n: int, k: int) -> int | None:
@@ -133,20 +135,18 @@ class FieldContext(AlgebraicReal):
 
     # -- element construction -------------------------------------------------
 
-    def _reduce(self, coeffs) -> tuple:
-        p = UniPoly(coeffs)
-        if p.degree >= self.defining.degree:
-            p = p % self.defining
-        return tuple(p.coeffs)
-
     def element(self, coeffs) -> "FieldElement":
-        return FieldElement(self, self._reduce(coeffs))
+        """The element sum(coeffs[i] c^i) for rationals coeffs."""
+        ints, s = primitive_integers(coeffs)
+        return self.element_from_integers([x * s.numerator for x in ints],
+                                          s.denominator)
 
     def generator(self) -> "FieldElement":
-        return self.element([Fraction(0), Fraction(1)])
+        return self.element_from_integers([0, 1], 1)
 
     def from_rational(self, q) -> "FieldElement":
-        return FieldElement(self, (Fraction(q),) if q else ())
+        q = Fraction(q)
+        return FieldElement(self, [q.numerator] if q else [], q.denominator)
 
     def reduce_integers(self, vec: list) -> tuple[list, int]:
         """(r, s) with s * vec = r mod the modulus, s > 0 and len(r) <= its
@@ -155,11 +155,12 @@ class FieldContext(AlgebraicReal):
         return pseudo_remainder(vec, self._integer_defining)
 
     def element_from_integers(self, vec: list, den: int) -> "FieldElement":
-        """The element sum(vec[i] c^i) / den for integers vec and den > 0,
-        reduced once."""
+        """The element sum(vec[i] c^i) / den for integers vec and den > 0:
+        one pseudo-remainder, then one gcd."""
         r, s = self.reduce_integers(vec)
         den *= s
-        out = FieldElement(self, tuple(Fraction(x, den) for x in r))
+        g = math.gcd(*r, den)
+        out = FieldElement(self, [x // g for x in r], den // g)
         if self.irreducible:
             out._zero_known = not r
         return out
@@ -171,21 +172,17 @@ class FieldContext(AlgebraicReal):
             return x
         return self.from_rational(x)
 
-    def invert(self, coeffs: tuple) -> tuple:
-        """Coefficients of 1/A(c); A must be certified nonzero by the caller."""
+    def invert(self, vec: list) -> "FieldElement":
+        """1/A(c) for the integer vector of A, by the extended Euclid over
+        Q; ZeroDivisionError when A(c) = 0."""
+        a = UniPoly([Fraction(x) for x in vec])
         while True:
-            a = UniPoly(coeffs)
-            if a.degree >= self.defining.degree:
-                a = a % self.defining
-            if a.is_zero():
-                raise ZeroDivisionError("inverse of zero extension element")
             g, u = _egcd(a, self.defining)
             if g.degree == 0:
-                inv = u.scale(1 / g.coeffs[0]) % self.defining
-                return tuple(inv.coeffs)
-            # zero divisor: the modulus is reducible. c is a root of exactly
-            # one of g, modulus/g; keep that factor and retry.
-            if self.is_root_of(g):
+                return self.element(u.coeffs)
+            # g divides the modulus, and c is a root of exactly one of g,
+            # modulus/g: of g when A(c) = 0; else keep modulus/g and retry.
+            if self.is_root_of(primitive_integers(g.coeffs)[0]):
                 raise ZeroDivisionError("inverse of zero extension element")
             q, r = self.defining.divmod(g)
             if not r.is_zero():
@@ -202,10 +199,11 @@ def integer_vectors(xs) -> tuple[list, int, list, FieldContext | None]:
     rational x, and an element that is visibly rational, has a vector of
     length 1."""
     ext = [isinstance(x, FieldElement) for x in xs]
-    parts = [x.coeffs if e else (x,) for x, e in zip(xs, ext)]
+    parts = [(x.vec, x.den) if e else ((x.numerator,), x.denominator)
+             for x, e in zip(xs, ext)]
     ctx = next((x.ctx for x, e in zip(xs, ext) if e), None)
-    den = math.lcm(*[y.denominator for p in parts for y in p])
-    vecs = [[y.numerator * (den // y.denominator) for y in p] for p in parts]
+    den = math.lcm(*[d for _, d in parts])
+    vecs = [[y * (den // d) for y in vec] for vec, d in parts]
     return vecs, den, ext, ctx
 
 
@@ -220,12 +218,7 @@ def integer_powers(vec: list, den: int, n: int,
         return [[x ** k * den ** (n - k)] for k in range(n + 1)], den ** n
     pows, dens = [[1]], [1]
     for _ in range(n):
-        prev = pows[-1]
-        p = [0] * (len(prev) + len(vec) - 1)
-        for i, x in enumerate(prev):
-            for j, y in enumerate(vec):
-                p[i + j] += x * y
-        p, s = ctx.reduce_integers(p)
+        p, s = ctx.reduce_integers(integer_product(pows[-1], vec))
         pows.append(p)
         dens.append(dens[-1] * den * s)
     top = dens[-1]
@@ -233,13 +226,16 @@ def integer_powers(vec: list, den: int, n: int,
 
 
 class FieldElement:
-    """An element of Q(c), stored as a reduced polynomial in the generator."""
+    """An element sum(vec[i] c^i) / den of Q(c): its integer vector reduced
+    mod the modulus when it was made, with no trailing zero, over den > 0
+    with gcd(*vec, den) = 1."""
 
-    __slots__ = ("ctx", "coeffs", "_zero_known")
+    __slots__ = ("ctx", "vec", "den", "_zero_known")
 
-    def __init__(self, ctx: FieldContext, coeffs: tuple):
+    def __init__(self, ctx: FieldContext, vec: list, den: int):
         self.ctx = ctx
-        self.coeffs = coeffs
+        self.vec = vec
+        self.den = den
         self._zero_known = None
 
     # -- predicates ------------------------------------------------------------
@@ -248,10 +244,10 @@ class FieldElement:
         if self._zero_known is None:
             ctx = self.ctx
             if ctx.irreducible:
-                # coefficients may predate a shrink of the modulus
-                self._zero_known = not ctx._reduce(self.coeffs)
+                # the vector may predate a shrink of the modulus
+                self._zero_known = not ctx.reduce_integers(self.vec)[0]
             else:
-                self._zero_known = ctx.is_root_of(UniPoly(self.coeffs))
+                self._zero_known = ctx.is_root_of(self.vec)
         return self._zero_known
 
     def __bool__(self) -> bool:
@@ -274,21 +270,16 @@ class FieldElement:
 
     # -- arithmetic --------------------------------------------------------------
 
-    def _wrap(self, coeffs) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx._reduce(coeffs))
-
     def __add__(self, other):
         o = self.ctx.coerce(other)
-        n = max(len(self.coeffs), len(o.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for k, c in enumerate(o.coeffs):
-            a[k] += c
-        return self._wrap(a)
+        vec = [x * o.den + y * self.den
+               for x, y in zip_longest(self.vec, o.vec, fillvalue=0)]
+        return self.ctx.element_from_integers(vec, self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.ctx, tuple(-c for c in self.coeffs))
+        return FieldElement(self.ctx, [-x for x in self.vec], self.den)
 
     def __sub__(self, other):
         return self + (-self.ctx.coerce(other))
@@ -297,20 +288,15 @@ class FieldElement:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return FieldElement(self.ctx, ())
-            return FieldElement(self.ctx, tuple(c * other for c in self.coeffs))
+        # a rational has a vector of length 1: the product scales vec and den
         o = self.ctx.coerce(other)
-        prod = UniPoly(self.coeffs) * UniPoly(o.coeffs)
-        return self._wrap(prod.coeffs)
+        return self.ctx.element_from_integers(integer_product(self.vec, o.vec),
+                                              self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero extension element")
-        return FieldElement(self.ctx, self.ctx.invert(self.coeffs))
+        return self.ctx.invert(self.vec) * self.den
 
     def __truediv__(self, other):
         if isinstance(other, FieldElement):
@@ -324,19 +310,17 @@ class FieldElement:
 
     def as_rational(self) -> Fraction | None:
         """Exact rational value if the element is visibly rational, else None."""
-        if not self.coeffs:
-            return Fraction(0)
-        if len(self.coeffs) == 1:
-            return self.coeffs[0]
+        if len(self.vec) <= 1:
+            return Fraction(self.vec[0] if self.vec else 0, self.den)
         if self.ctx.is_rational():
-            return UniPoly(self.coeffs).eval(self.ctx.lo)
+            return UniPoly(self.vec).eval(self.ctx.lo) / self.den
         return None
 
     def interval(self, width: Fraction | None = None,
                  max_bits: int = 4096) -> tuple[Fraction, Fraction]:
         """Rational bounds on the value, at most ``width`` apart, or, with
         no width, excluding 0 (the element must be nonzero)."""
-        return self.ctx.enclose(UniPoly(self.coeffs), width, max_bits)
+        return self.ctx.enclose(self.vec, self.den, width, max_bits)
 
     def _midpoint(self) -> Fraction:
         # a relative width of 2^-60 certifies every digit a double holds
@@ -368,5 +352,6 @@ class FieldElement:
         return f"({self._digits(9)})"
 
     def __repr__(self) -> str:
-        poly = UniPoly(self.coeffs).to_string("c")
+        poly = UniPoly([Fraction(x, self.den) for x in self.vec])
+        poly = poly.to_string("c")
         return f"FieldElement({poly} ~ {self._digits(6)})"

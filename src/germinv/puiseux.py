@@ -25,11 +25,13 @@ coefficient through its isolating interval. A branch that would need a
 second nested extension raises TowerDepthExceededError rather than
 returning anything uncertified.
 
-Each substitution q(u^b, u^a (c + z)) / u^v of a chain (``_transform``) runs
-on integers: q's coefficients and the powers of c become integer vectors in
-the power basis of Q(c), over one denominator each, every product of them is
-one integer product, and each output coefficient is reduced mod the modulus
-once, when it becomes a Fraction or an element of Q(c) again.
+An element of Q(c) is held as an integer vector in the power basis over one
+denominator (see ``numberfield``), so each substitution
+q(u^b, u^a (c + z)) / u^v of a chain (``_transform``) runs on integers: q's
+coefficients and the powers of c are read as vectors over one common
+denominator, every product of them is one integer product, and each output
+coefficient is reduced mod the modulus once, when it is made, as an element
+of Q(c), or as a Fraction when it is rational.
 
 The parameter exponent e = prod(b_i) is automatically minimal: each level's
 exponent a_i/b_i is in lowest terms and enters the series with a nonzero

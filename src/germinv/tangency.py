@@ -64,6 +64,8 @@ class ExpansionConfig:
     def __init__(self, order: int = 12, max_bits: int = 256):
         if order < 1:
             raise ValueError("need order >= 1")
+        if max_bits < 0:
+            raise ValueError("need max_bits >= 0")
         self.order = order
         self.max_bits = max_bits
 

@@ -20,15 +20,17 @@ sequence, and a repeated factor a second one.
 Coefficients are ``fractions.Fraction`` throughout the public API. Over Q,
 Sturm chains, gcds, signs and interval bounds run on integer forms (lists of
 ints, lowest degree first), each a positive multiple of the polynomial it
-stands for: no gcd here runs Euclid on Fractions. ``AlgebraicReal.is_root_of``
-reads p(a) = 0 off the signs of gcd(p, defining) at the interval's ends.
-The same ``UniPoly`` container is reused internally with coefficients in a
-simple real extension field (see ``numberfield``), whose elements act like
-Fractions: every routine only uses ``+ - * /``, truth testing
-(certified nonzero), and ``coeff_sign``, and none of them asks which
-coefficient type it has. Nothing here bounds the roots of a polynomial over
-Q(c): the number of its real roots comes from the signs of its Sturm chain's
-leading coefficients (``count_all_real_roots``).
+stands for: no gcd here runs Euclid on Fractions, and ``integer_product``
+and ``exact_quotient`` are the one product and exact division of such forms.
+``AlgebraicReal.is_root_of`` and ``enclose`` take p as an integer form too,
+as a Q(c) element holds it; the first reads p(a) = 0 off the signs of
+gcd(p, defining) at the interval's ends. The same ``UniPoly`` container is
+reused internally with coefficients in a simple real extension field (see
+``numberfield``), whose elements act like Fractions: every routine only uses
+``+ - * /``, truth testing (certified nonzero), and ``coeff_sign``, and none
+of them asks which coefficient type it has. Nothing here bounds the roots of
+a polynomial over Q(c): the number of its real roots comes from the signs of
+its Sturm chain's leading coefficients (``count_all_real_roots``).
 
 Zero-or-not questions are decided exactly: a quantity is declared zero only
 when the coefficient type proves it (``Fraction == 0``, or the extension
@@ -228,6 +230,18 @@ def primitive_integers(cs: Sequence[Fraction]) -> tuple[list[int], Fraction]:
     return [v // g for v in ints] if g else ints, Fraction(g, den)
 
 
+def integer_product(a: list[int], b: list[int]) -> list[int]:
+    """a b for integer polynomials a and b."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+    return out
+
+
 def integer_gcd(a: list[int], b: list[int]) -> list[int]:
     """gcd of integer polynomials a and b, primitive with a positive leading
     coefficient, or [] when both are zero: a primitive remainder sequence
@@ -308,18 +322,21 @@ def _integer_sturm(P: list[int]) -> list[list[int]]:
     return seq
 
 
-def exact_quotient(a: list[int], b: list[int]) -> list[int]:
-    """a / b for integer polynomials that b divides with an integer
-    quotient, as for a primitive b (Gauss's lemma)."""
+def exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b for integer polynomials a and nonzero b, or None when b does
+    not divide a in Z[t]. A primitive b that divides a over Q divides it in
+    Z[t] (Gauss's lemma)."""
     r, db = list(a), len(b) - 1
     q = [0] * (len(a) - db)
     for k in range(len(q) - 1, -1, -1):
-        c = q[k] = r[k + db] // b[-1]
-        for i in range(db + 1):
-            r[k + i] -= c * b[i]
-    if any(r):
-        raise RuntimeError("inexact polynomial division")
-    return q
+        c, m = divmod(r[k + db], b[-1])
+        if m:
+            return None
+        if c:
+            q[k] = c
+            for i in range(db):
+                r[k + i] -= c * b[i]
+    return None if any(r[:db]) else q
 
 
 def _signs_at(polys: Sequence[list[int]], n: int, d: int) -> list[int]:
@@ -395,11 +412,12 @@ class AlgebraicReal:
     the defining polynomial has the sign it has at ``lo``, so that sign is
     evaluated once per defining polynomial, on its integer form.
 
-    Questions about p(a) for a polynomial p over Q are answered here and
-    nowhere else: ``is_root_of`` decides p(a) = 0 exactly, and ``enclose``
-    is the one loop that bisects the interval until the Horner bound on p(a)
-    decides its sign or is narrow enough. ``numberfield.FieldContext`` is
-    this class for the generator of Q(a).
+    Questions about p(a) for a polynomial p over Q, given by an integer
+    form, are answered here and nowhere else: ``is_root_of`` decides
+    p(a) = 0 exactly, and ``enclose`` is the one loop that bisects the
+    interval until the Horner bound on p(a) decides its sign or is narrow
+    enough. ``numberfield.FieldContext`` is this class for the generator of
+    Q(a), and asks both questions of its elements' integer vectors.
     """
 
     __slots__ = ("defining", "lo", "hi", "_lo_sign", "_integer_defining")
@@ -449,18 +467,18 @@ class AlgebraicReal:
         while self.hi - self.lo > width:
             self.refine_step()
 
-    def is_root_of(self, p: UniPoly) -> bool:
-        """Certified test of p(a) = 0 for p over Q: exact at a collapsed
-        root, else the interval bound, then whether g = gcd(p, defining)
-        changes sign between lo and hi. g divides the square-free defining
+    def is_root_of(self, P: list[int]) -> bool:
+        """Certified test of p(a) = 0 for p over Q with integer form P (a
+        nonzero multiple of p, no trailing zero): exact at a collapsed root,
+        else the interval bound, then whether g = gcd(P, defining) changes
+        sign between lo and hi. g divides the square-free defining
         polynomial, whose only root in [lo, hi] is a, at neither end, so g
         has a root there exactly when a is one, and it is simple."""
-        if p.degree < 1:
-            return p.is_zero()
+        if len(P) < 2:
+            return not any(P)
         lo, hi = self.lo, self.hi
         if lo == hi:
-            return p.eval(lo) == 0
-        P = primitive_integers(p.coeffs)[0]
+            return _signs_at((P,), lo.numerator, lo.denominator)[0] == 0
         m, M, _ = _interval_horner(P, lo, hi)
         if m > 0 or M < 0:
             return False
@@ -468,32 +486,33 @@ class AlgebraicReal:
         return (_signs_at(g, lo.numerator, lo.denominator)[0]
                 * _signs_at(g, hi.numerator, hi.denominator)[0] < 0)
 
-    def enclose(self, p: UniPoly, width: Fraction | None = None,
+    def enclose(self, P: list[int], den: int, width: Fraction | None = None,
                 max_bits: int = 4096) -> tuple[Fraction, Fraction]:
-        """Rational (m, M) with m <= p(a) <= M for p over Q.
+        """Rational (m, M) with m <= p(a) <= M for p = P / den over Q, P an
+        integer polynomial and den > 0.
 
         The interval is bisected until the bound excludes 0 (no ``width``:
         p(a) must be certified nonzero first) or until M - m <= ``width``.
         The bound is checked before each of at most ``max_bits`` steps; a
         root that collapses to a rational gives the exact value. The bound
-        is ``_interval_horner``'s on the integer form of p.
+        is ``_interval_horner``'s on P, which scales exactly with P, so a
+        positive multiple of P over the same multiple of den decides the
+        same steps and returns the same rationals.
         """
-        P, s = primitive_integers(p.coeffs)
         for _ in range(max_bits):
             if self.lo == self.hi:
                 break
             lo, hi, D = _interval_horner(P, self.lo, self.hi)
             if ((lo > 0 or hi < 0) if width is None else
-                    (hi - lo) * s.numerator * width.denominator
-                    <= width.numerator * s.denominator * D):
-                D *= s.denominator
-                return (Fraction(lo * s.numerator, D),
-                        Fraction(hi * s.numerator, D))
+                    (hi - lo) * width.denominator
+                    <= width.numerator * den * D):
+                D *= den
+                return Fraction(lo, D), Fraction(hi, D)
             self.refine_step()
         if self.lo != self.hi:
             raise PrecisionExceededError(
                 f"root refinement undecided within {max_bits} bits")
-        v = p.eval(self.lo)
+        v = sum(c * self.lo ** k for k, c in enumerate(P)) / Fraction(den)
         return v, v
 
 
@@ -557,6 +576,8 @@ def _sturm_isolate(u: UniPoly) -> tuple[list[Fraction], list[tuple], UniPoly]:
     seq = _integer_sturm(P)
     if len(seq[-1]) > 1:
         P = exact_quotient(P, seq[-1])
+        if P is None:
+            raise RuntimeError("inexact polynomial division")
         seq = _integer_sturm(P)
     lead = 1 if P[-1] > 0 else -1
     P = [lead * c for c in P]
@@ -590,6 +611,8 @@ def _sturm_isolate(u: UniPoly) -> tuple[list[Fraction], list[tuple], UniPoly]:
             rats.append(Fraction(s, A))
     for r in rats:
         P = exact_quotient(P, [-r.numerator, r.denominator])
+        if P is None:
+            raise RuntimeError("inexact polynomial division")
     return rats, cells, UniPoly([Fraction(c, P[-1]) for c in P])
 
 

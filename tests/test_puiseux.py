@@ -10,7 +10,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -247,14 +247,14 @@ def transform_by_terms(q, a, b, c):
 def assert_same_transform(got, want):
     # the same keys in the same order, and per key the same type and value;
     # an element of Q(c) also in the same field and with the same reduced
-    # coefficients
+    # vector over the same denominator
     assert got[0] == want[0]
     assert list(got[1].terms) == list(want[1].terms)
     for key, w in want[1].terms.items():
         g = got[1].terms[key]
         assert type(g) is type(w), key
         if isinstance(w, FieldElement):
-            assert g.ctx is w.ctx and g.coeffs == w.coeffs, key
+            assert g.ctx is w.ctx and (g.vec, g.den) == (w.vec, w.den), key
         else:
             assert g == w, key
 
@@ -289,6 +289,70 @@ FIELDS = {
     "reducible": ([Fraction(2, 3), 0, Fraction(-7, 3), 0, 1],
                   Fraction(7, 5), Fraction(3, 2)),
 }
+
+
+def as_q_poly(x):
+    """A coefficient as a polynomial over Q in the generator: the form of
+    the reference arithmetic, UniPoly over Q mod the modulus."""
+    if isinstance(x, FieldElement):
+        return UniPoly([Fraction(v, x.den) for v in x.vec])
+    return UniPoly([Fraction(x)])
+
+
+def assert_canonical(x):
+    # reduced when made, no trailing zero, over den > 0 coprime to the vector
+    assert x.den > 0 and gcd(*x.vec, x.den) == 1
+    assert not x.vec or x.vec[-1]
+    assert len(x.vec) <= x.ctx.defining.degree
+
+
+def check_field_arithmetic(ctx, xs, rng):
+    """+ - * / and inverse on random pairs from xs, an element first and an
+    element or a rational second, in both orders, against the reference."""
+    def ref(x):
+        return as_q_poly(x) % ctx.defining
+
+    for _ in range(40):
+        a, b = ctx.coerce(rng.choice(xs)), rng.choice(xs)
+        for x, y in ((a, b), (b, a)):
+            for got, want in ((x + y, ref(x) + ref(y)),
+                              (x - y, ref(x) - ref(y)),
+                              (x * y, ref(x) * ref(y))):
+                assert_canonical(got)
+                assert ref(got) == want % ctx.defining
+            if y:
+                got = x / y
+                assert_canonical(got)
+                assert ref(got) * ref(y) % ctx.defining == ref(x)
+        if b:
+            inv = ctx.coerce(b).inverse()
+            assert_canonical(inv)
+            assert ref(inv) * ref(b) % ctx.defining == UniPoly([1])
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_field_arithmetic_is_canonical_and_matches_q_polynomials(name):
+    coeffs, lo, hi = FIELDS[name]
+    ctx = FieldContext(UniPoly([Fraction(x) for x in coeffs]), lo, hi)
+    rng = random.Random(f"canonical {name}")
+
+    def draw():
+        if rng.random() < 0.25:
+            return random_fraction(rng)
+        return ctx.element([random_fraction(rng)
+                            for _ in range(ctx.defining.degree)])
+
+    xs = [draw() for _ in range(12)] + [ctx.from_rational(0)]
+    check_field_arithmetic(ctx, xs, rng)
+    if name == "reducible":
+        # c^2 - 1/3 is a zero divisor mod (t^2 - 2)(t^2 - 1/3): its inverse
+        # shrinks the modulus to t^2 - 2, and the elements made before go on
+        assert not ctx.irreducible
+        c = ctx.generator()
+        assert (c * c - Fraction(1, 3)).inverse() == Fraction(3, 5)
+        assert ctx.defining == UniPoly([Fraction(-2), 0, Fraction(1)])
+        assert ctx.irreducible
+        check_field_arithmetic(ctx, xs + [draw() for _ in range(12)], rng)
 
 
 def test_transform_matches_term_by_term_over_q():
@@ -326,7 +390,8 @@ def test_transform_matches_term_by_term_in_extension(name):
 
 def test_transform_in_extension_makes_no_field_arithmetic(monkeypatch):
     # the substitution runs on integer vectors and reduces each output
-    # coefficient once: no product or sum of field elements on the way
+    # coefficient once: no product or sum of field elements on the way, no
+    # Fraction for an extension coefficient, and one for each rational one
     f = rotate_germ(parse_poly(ROTATED_REPEATED_FACTOR))
     curve = TangencyCurve(f)
     config = ExpansionConfig()
@@ -351,8 +416,18 @@ def test_transform_in_extension_makes_no_field_arithmetic(monkeypatch):
             return method(self, other)
 
         monkeypatch.setattr(FieldElement, name, counted)
+    made = []
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
     v, p = _transform(*args)
-    assert any(isinstance(c, FieldElement) for c in p.terms.values())
-    assert ops == []
+    monkeypatch.setattr(Fraction, "__new__", new)
+    rational = [c for c in p.terms.values() if not isinstance(c, FieldElement)]
+    assert rational and len(rational) < len(p.terms)
+    assert ops == [] and len(made) == len(rational)
     transform_by_terms(*args)
     assert len(ops) > 100

@@ -245,3 +245,16 @@ def test_sheared_family_matches_unsheared():
 def test_config_validation():
     with pytest.raises(ValueError):
         ExpansionConfig(order=0)
+
+
+def test_config_rejects_a_negative_bit_budget():
+    # a negative budget is bad input, rejected up front like order < 1,
+    # whatever the germ: the first needs no sign in an extension, the
+    # second one in Q(sqrt 2), where a budget would run out
+    for text, pair in (("x^2 - 2*y^2", (-2, 2)),
+                       ("(x^2 - 2*y^2)*(x - 3*y)", (-3, 3))):
+        f = parse_poly(text)
+        with pytest.raises(ValueError):
+            analyze_germ(f, ExpansionConfig(max_bits=-3))
+        inv = analyze_germ(f).invariant
+        assert (inv.lo, inv.hi) == pair

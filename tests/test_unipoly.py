@@ -187,7 +187,8 @@ def test_is_root_of_matches_the_sturm_count(modulus, factors, rest):
         (f,) = [_ROOT_FACTORS[i] for i in modulus
                 if _ref_count_real_roots(_ROOT_FACTORS[i], c.lo, c.hi)]
         want = to_sympy(p).rem(to_sympy(f)).is_zero
-        assert c.is_root_of(p) == _ref_is_root_of(c, p) == want
+        P = primitive_integers(p.coeffs)[0]
+        assert c.is_root_of(P) == _ref_is_root_of(c, p) == want
 
 
 def test_isolate_real_roots_matches_sympy():
@@ -466,7 +467,11 @@ def test_integer_forms_match_fraction_references(u, x, y, coeffs):
     lo, hi = min(x, y), max(x, y)
     p = UniPoly(coeffs)
     assert _horner_bounds(p, lo, hi) == _ref_eval_interval(p, lo, hi)
+    ints, s = primitive_integers(p.coeffs)
+    P, den = [c * s.numerator for c in ints], s.denominator   # p = P / den
+    U = primitive_integers(u.coeffs)[0]
     for r in roots:
+        assert r.is_root_of(U)
         width = Fraction(1, 2**20)
         a, b = (AlgebraicReal(r.defining, r.lo, r.hi) for _ in range(2))
         want = _ref_eval_interval(p, b.lo, b.hi)
@@ -475,7 +480,8 @@ def test_integer_forms_match_fraction_references(u, x, y, coeffs):
             want = _ref_eval_interval(p, b.lo, b.hi)
         if b.lo == b.hi:
             want = (p.eval(b.lo),) * 2
-        assert a.enclose(p, width) == want and (a.lo, a.hi) == (b.lo, b.hi)
+        assert (a.enclose(P, den, width) == want
+                and (a.lo, a.hi) == (b.lo, b.hi))
 
 
 def test_algebraic_sqrt2():

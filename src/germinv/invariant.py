@@ -128,10 +128,14 @@ class GermAnalysis:
 
 def analyze_germ(f: BivarPoly,
                  config: ExpansionConfig | None = None) -> GermAnalysis:
-    """Full pipeline: tangency curve, half-branches, signs, invariant."""
+    """Full pipeline: tangency curve, half-branches, signs, invariant; f is
+    restricted to one half-branch of each pair of twins."""
     config = config or ExpansionConfig()
     curve = TangencyCurve(f)
-    branches = curve.half_branches(config.order)
-    restrictions = [restrict(f, b, config, curve) for b in branches]
+    read: dict = {}
+    for b in curve.half_branches(config.order):
+        read[b] = (read[b.twin].on_twin() if b.twin in read
+                   else restrict(f, b, config, curve))
+    restrictions = list(read.values())
     cls = Classification(restrictions)
     return GermAnalysis(f, curve, restrictions, cls, invariant(cls))

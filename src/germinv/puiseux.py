@@ -20,10 +20,9 @@ when ``leading_term`` carries other polynomials through the same chain. All
 arithmetic is exact: rational, or in a single real algebraic extension Q(c)
 when a leading coefficient is irrational. Elements of Q(c) act like
 Fractions (``+ - * /``, signs, ``str``), so no step asks which kind of
-coefficient it holds; only the branch order compares a first-level Q(c)
-coefficient through its isolating interval. A branch that would need a
-second nested extension raises TowerDepthExceededError rather than
-returning anything uncertified.
+coefficient it holds but the branch order, which compares Q(c) ones by
+their intervals. A branch that would need a second nested extension raises
+TowerDepthExceededError rather than returning anything uncertified.
 
 An element of Q(c) is held as an integer vector in the power basis over one
 denominator (see ``numberfield``), so each substitution
@@ -32,6 +31,16 @@ coefficients and the powers of c are read as vectors over one common
 denominator, every product of them is one integer product, and each output
 coefficient is reduced mod the modulus once, when it is made, as an element
 of Q(c), or as a Fraction when it is rational.
+
+The recursion runs once per chart, over a parameter u of either sign, and
+each chain it ends is one real analytic branch, with half-branches u = s and
+u = -s, s > 0. Below an odd-b edge u1 keeps both signs. An even-b edge has
+E(c) = F(c^b) and a odd, so u1 -> -u1 swaps its roots c and -c: only the
+positive ones are expanded, and the edge's u < 0 side from the reflected
+node. The half u = -s is mirrored (``_mirror``), not expanded: with f_L = 1
+and f_(m-1) = f_m [b_m odd] over L levels, c_m becomes c_m (-1)^(a_1 f_1 +
+... + a_m f_m), the tail p(-u, (-1)^A z), A the full sum, and sigma
+sigma (-1)^e.
 
 The parameter exponent e = prod(b_i) is automatically minimal: each level's
 exponent a_i/b_i is in lowest terms and enters the series with a nonzero
@@ -46,6 +55,7 @@ for square-free input.
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from math import comb, prod
 
@@ -174,7 +184,7 @@ class PuiseuxSeries:
 
 class HalfBranch:
     """One real half-branch of the curve, parametrized by s > 0, as the
-    Newton-Puiseux chain that produced it.
+    Newton-Puiseux chain that produced it, or the mirror of that chain.
 
     ``sigma`` is the sign carried by the exact monomial coordinate, ``e`` the
     parameter exponent of that coordinate (also the vanishing order of the
@@ -186,11 +196,12 @@ class HalfBranch:
     the branch is exact. The series x and y are computed from the chain when
     first read, to the trust bound ``order``: the order of f along the branch
     is read from the chain itself (``leading_term``), so only printing and
-    residual checks need them.
+    residual checks need them. ``twin`` is the other half of the same real
+    analytic branch (``_mirror``), held weakly: no cycle outlives a list.
     """
 
     __slots__ = ("chart", "sigma", "levels", "ctx", "p", "e", "head", "shift",
-                 "order", "_xy")
+                 "order", "_twin", "_xy", "__weakref__")
 
     def __init__(self, chart, sigma, levels, ctx, p, order=None):
         self.chart = chart
@@ -199,6 +210,7 @@ class HalfBranch:
         self.ctx = ctx
         self.p = p
         self.order = order
+        self._twin = lambda: None
         self._xy = None
         self.e = prod(b for _, b, _ in levels)
         # the dependent coordinate's terms from the levels: level i's
@@ -211,6 +223,8 @@ class HalfBranch:
             rest //= b
             self.shift += a * rest
             self.head[self.shift] = c
+
+    twin = property(lambda self: self._twin())
 
     @property
     def x(self) -> PuiseuxSeries:
@@ -271,9 +285,9 @@ class HalfBranch:
         return f"HalfBranch({self.describe()})"
 
 
-def radial_branch(sigma: int) -> HalfBranch:
-    """Synthetic ray x = sigma*s, y = 0 for rotationally degenerate cases."""
-    return HalfBranch("radial", sigma, [], None, None)
+def radial_branches() -> list[HalfBranch]:
+    """Synthetic rays x = +-s, y = 0 for rotationally degenerate cases."""
+    return _paired(HalfBranch("radial", 1, [], None, None))
 
 
 # -- the Newton-Puiseux recursion ------------------------------------------------
@@ -401,31 +415,46 @@ def _transform(q: BivarPoly, a: int, b: int, c) -> tuple[int, BivarPoly]:
         for key, n in out.items() if n})
 
 
-def _np_branches(q: BivarPoly, ctx, gamma_min: Fraction, strict: bool,
-                 depth: int, levels: list, out: list) -> None:
+def _np_branches(q: BivarPoly, ctx, sigma: int, levels: list,
+                 gamma_min: Fraction, strict: bool, depth: int, out: list,
+                 both: bool = True) -> None:
+    """Append to ``out`` the chains (levels, ctx, tail, sigma) of the
+    analytic branches at q's node, only even-b ones at a reflected node."""
     if depth > _MAX_DEPTH:
         raise RuntimeError("Newton polygon recursion failed to terminate")
     if q.min_deg_y() >= 1:
         # z = 0 is an exact solution branch ending at this node
-        out.append((list(levels), ctx, None))
+        if both:
+            out.append((list(levels), ctx, None, sigma))
         q = q.shift_down(0, 1)
         if q.is_constant():
             return
     if (0, 0) in q.terms:
         return  # unit cofactor: no further vanishing branches
+    reflect = False
     for edge in newton_polygon(q):
         if edge.gamma < gamma_min or (strict and edge.gamma == gamma_min):
             continue
         a, b = edge.gamma.numerator, edge.gamma.denominator
-        for c_val, simple, new_ctx in _edge_roots(edge.poly, ctx):
+        if b % 2 and not both:
+            continue
+        roots = _edge_roots(edge.poly, ctx)
+        if b % 2 == 0:  # sorted roots in pairs +-c
+            roots = roots[len(roots) // 2:]
+            reflect = both
+        for c_val, simple, new_ctx in roots:
             _, p1 = _transform(q, a, b, c_val)
             new_levels = levels + [(a, b, c_val)]
             if simple:
                 out.append((new_levels, new_ctx,
-                            None if p1.min_deg_y() >= 1 else p1))
+                            None if p1.min_deg_y() >= 1 else p1, sigma))
             else:
-                _np_branches(p1, new_ctx, Fraction(0), True,
-                             depth + 1, new_levels, out)
+                _np_branches(p1, new_ctx, sigma, new_levels, Fraction(0),
+                             True, depth + 1, out)
+    if reflect:
+        levels, sigma, q = _mirror(levels, sigma, q)
+        _np_branches(q, ctx, sigma, levels, gamma_min, strict, depth, out,
+                     False)
 
 
 def _tail_step(p: BivarPoly, n: int):
@@ -448,29 +477,47 @@ def _tail_step(p: BivarPoly, n: int):
     return a, c, _transform(p, a, 1, c)[1]
 
 
-def _twist_x(p: BivarPoly, sigma: int) -> BivarPoly:
-    if sigma == 1:
-        return p
-    return BivarPoly({(i, j): (c if i % 2 == 0 else -c)
+def _reflect(p: BivarPoly, A: int) -> BivarPoly:
+    """p(-u, (-1)^A z)."""
+    return BivarPoly({(i, j): (-c if (i + A * j) % 2 else c)
                       for (i, j), c in p.terms.items()})
 
 
+def _mirror(levels: list, sigma: int, p):
+    """(levels, sigma, p) with the last parameter negated, by arithmetic
+    only: the other half of an analytic branch, or side of a node."""
+    A, out, rest = 0, [], prod(b for _, b, _ in levels)
+    sigma = -sigma if rest % 2 else sigma
+    for a, b, c in levels:
+        rest //= b  # u_m changes sign iff the later b's are all odd
+        A += a * (rest % 2)
+        out.append((a, b, -c if A % 2 else c))
+    return out, sigma, None if p is None else _reflect(p, A)
+
+
+def _paired(branch: HalfBranch) -> list[HalfBranch]:
+    """The branch and its mirrored twin, linked both ways."""
+    levels, sigma, p = _mirror(branch.levels, branch.sigma, branch.p)
+    twin = HalfBranch(branch.chart, sigma, levels, branch.ctx, p, branch.order)
+    branch._twin, twin._twin = weakref.ref(twin), weakref.ref(branch)
+    return [branch, twin]
+
+
 def _branch_sort_key(b: HalfBranch):
-    # the dependent coordinate leads with c0 s^(e*gamma), gamma = a0/b0.
-    # An irrational c0 generates its own Q(c0); siblings with the same chart,
-    # gamma and sigma come from one isolate_real_roots call, so their
-    # intervals meet at most in an endpoint and the midpoint orders c0
-    # exactly.
-    if not b.levels:
-        return (CHART_RANK[b.chart], 0, -b.sigma, 0, b.e)
-    a, b0, c = b.levels[0]
-    if isinstance(c, FieldElement):
-        c = (c.ctx.lo + c.ctx.hi) / 2
-    return (CHART_RANK[b.chart], Fraction(a, b0), -b.sigma, c, b.e)
+    # chart, first gamma, sigma, first c, e, then the levels below by -gamma
+    # and c: depth-first order. Compared coefficients share a node and edge:
+    # rationals, roots of one isolate_real_roots call or their negations, or
+    # one root in Q(c); the midpoint of c's own interval orders them.
+    keys = [(Fraction(a, b0), UniPoly(c.vec).eval((c.ctx.lo + c.ctx.hi) / 2)
+             / c.den if isinstance(c, FieldElement) else c)
+            for a, b0, c in b.levels] or [(0, 0)]
+    return (CHART_RANK[b.chart], keys[0][0], -b.sigma, keys[0][1], b.e,
+            tuple((-g, c) for g, c in keys[1:]))
 
 
 def expand_branches(curve: BivarPoly, order: int = 24) -> list[HalfBranch]:
-    """All real half-branches of the square-free curve at the origin.
+    """All real half-branches of the square-free curve at the origin: one
+    chain per real analytic branch, and its mirror, the ``twin``.
 
     ``order`` is the series trust bound in the parameter s: the truncated
     series hold every term below it (they are lifted when first read). The
@@ -490,13 +537,11 @@ def expand_branches(curve: BivarPoly, order: int = 24) -> list[HalfBranch]:
     for chart, axis, p, strict in (("y-dominant", "x-axis", curve, False),
                                    ("x-dominant", "y-axis", curve.swap_vars(),
                                     True)):
-        for sigma in (1, -1):
-            chains: list = []
-            _np_branches(_twist_x(p, sigma), None, Fraction(1), strict,
-                         0, [], chains)
-            branches += [HalfBranch(chart if levels else axis, sigma, levels,
-                                    ctx, tail, order)
-                         for levels, ctx, tail in chains]
+        chains: list = []
+        _np_branches(p, None, 1, [], Fraction(1), strict, 0, chains)
+        for levels, ctx, tail, sigma in chains:
+            branches += _paired(HalfBranch(chart if levels else axis, sigma,
+                                           levels, ctx, tail, order))
     branches.sort(key=_branch_sort_key)
     return branches
 
@@ -587,7 +632,8 @@ def leading_term(polys, branch: HalfBranch, bound: int):
     swap = branch.chart in _SWAPPED
     tail = []   # (index, polynomial carried past the levels, s-order out)
     for i, f in enumerate(polys):
-        q = _twist_x(f.swap_vars() if swap else f, branch.sigma)
+        q = f.swap_vars() if swap else f
+        q = _reflect(q, 0) if branch.sigma < 0 else q
         acc = 0             # s-order already divided out
         scale = branch.e    # s-exponent of the current u
         for a, b, c in branch.levels:

@@ -21,8 +21,11 @@ series: f is pushed through the same Newton-Puiseux substitutions that
 produced the branch (none for an axis or a radial line), and then either
 read off at z = 0, on a branch with a finite parametrization, or carried
 along the branch's simple root one Newton step at a time, until a constant
-term appears. This is the Newton polygon computation of an intersection
-multiplicity.
+term appears: the Newton polygon computation of an intersection
+multiplicity. ``restrict`` reads any half-branch so, through its own chain,
+but a pair of twins needs one read: along their analytic branch
+f = c w^k + ..., w = s on one half and -s on the other, so both have
+alpha = k/e and the second the sign of c (-1)^k (``Restriction.on_twin``).
 
 Everything here is certified: leading coefficients are exact rationals or
 certified-sign extension elements, and "vanishes identically" is read from
@@ -45,7 +48,7 @@ from .bivar import BivarPoly, gcd_bivar, gcd_cofactors, squarefree_part
 from .errors import (IndeterminateSignError, NonVanishingGermError,
                      PrecisionExceededError, ZeroInputError)
 from .puiseux import (HalfBranch, expand_branches, leading_term,
-                      radial_branch, substitute)
+                      radial_branches, substitute)
 from .unipoly import coeff_sign
 
 
@@ -110,7 +113,7 @@ class TangencyCurve:
 
     def half_branches(self, order: int = 12) -> list[HalfBranch]:
         if self.degenerate:
-            return [radial_branch(1), radial_branch(-1)]
+            return radial_branches()
         return expand_branches(self.h_sf, order)
 
 
@@ -128,6 +131,12 @@ class Restriction:
         self.sign = sign
         self.alpha = alpha
         self.branch = branch
+
+    def on_twin(self) -> "Restriction":
+        """The restriction on the branch's twin: the same alpha, and the
+        sign times (-1)^k, k = alpha * e (see the module docstring)."""
+        k = int((self.alpha or 0) * self.branch.e)
+        return Restriction(self.sign * (-1) ** k, self.alpha, self.branch.twin)
 
     @property
     def kind(self) -> str:

@@ -72,3 +72,35 @@ def golden_row_germs() -> list[BivarPoly]:
     germs += [parse_poly(f"(x+y)^{n} + y^{n + 1}") for n in range(3, 9)]
     return germs + [rotate_germ(parse_poly(ROTATED_REPEATED_FACTOR)),
                     parse_poly("(y^2 - 2*x^2 - x^3)^2 * (x - y^2)")]
+
+
+# Germs whose tangency curves are x*y*C or x^2*y*C, C carrying one chain
+# shape: an even-b edge at the top on each side of x (C = (y^2 - x^3) *
+# (y^2 + 2*x^5)), even-b levels below an odd one on both sides
+# (C = ((y - x)^2 - x^3) * ((y + x)^2 + x^3)), and an even-b level below an
+# even one (C the curve of y = x^(3/2) + x^(7/4)), each C perturbed by x^9
+# so that the branches are truncated; the first also exactly.
+SERIES_GERMS = [
+    "-1/6*y^6 - 2/35*x^7 - 1/5*x^5*y^2 + 4/63*x^9 + 2/7*x^7*y^2 + x^8*y^2"
+    " + 2*x^6*y^4 + 2*x^4*y^6 + x^2*y^8 + 1/5*y^10",
+    "-1/6*y^6 - 2/35*x^7 - 1/5*x^5*y^2 + 4/63*x^9 + 2/7*x^7*y^2 + x^8*y^2"
+    " + 2*x^6*y^4 + 2*x^4*y^6 + x^2*y^8 + 1/5*y^10 + 1/11*x^11",
+    "-1/2*x^4*y^2 - 1/6*y^6 + 4/3*x^4*y^3 + 16/15*x^2*y^5 + 32/105*y^7"
+    " + 1/2*x^6*y^2 + 3/4*x^4*y^4 + 1/2*x^2*y^6 + 1/8*y^8 + 1/11*x^11",
+    "-8/105*x^7 - 4/15*x^5*y^2 - 1/3*x^3*y^4 - 1/2*x^4*y^4 - 1/3*x^2*y^6"
+    " - 1/12*y^8 - 1/9*x^9 - 4/3*x^6*y^3 - 8/5*x^4*y^5 - 32/35*x^2*y^7"
+    " - 64/315*y^9 - 1/2*x^8*y^2 - x^6*y^4 - x^4*y^6 - 1/2*x^2*y^8"
+    " - 1/10*y^10 - 1/2*x^10*y^2 - 5/4*x^8*y^4 - 5/3*x^6*y^6 - 5/4*x^4*y^8"
+    " - 1/2*x^2*y^10 - 1/12*y^12",
+]
+
+
+def series_germs() -> list[BivarPoly]:
+    """The germs of golden/branch_series.json: golden_row_germs(), then each
+    of SERIES_GERMS plain and with x and y swapped (x-dominant chains), and
+    the radial (x^2 + y^2)^2."""
+    germs = golden_row_germs()
+    for text in SERIES_GERMS:
+        f = parse_poly(text)
+        germs += [f, f.swap_vars()]
+    return germs + [parse_poly("(x^2 + y^2)^2")]

@@ -6,13 +6,17 @@ parametrization back into its curve must give the zero series through the
 trust bound, for every branch of every curve tried.
 """
 
+import json
 import random
 import subprocess
 import sys
 from fractions import Fraction
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import germinv.puiseux
 from germinv import (BivarPoly, expand_branches, newton_polygon, parse_poly,
@@ -20,11 +24,12 @@ from germinv import (BivarPoly, expand_branches, newton_polygon, parse_poly,
 from germinv.errors import (TowerDepthExceededError, UnitGermError,
                             ZeroInputError)
 from germinv.numberfield import FieldContext, FieldElement
-from germinv.puiseux import _transform
+from germinv.puiseux import PuiseuxSeries, _transform
 from germinv.tangency import ExpansionConfig, TangencyCurve, restrict
 from germinv.unipoly import UniPoly
 
-from conftest import ROTATED_REPEATED_FACTOR, random_germ, rotate_germ
+from conftest import (ROTATED_REPEATED_FACTOR, golden_row_germs, random_germ,
+                      rotate_germ, series_germs)
 
 
 def test_newton_polygon_cusp():
@@ -194,6 +199,87 @@ def test_branch_order_by_chart_gamma_side_and_coefficient():
                    ("y-dominant", 1, half, -1), ("y-dominant", 1, half, 1),
                    ("y-dominant", 1, 2, -1), ("y-dominant", 1, 2, 1),
                    ("y-dominant", -1, 2, -1), ("y-dominant", -1, 2, 1)]
+
+
+def series_rows(branches):
+    """(chart, sigma, e, x, y) per half-branch, the series as printed."""
+    return [[b.chart, b.sigma, b.e, b.x.to_string(), b.y.to_string()]
+            for b in branches]
+
+
+def test_branch_series_match_golden():
+    # every half-branch's printed series, in branch order, at the default
+    # order and at 30: the mirrored halves and their sort order are pinned
+    path = Path(__file__).resolve().parent / "golden" / "branch_series.json"
+    golden = json.loads(path.read_text())
+    germs = series_germs()
+    assert [f.to_string() for f in germs] == [g["germ"] for g in golden]
+    for f, g in zip(germs, golden):
+        curve = TangencyCurve(f)
+        got = {str(order): series_rows(curve.half_branches(order))
+               for order in (12, 30)}
+        assert got == g["rows"], g["germ"]
+
+
+def negated(series: PuiseuxSeries) -> str:
+    return PuiseuxSeries([(k, -c) for k, c in series.terms],
+                         series.truncation, series.exact).to_string()
+
+
+def reflected_rows(curve: BivarPoly, axis: str) -> list:
+    """The rows of curve(-x, y) (axis "x") or curve(x, -y) (axis "y"), read
+    off the branches of the curve: the reflected coordinate's series
+    negates, and so does sigma where that coordinate is the exact monomial
+    one (x in the y-dominant chart and on the x-axis, y in the others)."""
+    monomial = (("x-axis", "y-dominant") if axis == "x"
+                else ("y-axis", "x-dominant"))
+    rows = []
+    for b in expand_branches(curve):
+        sigma = -b.sigma if b.chart in monomial else b.sigma
+        x, y = ((negated(b.x), b.y.to_string()) if axis == "x"
+                else (b.x.to_string(), negated(b.y)))
+        rows.append([b.chart, sigma, b.e, x, y])
+    return sorted(rows)
+
+
+def assert_reflection_law(curve: BivarPoly) -> None:
+    X, Y = BivarPoly.var_x(), BivarPoly.var_y()
+    for axis, image in (("x", curve.compose(-X, Y)),
+                        ("y", curve.compose(X, -Y))):
+        try:
+            want = reflected_rows(curve, axis)
+        except TowerDepthExceededError:
+            with pytest.raises(TowerDepthExceededError):
+                expand_branches(image)
+            continue
+        assert sorted(series_rows(expand_branches(image))) == want, \
+            (curve.to_string(), axis)
+
+
+def test_reflections_map_branches_onto_branches():
+    # x -> -x sends a half-branch of h to one of h(-x, y): sigma flips in
+    # the y-dominant chart and on the x-axis, the x-series negates in the
+    # x-dominant chart, and the y-axis stays; likewise for y -> -y
+    for f in golden_row_germs():
+        curve = TangencyCurve(f)
+        if not curve.degenerate:
+            assert_reflection_law(curve.h_sf)
+
+
+@st.composite
+def small_curves(draw):
+    monomials = st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(
+        lambda ij: 1 <= sum(ij) <= 6)
+    terms = draw(st.dictionaries(monomials, st.integers(-5, 5).filter(bool),
+                                 min_size=1, max_size=5))
+    return squarefree_part(BivarPoly({ij: Fraction(c)
+                                      for ij, c in terms.items()}))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_curves())
+def test_reflections_map_branches_onto_branches_hypothesis(curve):
+    assert_reflection_law(curve)
 
 
 def residual_is_zero(curve: BivarPoly, order: int = 18) -> bool:

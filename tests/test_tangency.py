@@ -17,7 +17,7 @@ from germinv.puiseux import leading_term
 from germinv.tangency import certify_zero_branch
 
 from conftest import (ROTATED_REPEATED_FACTOR, golden_row_germs, random_germ,
-                      rotate_germ)
+                      rotate_germ, series_germs)
 
 
 def test_tangency_poly_formula():
@@ -183,6 +183,48 @@ def test_restrict_transform_count_on_rotated_repeated_factor(monkeypatch):
     kinds = [restrict(f, b, config, curve).kind for b in branches]
     assert kinds == ["K+", "K-", "K0", "K-", "K+", "K0"]
     assert len(calls) <= 14
+
+
+def test_twin_restrictions_match_direct_reads():
+    # analyze_germ reads f on one half-branch of each pair of twins and
+    # mirrors the other's restriction; restrict on either half, through its
+    # own chain, gives the same
+    config = ExpansionConfig()
+    for f in series_germs():
+        a = analyze_germ(f, config)
+        branches = [r.branch for r in a.restrictions]
+        for r in a.restrictions:
+            b = r.branch
+            assert b.twin is not b and b.twin.twin is b, f.to_string()
+            assert sum(t is b.twin for t in branches) == 1, f.to_string()
+            direct = restrict(f, b, config, a.curve)
+            assert (direct.sign, direct.alpha) == (r.sign, r.alpha), \
+                (f.to_string(), b.describe())
+
+
+def test_analyze_germ_reads_one_half_of_each_pair(monkeypatch):
+    # one leading_term per analytic branch; the rotated x^30 + y^31 took 14
+    # chain substitutions when each half-branch was expanded and read alone
+    calls = []
+    read, transform = germinv.tangency.leading_term, germinv.puiseux._transform
+
+    def counted_read(*args):
+        calls.append("read")
+        return read(*args)
+
+    def counted_transform(*args):
+        calls.append("transform")
+        return transform(*args)
+
+    monkeypatch.setattr(germinv.tangency, "leading_term", counted_read)
+    monkeypatch.setattr(germinv.puiseux, "_transform", counted_transform)
+    for f in golden_row_germs() + [parse_poly("(x^2 + y^2)^2")]:
+        calls.clear()
+        n = len(analyze_germ(f).restrictions)
+        assert 2 * calls.count("read") == n, f.to_string()
+    calls.clear()
+    analyze_germ(rotate_germ(parse_poly("x^30 + y^31")))
+    assert calls.count("transform") <= 7
 
 
 def test_restrict_matches_substitution_on_exact_branches():

@@ -1,15 +1,22 @@
 """Sparse bivariate polynomials in x, y with exact coefficients.
 
-The public algebra (parsing, differentiation, gcd, square-free part) works
-over Q, with coefficients stored as ``fractions.Fraction`` in a term map
-``(i, j) -> coeff``. The same container is reused internally with extension
-field coefficients during branch expansion; only ``+ - *`` and truth testing
-of coefficients are assumed there.
+A polynomial over Q is held as one primitive integer map (i, j) -> int, its
+coefficients' integers with gcd 1, times one positive rational content
+num/den, so that two equal polynomials hold the same form. Every operation
+of the public algebra (parsing, arithmetic, differentiation, composition,
+gcd, square-free part) runs on the integers, and each result is reduced by
+one integer gcd. The term map ``(i, j) -> Fraction`` is made only when
+``terms`` is read, for printing and the numeric oracle. A polynomial with a
+coefficient in a real extension Q(c) (see ``numberfield``) keeps a term map
+of those coefficients instead; branch expansion only reads, reflects,
+truncates, shifts and substitutes such polynomials, and never adds or
+multiplies them. ``numberfield.integer_vectors`` decides which form a term
+map gets.
 
 Each operation has one path, whatever the shape of its inputs (constants,
 polynomials in x alone or in y alone included). gcd first runs the heuristic
 gcd GCDHEU of Char, Geddes and Gonnet (J. Symbolic Comput. 7, 1989) on the
-inputs scaled to primitive integer polynomials: x is evaluated at an integer
+primitive integer forms: x is evaluated at an integer
 xi, y at an integer eta, the integer gcd of the two values is interpolated
 back by symmetric remainders, first in y and then in x, and its primitive
 part is the candidate. Exact division of both inputs certifies it, and
@@ -30,12 +37,12 @@ square-free part p / gcd(gcd(p, p_y), p_x) is read off two of them.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _igcd, isqrt
+from math import gcd as _igcd, isqrt, lcm
 from typing import Iterable
 
 from .errors import BothZeroError, ZeroInputError
-from .unipoly import (exact_quotient, integer_gcd, integer_product,
-                      primitive_integers)
+from .numberfield import integer_vectors
+from .unipoly import exact_quotient, integer_gcd, integer_product
 
 
 def _grlex_key(ij: tuple[int, int]) -> tuple[int, int]:
@@ -43,14 +50,59 @@ def _grlex_key(ij: tuple[int, int]) -> tuple[int, int]:
     return (i + j, i)
 
 
-class BivarPoly:
-    """Immutable sparse polynomial sum of coeff * x^i * y^j."""
+def _lead_sign(ints: dict) -> int:
+    """The sign of the grlex-largest entry of a nonzero integer map."""
+    return 1 if ints[max(ints, key=_grlex_key)] > 0 else -1
 
-    __slots__ = ("terms",)
+
+class BivarPoly:
+    """Immutable sparse polynomial sum of coeff * x^i * y^j.
+
+    Over Q, ``_map`` is the primitive integer map and ``_num``/``_den`` the
+    content, num > 0 and den > 0 coprime (1/1 for the zero polynomial);
+    ``_terms`` caches the Fraction map. Over Q(c), ``_num`` is None and
+    ``_map`` is the term map itself.
+    """
+
+    __slots__ = ("_map", "_num", "_den", "_terms")
 
     def __init__(self, terms: dict | Iterable = ()):
-        d = dict(terms)
-        self.terms = {ij: c for ij, c in d.items() if c}
+        d = {ij: c for ij, c in dict(terms).items() if c}
+        vecs, den, _, ctx = integer_vectors(list(d.values()))
+        if ctx is None:
+            self._reduce(dict(zip(d, (v[0] for v in vecs))), 1, den)
+        else:
+            self._map, self._num, self._den, self._terms = d, None, 1, d
+
+    def _reduce(self, ints: dict, num: int, den: int) -> None:
+        """Hold num/den times ints (den > 0, zero entries allowed) in the
+        canonical form: one gcd over the entries, one for the content."""
+        g = _igcd(*ints.values())
+        if not g or not num:
+            self._map, self._num, self._den, self._terms = {}, 1, 1, None
+            return
+        num *= g
+        if num < 0:
+            g, num = -g, -num
+        r = _igcd(num, den)
+        self._map = {ij: v // g for ij, v in ints.items() if v}
+        self._num, self._den, self._terms = num // r, den // r, None
+
+    @staticmethod
+    def from_integers(ints: dict, num: int = 1, den: int = 1) -> "BivarPoly":
+        """The polynomial num/den times the integer map ints, den > 0."""
+        p = object.__new__(BivarPoly)
+        p._reduce(ints, num, den)
+        return p
+
+    def _held(self, stored: dict) -> "BivarPoly":
+        """A polynomial of the same kind as self that stores ``stored``: an
+        integer map that is primitive under self's content, or a term map
+        of nonzero coefficients in Q(c)."""
+        p = object.__new__(BivarPoly)
+        p._map, p._num, p._den = stored, self._num, self._den
+        p._terms = stored if self._num is None else None
+        return p
 
     # -- constructors ---------------------------------------------------------
 
@@ -60,116 +112,160 @@ class BivarPoly:
 
     @staticmethod
     def constant(c) -> "BivarPoly":
-        return BivarPoly({(0, 0): Fraction(c) if isinstance(c, int) else c})
+        """The constant polynomial c, for a rational c."""
+        return BivarPoly.from_integers({(0, 0): c.numerator}, 1, c.denominator)
 
     @staticmethod
     def var_x() -> "BivarPoly":
-        return BivarPoly({(1, 0): Fraction(1)})
+        return BivarPoly.from_integers({(1, 0): 1})
 
     @staticmethod
     def var_y() -> "BivarPoly":
-        return BivarPoly({(0, 1): Fraction(1)})
+        return BivarPoly.from_integers({(0, 1): 1})
+
+    # -- reading ------------------------------------------------------------------
+
+    @property
+    def terms(self) -> dict:
+        """The term map (i, j) -> coefficient, made once when first read."""
+        if self._terms is None:
+            n, d = self._num, self._den
+            self._terms = {ij: Fraction(v * n, d) for ij, v in self._map.items()}
+        return self._terms
+
+    @property
+    def support(self):
+        """The monomials (i, j) with a nonzero coefficient."""
+        return self._map.keys()
+
+    def coeff(self, ij: tuple[int, int]):
+        """The coefficient of a monomial of the support."""
+        if self._terms is None:
+            return Fraction(self._map[ij] * self._num, self._den)
+        return self._terms[ij]
+
+    def integer_form(self) -> tuple[dict, int, int] | None:
+        """(ints, num, den) with p = num/den times the primitive integer map
+        ints, num > 0; None over Q(c)."""
+        return None if self._num is None else (self._map, self._num, self._den)
+
+    def _form(self) -> tuple[dict, int, int]:
+        if self._num is None:
+            raise TypeError("arithmetic needs rational coefficients")
+        return self._map, self._num, self._den
 
     # -- shape ------------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._map
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._map)
 
     def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {(0, 0)}
+        return not self._map or set(self._map) == {(0, 0)}
 
     def total_degree(self) -> int:
-        return max((i + j for i, j in self.terms), default=-1)
+        return max((i + j for i, j in self._map), default=-1)
 
     def deg_x(self) -> int:
-        return max((i for i, _ in self.terms), default=-1)
+        return max((i for i, _ in self._map), default=-1)
 
     def deg_y(self) -> int:
-        return max((j for _, j in self.terms), default=-1)
+        return max((j for _, j in self._map), default=-1)
 
     def min_deg_y(self) -> int:
-        return min((j for _, j in self.terms), default=0)
+        return min((j for _, j in self._map), default=0)
 
     def leading_coeff_grlex(self):
         """Coefficient of the grlex-largest monomial (x ranked above y)."""
-        if not self.terms:
+        if not self._map:
             return Fraction(0)
-        return self.terms[max(self.terms, key=_grlex_key)]
+        return self.coeff(max(self._map, key=_grlex_key))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        return self.terms == other.terms
+        if self._num is None or other._num is None:
+            return self.terms == other.terms
+        return (self._num == other._num and self._den == other._den
+                and self._map == other._map)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        if self._num is None:
+            return hash(frozenset(self._map.items()))
+        return hash((self._num, self._den, frozenset(self._map.items())))
 
     def __repr__(self) -> str:
         return f"BivarPoly({self.to_string()})"
 
     # -- arithmetic ----------------------------------------------------------------
 
-    def __add__(self, other: "BivarPoly") -> "BivarPoly":
-        out = dict(self.terms)
-        for ij, c in other.terms.items():
-            cur = out.get(ij)
-            out[ij] = c if cur is None else cur + c
-        return BivarPoly(out)
+    def _combine(self, other: "BivarPoly", sign: int) -> "BivarPoly":
+        """self + sign * other over the common content gcd(num)/lcm(den)."""
+        A, n1, d1 = self._form()
+        B, n2, d2 = other._form()
+        if not B:
+            return self
+        g, den = _igcd(n1, n2), lcm(d1, d2)
+        s, t = n1 // g * (den // d1), sign * n2 // g * (den // d2)
+        out = {ij: s * v for ij, v in A.items()}
+        for ij, v in B.items():
+            out[ij] = out.get(ij, 0) + t * v
+        return BivarPoly.from_integers(out, g, den)
 
-    def __neg__(self) -> "BivarPoly":
-        return BivarPoly({ij: -c for ij, c in self.terms.items()})
+    def __add__(self, other: "BivarPoly") -> "BivarPoly":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "BivarPoly") -> "BivarPoly":
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self) -> "BivarPoly":
+        A = self._form()[0]
+        return self._held({ij: -v for ij, v in A.items()})
 
     def __mul__(self, other: "BivarPoly") -> "BivarPoly":
+        A, n1, d1 = self._form()
+        B, n2, d2 = other._form()
         out: dict = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
+        for (i1, j1), a in A.items():
+            for (i2, j2), b in B.items():
                 ij = (i1 + i2, j1 + j2)
-                cur = out.get(ij)
-                p = c1 * c2
-                out[ij] = p if cur is None else cur + p
-        return BivarPoly(out)
+                out[ij] = out.get(ij, 0) + a * b
+        return BivarPoly.from_integers(out, n1 * n2, d1 * d2)
 
     def scale(self, c) -> "BivarPoly":
-        if not c:
-            return BivarPoly()
-        return BivarPoly({ij: v * c for ij, v in self.terms.items()})
+        """c times the polynomial, for a rational c."""
+        A, n, d = self._form()
+        return BivarPoly.from_integers(A, n * c.numerator, d * c.denominator)
 
     def __pow__(self, n: int) -> "BivarPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = BivarPoly.constant(Fraction(1))
+        out = BivarPoly.constant(1)
         base = self
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def diff(self, var: str) -> "BivarPoly":
-        out = {}
+        A, n, d = self._form()
         if var == "x":
-            for (i, j), c in self.terms.items():
-                if i:
-                    out[(i - 1, j)] = c * i
+            out = {(i - 1, j): v * i for (i, j), v in A.items() if i}
         elif var == "y":
-            for (i, j), c in self.terms.items():
-                if j:
-                    out[(i, j - 1)] = c * j
+            out = {(i, j - 1): v * j for (i, j), v in A.items() if j}
         else:
             raise ValueError(f"unknown variable {var!r}")
-        return BivarPoly(out)
+        return BivarPoly.from_integers(out, n, d)
 
     def compose(self, px: "BivarPoly", py: "BivarPoly") -> "BivarPoly":
         """Substitute polynomials for x and y."""
-        xps = {0: BivarPoly.constant(Fraction(1))}
-        yps = {0: BivarPoly.constant(Fraction(1))}
+        xps = {0: BivarPoly.constant(1)}
+        yps = {0: BivarPoly.constant(1)}
         for i in range(1, self.deg_x() + 1):
             xps[i] = xps[i - 1] * px
         for j in range(1, self.deg_y() + 1):
@@ -179,24 +275,42 @@ class BivarPoly:
             out = out + (xps[i] * yps[j]).scale(c)
         return out
 
+    # -- substitutions read off the stored map, over Q and Q(c) alike ------------
+
     def swap_vars(self) -> "BivarPoly":
-        return BivarPoly({(j, i): c for (i, j), c in self.terms.items()})
+        return self._held({(j, i): c for (i, j), c in self._map.items()})
 
     def shift_down(self, a: int, b: int) -> "BivarPoly":
         """Exact division by x^a * y^b."""
-        if not all(i >= a and j >= b for i, j in self.terms):
+        if not all(i >= a and j >= b for i, j in self._map):
             raise RuntimeError("shift_down by a monomial that does not divide")
-        return BivarPoly({(i - a, j - b): c for (i, j), c in self.terms.items()})
+        return self._held({(i - a, j - b): c
+                           for (i, j), c in self._map.items()})
+
+    def reflect(self, a: int) -> "BivarPoly":
+        """p(-x, (-1)^a y)."""
+        return self._held({(i, j): (-c if (i + a * j) % 2 else c)
+                           for (i, j), c in self._map.items()})
+
+    def truncate(self, n: int) -> "BivarPoly":
+        """p without its terms of x-degree above n."""
+        kept = {ij: c for ij, c in self._map.items() if ij[0] <= n}
+        if len(kept) == len(self._map):
+            return self
+        if self._num is None:
+            return BivarPoly(kept)
+        return BivarPoly.from_integers(kept, self._num, self._den)
 
     # -- printing ---------------------------------------------------------------------
 
     def to_string(self) -> str:
         """Render in the input grammar, terms in ascending total degree."""
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for (i, j) in sorted(self.terms, key=lambda ij: (ij[0] + ij[1], -ij[0])):
-            c = self.terms[(i, j)]
+        for (i, j) in sorted(terms, key=lambda ij: (ij[0] + ij[1], -ij[0])):
+            c = terms[(i, j)]
             mono = "*".join(
                 ([f"x^{i}" if i > 1 else "x"] if i else [])
                 + ([f"y^{j}" if j > 1 else "y"] if j else []))
@@ -219,7 +333,9 @@ class BivarPoly:
 
 def normalize(p: BivarPoly) -> BivarPoly:
     """Scale to integer-primitive form with positive grlex-leading coefficient."""
-    return _signed(_integer_primitive(p)[0])[0]
+    A = p._form()[0]
+    out = BivarPoly.from_integers(A)
+    return -out if A and _lead_sign(A) < 0 else out
 
 
 # -- heuristic gcd over the integers ------------------------------------------------------
@@ -325,26 +441,27 @@ def _z_heu_gcd(a: list[int], b: list[int]) -> list[int] | None:
     return None
 
 
-def _integer_primitive(p: BivarPoly) -> tuple[list[list[int]], Fraction]:
-    """(A, s) with p = s A, A primitive in Z[x, y] (or [] for p = 0)."""
-    ints, s = primitive_integers(list(p.terms.values()))
-    cols: list[list[int]] = [[0] * (p.deg_x() + 1) for _ in range(p.deg_y() + 1)]
-    for (i, j), v in zip(p.terms, ints):
+def _integer_primitive(p: BivarPoly) -> tuple[list[list[int]], int, int]:
+    """(A, num, den) with p = num/den A, A primitive in Z[x, y] (or [] for
+    p = 0): p's integer map laid out in columns."""
+    ints, num, den = p._form()
+    width = p.deg_x() + 1
+    cols: list[list[int]] = [[0] * width for _ in range(p.deg_y() + 1)]
+    for (i, j), v in ints.items():
         cols[j][i] = v
-    return [_z_trim(col) for col in cols], s
+    return [_z_trim(col) for col in cols], num, den
 
 
-def _from_integers(A: list[list[int]], s: Fraction) -> BivarPoly:
-    """The polynomial s A over Q."""
-    n, d = s.numerator, s.denominator
-    return BivarPoly({(i, j): Fraction(v * n, d) for j, col in enumerate(A)
-                      for i, v in enumerate(col) if v})
+def _from_integers(A: list[list[int]], num: int = 1, den: int = 1) -> BivarPoly:
+    """The polynomial num/den A over Q, for A in Z[x, y] and den > 0."""
+    return BivarPoly.from_integers({(i, j): v for j, col in enumerate(A)
+                                    for i, v in enumerate(col) if v}, num, den)
 
 
 def _signed(A: list[list[int]]) -> tuple[BivarPoly, int]:
     """(e A, e) for the sign e = +-1 that makes A's grlex lead positive."""
-    g = _from_integers(A, Fraction(1))
-    return (g, 1) if g.leading_coeff_grlex() >= 0 else (-g, -1)
+    g = _from_integers(A)
+    return (g, 1) if not A or _lead_sign(g._map) > 0 else (-g, -1)
 
 
 def _zz_norm(A: list[list[int]]) -> int:
@@ -451,10 +568,11 @@ def gcd_cofactors(p: BivarPoly,
     """(g, p/g, q/g) for g = gcd(p, q) over Q[x, y], normalized: GCDHEU on
     the primitive integer forms of p = s A and q = t B, or the subresultant
     PRS and ``_zz_divide`` when it certifies no candidate H. With g = e H,
-    e = +-1, p/g = e s A/H and q/g = e t B/H."""
+    e = +-1, p/g = e s A/H and q/g = e t B/H, primitive again by Gauss's
+    lemma, so the contents pass through as integers."""
     if p.is_zero() and q.is_zero():
         raise BothZeroError("gcd(0, 0) is undefined")
-    (A, s), (B, t) = _integer_primitive(p), _integer_primitive(q)
+    (A, sn, sd), (B, tn, td) = _integer_primitive(p), _integer_primitive(q)
     if not A or not B:
         H, U, V = (A, [[1]], []) if A else (B, [], [[1]])
     else:
@@ -464,7 +582,7 @@ def gcd_cofactors(p: BivarPoly,
             HUV = H, _zz_divide(A, H), _zz_divide(B, H)
         H, U, V = HUV
     g, e = _signed(H)
-    return g, _from_integers(U, e * s), _from_integers(V, e * t)
+    return g, _from_integers(U, e * sn, sd), _from_integers(V, e * tn, td)
 
 
 def gcd_bivar(p: BivarPoly, q: BivarPoly) -> BivarPoly:

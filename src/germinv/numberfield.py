@@ -27,7 +27,9 @@ An element mixes with ``int`` and ``Fraction`` operands in ``+ - * /`` on
 either side, and prints as its 9-digit value in parentheses, so code over
 exact coefficients treats Q and Q(c) alike and never asks which it has.
 Hot loops take a batch of coefficients, rationals and elements alike, as
-vectors over one common denominator (``integer_vectors``).
+vectors over one common denominator (``integer_vectors``), which also tells
+a batch of rationals, held as one integer form (``bivar``), from one that
+needs Q(c).
 
 m is kept square-free but is not factored into irreducibles; the isolating
 interval does the job of choosing the root. When m is certified irreducible,
@@ -197,7 +199,10 @@ def integer_vectors(xs) -> tuple[list, int, list, FieldContext | None]:
     generator of ctx, the field of the extension elements among xs (None
     when there are none), and ``ext`` telling which x are such elements. A
     rational x, and an element that is visibly rational, has a vector of
-    length 1."""
+    length 1. This is where a batch of coefficients is told to lie in Q or
+    in Q(c): with ctx None the first entries of the vectors over den are
+    the batch's integer form, which ``bivar.BivarPoly`` holds, reduced, for
+    a term map of rationals."""
     ext = [isinstance(x, FieldElement) for x in xs]
     parts = [(x.vec, x.den) if e else ((x.numerator,), x.denominator)
              for x, e in zip(xs, ext)]

@@ -24,11 +24,13 @@ coefficient it holds but the branch order, which compares Q(c) ones by
 their intervals. A branch that would need a second nested extension raises
 TowerDepthExceededError rather than returning anything uncertified.
 
-An element of Q(c) is held as an integer vector in the power basis over one
-denominator (see ``numberfield``), so each substitution
+A rational polynomial is held as one primitive integer map and a content
+(see ``bivar``), and an element of Q(c) as an integer vector in the power
+basis over one denominator (see ``numberfield``), so each substitution
 q(u^b, u^a (c + z)) / u^v of a chain (``_transform``) runs on integers: q's
 coefficients and the powers of c are read as vectors over one common
-denominator, every product of them is one integer product, and each output
+denominator, and every product of them is one integer product. A rational
+result is one integer map reduced by one gcd; over Q(c) each output
 coefficient is reduced mod the modulus once, when it is made, as an element
 of Q(c), or as a Fraction when it is rational.
 
@@ -110,9 +112,9 @@ def newton_polygon(p: BivarPoly) -> list[NewtonPolygonEdge]:
     """
     if p.is_zero():
         raise ZeroInputError("zero polynomial has no Newton polygon")
-    if (0, 0) in p.terms:
+    if (0, 0) in p.support:
         raise UnitGermError("polynomial does not vanish at the origin")
-    pts = sorted(p.terms)
+    pts = sorted(p.support)
     hull: list[tuple[int, int]] = []
     for pt in pts:
         while len(hull) >= 2:
@@ -133,7 +135,7 @@ def newton_polygon(p: BivarPoly) -> list[NewtonPolygonEdge]:
         height = a[1] - b[1]
         coeffs = [Fraction(0)] * (height + 1)
         for q in on_edge:
-            coeffs[q[1] - b[1]] = p.terms[q]
+            coeffs[q[1] - b[1]] = p.coeff(q)
         edges.append(NewtonPolygonEdge(a, b, on_edge, UniPoly(coeffs)))
     return edges
 
@@ -244,9 +246,15 @@ class HalfBranch:
         return self._xy
 
     def _dependent(self) -> PuiseuxSeries:
-        """The series coordinate: the terms of the levels, then
-        ``_tail_step`` along the simple root until every term below
-        ``order`` is present."""
+        """The series coordinate: the twin's with s -> -s, the coefficient
+        of s^k times (-1)^k, once the twin has read its own; else the terms
+        of the levels, then ``_tail_step`` along the simple root until every
+        term below ``order`` is present."""
+        twin = self.twin
+        if twin is not None and twin._xy is not None:
+            dep = twin._xy[0 if self.chart in _SWAPPED else 1]
+            return PuiseuxSeries(((k, -c if k % 2 else c) for k, c in dep.terms),
+                                 dep.truncation, dep.exact)
         terms = dict(self.head)
         if self.p is None:
             return PuiseuxSeries(terms.items(), None, True)
@@ -293,12 +301,14 @@ def radial_branches() -> list[HalfBranch]:
 # -- the Newton-Puiseux recursion ------------------------------------------------
 
 
-def _edge_roots(E: UniPoly, ctx):
-    """Real roots of an edge polynomial: list of (value, simple, ctx), with
-    ``simple`` whether E'(value) != 0.
+def _edge_roots(E: UniPoly, ctx, b: int):
+    """Real roots of the edge polynomial of an edge with gamma = a/b, to be
+    expanded: list of (value, simple, ctx), with ``simple`` whether
+    E'(value) != 0, ascending.
 
     Over Q, and inside Q(c) when every coefficient is rational, the roots
-    come from one isolation: a rational root is used as is, and an
+    come from one isolation. For even b they come in pairs +-c, and only
+    the positive half is kept. A kept rational root is used as is, and an
     irrational one opens a fresh extension Q(c) over Q but needs a second
     extension inside Q(c). With irrational coefficients only a root in Q(c)
     itself is usable: the square-free part must be linear, or have no real
@@ -321,9 +331,12 @@ def _edge_roots(E: UniPoly, ctx):
             raise TowerDepthExceededError(
                 "branch coefficient needs a second algebraic extension")
         E = UniPoly(rats)
+    roots = isolate_real_roots(E)
+    if b % 2 == 0:
+        roots = roots[len(roots) // 2:]
     dE = E.derivative()
     out = []
-    for r in isolate_real_roots(E):
+    for r in roots:
         if r.is_rational():
             out.append((r.lo, bool(dE.eval(r.lo)), ctx))
         elif ctx is None:
@@ -368,37 +381,50 @@ def _transform(q: BivarPoly, a: int, b: int, c) -> tuple[int, BivarPoly]:
     dividing the substituted polynomial.
 
     The term (i, j) of q gives C(j, l) c^(j - l) times its coefficient to the
-    term (i b + j a - v, l). This runs on integers: q's coefficients, and the
-    powers of c, are integer vectors over one denominator each
-    (``numberfield.integer_vectors``, a rational's of length 1), each packed
-    into one integer (``_pack``), so a contribution is one integer product
-    and an output coefficient one integer sum. An output coefficient is reduced mod the
-    modulus once, when it is made, and it is an element of Q(c) exactly when
-    one of its contributions was (an extension coefficient of q, or c^k with
-    k >= 1 for an extension c), a Fraction otherwise: the same coefficients,
-    of the same types, as the substitution computed term by term.
+    term (i b + j a - v, l). This runs on integers: a rational q's integer
+    form is read as it is held, a q over Q(c) and c are read as integer
+    vectors over one denominator each (``numberfield.integer_vectors``, a
+    rational's of length 1), and the powers of c are made over one
+    denominator (``integer_powers``). Each vector is packed into one integer
+    (``_pack``), so a contribution is one integer product and an output
+    coefficient one integer sum. With q and c rational the output is one
+    integer map over one denominator, reduced by one gcd
+    (``BivarPoly.from_integers``). Otherwise an output coefficient is reduced
+    mod the modulus once, when it is made, and it is an element of Q(c)
+    exactly when one of its contributions was (an extension coefficient of
+    q, or c^k with k >= 1 for an extension c), a Fraction otherwise: the
+    same coefficients, of the same types, as the substitution computed term
+    by term.
     """
-    v = min(i * b + j * a for (i, j) in q.terms)
-    nums, den, ext, ctx = integer_vectors(q.terms.values())
-    (cvec,), cden, (c_ext,), c_ctx = integer_vectors((c,))
-    if c_ctx is not None:
-        ctx = c_ctx
+    v = min(i * b + j * a for (i, j) in q.support)
+    (cvec,), cden, (c_ext,), ctx = integer_vectors((c,))
+    form = q.integer_form()
+    if form is None:
+        nums, den, ext, q_ctx = integer_vectors(list(q.terms.values()))
+        ctx, num = q_ctx if ctx is None else ctx, 1
+    else:
+        ints, num, den = form
+        ext = [False] * len(ints)
+        if c_ext:  # extension outputs take the content in
+            nums, num = [[x * num] for x in ints.values()], 1
+        else:
+            nums = [[x] for x in ints.values()]
     J = q.deg_y()
     pows, pden = integer_powers(cvec, cden, J, ctx)
     # every entry of a packed sum stays below 2^(shift - 1) in absolute value
     width_n, width_c = max(map(len, nums)), max(map(len, pows))
     shift = 1
     if width_n > 1 or width_c > 1:
-        bound = (sum(j + 1 for _, j in q.terms) * min(width_n, width_c)
+        bound = (sum(j + 1 for _, j in q.support) * min(width_n, width_c)
                  * max(abs(x) for vec in nums for x in vec) * comb(J, J // 2)
                  * max(abs(x) for vec in pows for x in vec))
         shift += bound.bit_length()
     cpows = [_pack(vec, shift) for vec in pows]
     rows = {j: [comb(j, l) * cpows[j - l] for l in range(j + 1)]
-            for j in {j for _, j in q.terms}}
+            for j in {j for _, j in q.support}}
     out: dict = {}
     in_ext = set()
-    for (i, j), vec, x in zip(q.terms, nums, ext):
+    for (i, j), vec, x in zip(q.support, nums, ext):
         base = i * b + j * a - v
         n = _pack(vec, shift)
         row = rows[j]
@@ -408,6 +434,8 @@ def _transform(q: BivarPoly, a: int, b: int, c) -> tuple[int, BivarPoly]:
         if x or c_ext:
             in_ext.update((base, l) for l in range(j + 1 if x else j))
     den *= pden
+    if not in_ext:
+        return v, BivarPoly.from_integers(out, num, den)
     width = width_n + width_c - 1
     return v, BivarPoly({
         key: (ctx.element_from_integers(_unpack(n, shift, width), den)
@@ -429,7 +457,7 @@ def _np_branches(q: BivarPoly, ctx, sigma: int, levels: list,
         q = q.shift_down(0, 1)
         if q.is_constant():
             return
-    if (0, 0) in q.terms:
+    if (0, 0) in q.support:
         return  # unit cofactor: no further vanishing branches
     reflect = False
     for edge in newton_polygon(q):
@@ -438,11 +466,8 @@ def _np_branches(q: BivarPoly, ctx, sigma: int, levels: list,
         a, b = edge.gamma.numerator, edge.gamma.denominator
         if b % 2 and not both:
             continue
-        roots = _edge_roots(edge.poly, ctx)
-        if b % 2 == 0:  # sorted roots in pairs +-c
-            roots = roots[len(roots) // 2:]
-            reflect = both
-        for c_val, simple, new_ctx in roots:
+        reflect |= both and b % 2 == 0
+        for c_val, simple, new_ctx in _edge_roots(edge.poly, ctx, b):
             _, p1 = _transform(q, a, b, c_val)
             new_levels = levels + [(a, b, c_val)]
             if simple:
@@ -467,20 +492,14 @@ def _tail_step(p: BivarPoly, n: int):
     u-degree n are kept, which fixes Z through u^n; with no z-free term
     there, Z = O(u^(n+1)) and the step is (n + 1, 0, p).
     """
-    if (0, 1) not in p.terms:
+    if (0, 1) not in p.support:
         raise RuntimeError("a Newton step needs a simple root")
-    p = _truncate(p, n)
-    a = min((i for i, j in p.terms if j == 0), default=n + 1)
+    p = p.truncate(n)
+    a = min((i for i, j in p.support if j == 0), default=n + 1)
     if a > n:
         return a, Fraction(0), p
-    c = -p.terms[(a, 0)] / p.terms[(0, 1)]
+    c = -p.coeff((a, 0)) / p.coeff((0, 1))
     return a, c, _transform(p, a, 1, c)[1]
-
-
-def _reflect(p: BivarPoly, A: int) -> BivarPoly:
-    """p(-u, (-1)^A z)."""
-    return BivarPoly({(i, j): (-c if (i + A * j) % 2 else c)
-                      for (i, j), c in p.terms.items()})
 
 
 def _mirror(levels: list, sigma: int, p):
@@ -492,7 +511,7 @@ def _mirror(levels: list, sigma: int, p):
         rest //= b  # u_m changes sign iff the later b's are all odd
         A += a * (rest % 2)
         out.append((a, b, -c if A % 2 else c))
-    return out, sigma, None if p is None else _reflect(p, A)
+    return out, sigma, None if p is None else p.reflect(A)
 
 
 def _paired(branch: HalfBranch) -> list[HalfBranch]:
@@ -529,7 +548,7 @@ def expand_branches(curve: BivarPoly, order: int = 24) -> list[HalfBranch]:
     """
     if curve.is_zero():
         raise ZeroInputError("the zero polynomial is not a curve")
-    if (0, 0) in curve.terms:
+    if (0, 0) in curve.support:
         raise UnitGermError("curve does not pass through the origin")
     branches = []
     # a chain with no levels is z = 0 itself: the x-axis in the y-dominant
@@ -604,11 +623,6 @@ def substitute(f: BivarPoly, branch: HalfBranch) -> PuiseuxSeries:
     return PuiseuxSeries(terms, None if exact else n, exact)
 
 
-def _truncate(q: BivarPoly, n: int) -> BivarPoly:
-    """q without its terms of u-degree above n."""
-    return BivarPoly({ij: c for ij, c in q.terms.items() if ij[0] <= n})
-
-
 def leading_term(polys, branch: HalfBranch, bound: int):
     """The lowest term of the first of ``polys`` to show one along a branch:
     (i, k, c) with polys[i](x(s), y(s)) = c*s^k + ..., or None when every
@@ -633,25 +647,25 @@ def leading_term(polys, branch: HalfBranch, bound: int):
     tail = []   # (index, polynomial carried past the levels, s-order out)
     for i, f in enumerate(polys):
         q = f.swap_vars() if swap else f
-        q = _reflect(q, 0) if branch.sigma < 0 else q
+        q = q.reflect(0) if branch.sigma < 0 else q
         acc = 0             # s-order already divided out
         scale = branch.e    # s-exponent of the current u
         for a, b, c in branch.levels:
-            if q.is_zero() or (0, 0) in q.terms:
+            if q.is_zero() or (0, 0) in q.support:
                 break
             scale //= b
             v, q = _transform(q, a, b, c)
             acc += v * scale
-            q = _truncate(q, (bound - acc) // scale)
-        if (0, 0) in q.terms:
-            return i, acc, q.terms[(0, 0)]
+            q = q.truncate((bound - acc) // scale)
+        if (0, 0) in q.support:
+            return i, acc, q.coeff((0, 0))
         if branch.p is not None:
             if not q.is_zero():
                 tail.append((i, q, acc))
             continue
-        k = min((k for k, j in q.terms if j == 0), default=None)
+        k = min((k for k, j in q.support if j == 0), default=None)
         if k is not None:
-            return i, acc + k, q.terms[(k, 0)]
+            return i, acc + k, q.coeff((k, 0))
     p = branch.p
     while tail:
         a, c, p = _tail_step(p, bound - min(acc for _, _, acc in tail))
@@ -659,9 +673,9 @@ def leading_term(polys, branch: HalfBranch, bound: int):
         for i, q, acc in tail:
             v, q = _transform(q, a, 1, c)
             acc += v
-            q = _truncate(q, bound - acc)
-            if (0, 0) in q.terms:
-                return i, acc, q.terms[(0, 0)]
+            q = q.truncate(bound - acc)
+            if (0, 0) in q.support:
+                return i, acc, q.coeff((0, 0))
             if not q.is_zero():
                 moved.append((i, q, acc))
         tail = moved

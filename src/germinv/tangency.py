@@ -77,8 +77,9 @@ class ExpansionConfig:
 
 
 def tangency_poly(f: BivarPoly) -> BivarPoly:
-    """h = y*f_x - x*f_y. Raises NonVanishingGermError unless f(0,0) = 0."""
-    if (0, 0) in f.terms:
+    """h = y*f_x - x*f_y, on f's integer form (``BivarPoly`` arithmetic).
+    Raises NonVanishingGermError unless f(0,0) = 0."""
+    if (0, 0) in f.support:
         raise NonVanishingGermError("germ must vanish at the origin")
     return (BivarPoly.var_y() * f.diff("x")) - (BivarPoly.var_x() * f.diff("y"))
 
@@ -108,7 +109,7 @@ class TangencyCurve:
         if not self.degenerate:
             self.h_sf = squarefree_part(self.h)
             g, _, r = gcd_cofactors(f, self.h_sf)
-            if (0, 0) not in g.terms:
+            if (0, 0) not in g.support:
                 self.cofactor = r
 
     def half_branches(self, order: int = 12) -> list[HalfBranch]:

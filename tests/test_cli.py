@@ -14,7 +14,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from germinv import analyze_germ, cli, parse_poly
+import germinv.puiseux
+from germinv import ExpansionConfig, analyze_germ, cli, parse_poly
 from germinv.numberfield import FieldElement
 
 
@@ -322,6 +323,34 @@ def test_branches_order_30_pinned(capsys):
     golden = (Path(__file__).resolve().parent / "golden"
               / "branches_y3_x5_x2y2_order30.txt")
     assert out == golden.read_text()
+
+
+def test_branches_lifts_one_half_of_each_pair(capsys, monkeypatch):
+    # a twin's series is its first half's with the coefficient of s^k times
+    # (-1)^k: beside the analysis, a branches run lifts each truncated pair
+    # once; it lifted both halves when the twin ran its own Newton steps
+    germ, order = "y^3 - x^5 + x^2*y^2", 30
+    calls = []
+    step = germinv.puiseux._tail_step
+
+    def counted(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(germinv.puiseux, "_tail_step", counted)
+    rc, _, _ = run(capsys, "branches", germ, "--order", str(order))
+    assert rc == 0
+    ran = len(calls)
+    calls.clear()
+    analysis = analyze_germ(parse_poly(germ), ExpansionConfig(order=order))
+    analysed = len(calls)
+    calls.clear()
+    read = set()
+    for r in analysis.restrictions:
+        if r.branch.twin not in read:
+            read.add(r.branch)
+            r.branch.y
+    assert calls and ran == analysed + len(calls)
 
 
 # a rotated quintic whose branch [2] has Q(c) coefficients down to 1e-16

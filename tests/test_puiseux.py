@@ -441,6 +441,25 @@ def test_field_arithmetic_is_canonical_and_matches_q_polynomials(name):
         check_field_arithmetic(ctx, xs + [draw() for _ in range(12)], rng)
 
 
+def test_even_b_edge_opens_fields_only_for_kept_roots(monkeypatch):
+    # an even-b edge has its roots in pairs +-c and expands the positive
+    # ones; (y^2 - 2x^3)(y^2 + 3x^3) has +-sqrt(2) at x > 0 and +-sqrt(3) at
+    # x < 0, and opens one field per kept root, where it opened one per root
+    made = []
+
+    class Counted(FieldContext):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(germinv.puiseux, "FieldContext", Counted)
+    bs = expand_branches(parse_poly("(y^2 - 2*x^3)*(y^2 + 3*x^3)"))
+    assert len(bs) == 4
+    assert len(made) == len({id(b.ctx) for b in bs if b.ctx is not None}) == 2
+
+
 def test_transform_matches_term_by_term_over_q():
     rng = random.Random(20261019)
     for _ in range(60):

@@ -227,6 +227,26 @@ def test_analyze_germ_reads_one_half_of_each_pair(monkeypatch):
     assert calls.count("transform") <= 7
 
 
+def test_analyses_make_few_fractions(monkeypatch):
+    # rational polynomials stay integer forms from the tangency curve to the
+    # orders: the analyses of the golden germs build 9,135 Fractions on
+    # CPython 3.11, and built 19,160 when every bivariate operation went
+    # through a term map of Fractions
+    germs = golden_row_germs()
+    made = []
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    for f in germs:
+        analyze_germ(f)
+    monkeypatch.undo()
+    assert len(made) <= 9600
+
+
 def test_restrict_matches_substitution_on_exact_branches():
     # restrict reads every branch through its chain; on a branch with a
     # finite parametrization, substituting it into f is the reference

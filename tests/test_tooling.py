@@ -51,6 +51,29 @@ def test_bivariate_layer_uses_no_unipoly():
     assert "UniPoly" not in names
 
 
+def _calls_fraction(path: Path, names: set) -> list[str]:
+    """The functions among ``names`` in the module that call Fraction(...)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(f.name for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef) and f.name in names
+                  and any(isinstance(n, ast.Call)
+                          and isinstance(n.func, ast.Name)
+                          and n.func.id == "Fraction" for n in ast.walk(f)))
+
+
+def test_curve_layer_makes_no_fractions():
+    # the tangency curve, its gcds and its square-free part run on the
+    # integer form of BivarPoly: no Fraction is made there to be taken apart
+    # again
+    names = {"gcd_cofactors", "squarefree_part", "_integer_primitive",
+             "_from_integers", "_signed"}
+    assert _calls_fraction(SRC / "bivar.py", names) == []
+    assert _calls_fraction(SRC / "tangency.py", {"tangency_poly"}) == []
+    # the check sees a call where there is one
+    assert _calls_fraction(SRC / "bivar.py", {"leading_coeff_grlex"}) == [
+        "leading_coeff_grlex"]
+
+
 def _resolves(target: str) -> bool:
     """Is ``module.attr`` or ``module.Class.attr`` defined, the attribute in
     the module's or the class's own namespace, where the tracer patches it?"""

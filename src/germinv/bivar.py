@@ -177,12 +177,6 @@ class BivarPoly:
     def min_deg_y(self) -> int:
         return min((j for _, j in self._map), default=0)
 
-    def leading_coeff_grlex(self):
-        """Coefficient of the grlex-largest monomial (x ranked above y)."""
-        if not self._map:
-            return Fraction(0)
-        return self.coeff(max(self._map, key=_grlex_key))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BivarPoly):
             return NotImplemented
@@ -193,7 +187,8 @@ class BivarPoly:
 
     def __hash__(self):
         if self._num is None:
-            return hash(frozenset(self._map.items()))
+            # its Q(c) coefficients have no hash
+            raise TypeError("a polynomial over Q(c) is unhashable")
         return hash((self._num, self._den, frozenset(self._map.items())))
 
     def __repr__(self) -> str:

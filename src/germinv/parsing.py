@@ -36,11 +36,6 @@ class _Scanner:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take(self) -> str:
-        c = self.peek()
-        self.pos += 1
-        return c
-
     def natural(self) -> int:
         self.skip_ws()
         start = self.pos

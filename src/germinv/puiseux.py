@@ -80,28 +80,22 @@ _SWAPPED = ("y-axis", "x-dominant")
 
 
 class NewtonPolygonEdge:
-    """One negative-slope edge of the lower Newton hull.
-
-    ``start`` is the high-z endpoint (i1, j1), ``end`` the low-z endpoint
-    (i2, j2), ``slope`` = (i2-i1)/(j2-j1) < 0, ``gamma`` = -slope, ``points``
-    all support points on the segment, and ``poly`` the edge polynomial
-    E(c) = sum a_ij c^(j - j2), whose nonzero real roots are the leading
-    coefficients of branches z ~ c * u^gamma.
+    """One negative-slope edge of the lower Newton hull: ``gamma`` is minus
+    its slope, and ``poly`` the edge polynomial E(c) = sum a_ij c^(j - j2)
+    over the support points (i, j) on the edge, j2 the least j among them,
+    whose nonzero real roots are the leading coefficients of branches
+    z ~ c * u^gamma.
     """
 
-    __slots__ = ("start", "end", "slope", "gamma", "points", "poly")
+    __slots__ = ("gamma", "poly")
 
-    def __init__(self, start, end, points, poly):
-        self.start = start
-        self.end = end
-        self.slope = Fraction(end[0] - start[0], end[1] - start[1])
-        self.gamma = -self.slope
-        self.points = points
+    def __init__(self, gamma: Fraction, poly: UniPoly):
+        self.gamma = gamma
         self.poly = poly
 
     def __repr__(self):
-        return (f"NewtonPolygonEdge({self.start}->{self.end}, "
-                f"gamma={self.gamma}, E={self.poly.to_string('c')})")
+        return (f"NewtonPolygonEdge(gamma={self.gamma}, "
+                f"E={self.poly.to_string('c')})")
 
 
 def newton_polygon(p: BivarPoly) -> list[NewtonPolygonEdge]:
@@ -136,7 +130,7 @@ def newton_polygon(p: BivarPoly) -> list[NewtonPolygonEdge]:
         coeffs = [Fraction(0)] * (height + 1)
         for q in on_edge:
             coeffs[q[1] - b[1]] = p.coeff(q)
-        edges.append(NewtonPolygonEdge(a, b, on_edge, UniPoly(coeffs)))
+        edges.append(NewtonPolygonEdge(Fraction(di, -dj), UniPoly(coeffs)))
     return edges
 
 
@@ -303,8 +297,7 @@ def radial_branches() -> list[HalfBranch]:
 
 def _edge_roots(E: UniPoly, ctx, b: int):
     """Real roots of the edge polynomial of an edge with gamma = a/b, to be
-    expanded: list of (value, simple, ctx), with ``simple`` whether
-    E'(value) != 0, ascending.
+    expanded: list of (value, ctx), ascending.
 
     Over Q, and inside Q(c) when every coefficient is rational, the roots
     come from one isolation. For even b they come in pairs +-c, and only
@@ -321,11 +314,9 @@ def _edge_roots(E: UniPoly, ctx, b: int):
         coeffs = [ctx.coerce(c) for c in E.coeffs]
         rats = [c.as_rational() for c in coeffs]
         if any(q is None for q in rats):
-            Ef = UniPoly(coeffs)
-            red, seq = squarefree_sturm(Ef)
+            red, seq = squarefree_sturm(UniPoly(coeffs))
             if red.degree == 1:
-                c_val = -red.coeffs[0]  # red is monic
-                return [(c_val, bool(Ef.derivative().eval(c_val)), ctx)]
+                return [(-red.coeffs[0], ctx)]  # red is monic
             if count_all_real_roots(seq) == 0:
                 return []
             raise TowerDepthExceededError(
@@ -334,16 +325,14 @@ def _edge_roots(E: UniPoly, ctx, b: int):
     roots = isolate_real_roots(E)
     if b % 2 == 0:
         roots = roots[len(roots) // 2:]
-    dE = E.derivative()
     out = []
     for r in roots:
         if r.is_rational():
-            out.append((r.lo, bool(dE.eval(r.lo)), ctx))
+            out.append((r.lo, ctx))
         elif ctx is None:
             new_ctx = FieldContext(r.defining, r.lo, r.hi,
                                    rational_root_free=True)
-            gen = new_ctx.generator()
-            out.append((gen, bool(dE.eval(gen)), new_ctx))
+            out.append((new_ctx.generator(), new_ctx))
         else:
             raise TowerDepthExceededError(
                 "branch coefficient needs a second algebraic extension")
@@ -467,10 +456,12 @@ def _np_branches(q: BivarPoly, ctx, sigma: int, levels: list,
         if b % 2 and not both:
             continue
         reflect |= both and b % 2 == 0
-        for c_val, simple, new_ctx in _edge_roots(edge.poly, ctx, b):
+        for c_val, new_ctx in _edge_roots(edge.poly, ctx, b):
             _, p1 = _transform(q, a, b, c_val)
             new_levels = levels + [(a, b, c_val)]
-            if simple:
+            # p1(0, z) = (c + z)^j E(c + z) for the edge's least j, so p1's
+            # z term is c^j E'(c) z, and c != 0: it is there iff c is simple
+            if (0, 1) in p1.support:
                 out.append((new_levels, new_ctx,
                             None if p1.min_deg_y() >= 1 else p1, sigma))
             else:
@@ -527,8 +518,8 @@ def _branch_sort_key(b: HalfBranch):
     # and c: depth-first order. Compared coefficients share a node and edge:
     # rationals, roots of one isolate_real_roots call or their negations, or
     # one root in Q(c); the midpoint of c's own interval orders them.
-    keys = [(Fraction(a, b0), UniPoly(c.vec).eval((c.ctx.lo + c.ctx.hi) / 2)
-             / c.den if isinstance(c, FieldElement) else c)
+    keys = [(Fraction(a, b0), UniPoly(c.vec).eval(c.ctx.midpoint) / c.den
+             if isinstance(c, FieldElement) else c)
             for a, b0, c in b.levels] or [(0, 0)]
     return (CHART_RANK[b.chart], keys[0][0], -b.sigma, keys[0][1], b.e,
             tuple((-g, c) for g, c in keys[1:]))

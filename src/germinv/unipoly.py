@@ -244,15 +244,11 @@ def integer_product(a: list[int], b: list[int]) -> list[int]:
 
 def integer_gcd(a: list[int], b: list[int]) -> list[int]:
     """gcd of integer polynomials a and b, primitive with a positive leading
-    coefficient, or [] when both are zero: a primitive remainder sequence
-    of ``pseudo_remainder`` steps, whose first step swaps a shorter a."""
-    while b:
-        a, b = b, pseudo_remainder(a, b)[0]
-        if b:
-            g = gcd(*b)
-            b = [c // g for c in b]
-    g = -gcd(*a) if a and a[-1] < 0 else gcd(*a)
-    return [c // g for c in a]
+    coefficient, or [] when both are zero: the last member of their
+    primitive remainder chain (``_remainder_chain``)."""
+    g = _remainder_chain(a, b)[-1]
+    s = -gcd(*g) if g and g[-1] < 0 else gcd(*g)
+    return [c // s for c in g]
 
 
 # -- Sturm machinery ----------------------------------------------------------
@@ -307,12 +303,12 @@ def pseudo_remainder(a: list[int], b: list[int]) -> tuple[list[int], int]:
     return r, s
 
 
-def _integer_sturm(P: list[int]) -> list[list[int]]:
-    """``sturm_sequence`` of integer P as primitive integer polynomials, each
-    a positive multiple of that chain's member."""
-    dP = [k * c for k, c in enumerate(P)][1:]
-    g = gcd(*dP)
-    seq = [P, [c // g for c in dP]]
+def _remainder_chain(a: list[int], b: list[int]) -> list[list[int]]:
+    """[a, b, r1, ...] for integer polynomials: each r the primitive
+    positive multiple of -rem of the two members before it (a Sturm chain's
+    sign), down to a constant or the last nonzero member, gcd(a, b) up to a
+    constant factor. A shorter a is its own remainder, a swap."""
+    seq = [a, b]
     while len(seq[-1]) > 1:
         r, s = pseudo_remainder(seq[-2], seq[-1])
         g = gcd(*r) if s > 0 else -gcd(*r)
@@ -320,6 +316,14 @@ def _integer_sturm(P: list[int]) -> list[list[int]]:
     if not seq[-1]:
         seq.pop()
     return seq
+
+
+def _integer_sturm(P: list[int]) -> list[list[int]]:
+    """``sturm_sequence`` of integer P as primitive integer polynomials, each
+    a positive multiple of that chain's member."""
+    dP = [k * c for k, c in enumerate(P)][1:]
+    g = gcd(*dP)
+    return _remainder_chain(P, [c // g for c in dP])
 
 
 def exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
@@ -353,14 +357,11 @@ def _signs_at(polys: Sequence[list[int]], n: int, d: int) -> list[int]:
     return signs
 
 
-def _interval_horner(P: list[int], lo: Fraction, hi: Fraction
+def _interval_horner(P: list[int], a: int, b: int, d: int
                      ) -> tuple[int, int, int]:
-    """(m, M, D) with m/D <= P(x) <= M/D for x in [lo, hi] and integer P:
-    exact interval Horner scaled by D = d^deg P, for the common denominator
-    d of lo and hi; [m, M] * [d lo, d hi] takes two products, by signs."""
-    d = lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (d // lo.denominator)
-    b = hi.numerator * (d // hi.denominator)
+    """(m, M, D) with m/D <= P(x) <= M/D for x in [a/d, b/d], d > 0, and
+    integer P: exact interval Horner scaled by D = d^deg P, exact when
+    a = b; [m, M] * [a, b] takes two products, by signs."""
     it = reversed(P)
     m = M = next(it, 0)
     D = 1
@@ -402,7 +403,10 @@ def cauchy_bound(p: UniPoly) -> Fraction:
 
 class AlgebraicReal:
     """A real algebraic number: square-free defining polynomial over Q plus an
-    isolating interval [lo, hi] with rational endpoints.
+    isolating interval [lo, hi] with rational endpoints, held as the cell
+    (a, b, d) of integers a <= b over one denominator d > 0, lo = a/d and
+    hi = b/d: the form in which ``_sturm_isolate`` bisects. ``lo``, ``hi``
+    and ``midpoint`` are Fractions made when read.
 
     Rational numbers are stored with the degenerate interval [r, r]. For
     irrational roots the endpoints are never roots of ``defining`` and the
@@ -420,12 +424,20 @@ class AlgebraicReal:
     Q(a), and asks both questions of its elements' integer vectors.
     """
 
-    __slots__ = ("defining", "lo", "hi", "_lo_sign", "_integer_defining")
+    __slots__ = ("defining", "_cell", "_lo_sign", "_integer_defining")
 
     def __init__(self, defining: UniPoly, lo: Fraction, hi: Fraction):
+        d = lcm(lo.denominator, hi.denominator)
         self._define(defining)
-        self.lo = Fraction(lo)
-        self.hi = Fraction(hi)
+        self._cell = (lo.numerator * (d // lo.denominator),
+                      hi.numerator * (d // hi.denominator), d)
+
+    @classmethod
+    def _of_cell(cls, defining: UniPoly, cell: tuple) -> "AlgebraicReal":
+        x = object.__new__(cls)
+        x._define(defining)
+        x._cell = cell
+        return x
 
     def _define(self, defining: UniPoly) -> None:
         """Set ``defining`` and its integer form; forget the old sign at lo."""
@@ -433,38 +445,44 @@ class AlgebraicReal:
         self._integer_defining = primitive_integers(defining.coeffs)[0]
         self._lo_sign = None
 
+    lo = property(lambda self: Fraction(self._cell[0], self._cell[2]))
+    hi = property(lambda self: Fraction(self._cell[1], self._cell[2]))
+
+    @property
+    def midpoint(self) -> Fraction:
+        a, b, d = self._cell
+        return Fraction(a + b, 2 * d)
+
     def __repr__(self) -> str:
         if self.is_rational():
             return f"{type(self).__name__}({self.lo})"
         return f"{type(self).__name__}({self.defining.to_string()} in [{self.lo}, {self.hi}] ~ {float(self)})"
 
     def __float__(self) -> float:
-        return float((self.lo + self.hi) / 2)
+        return float(self.midpoint)
 
     def is_rational(self) -> bool:
-        return self.lo == self.hi
+        return self._cell[0] == self._cell[1]
 
     def refine_step(self) -> None:
-        if self.lo == self.hi:
+        a, b, d = self._cell
+        if a == b:
             return
-        mid = (self.lo + self.hi) / 2
-        P = (self._integer_defining,)
-        s = _signs_at(P, mid.numerator, mid.denominator)[0]
+        P, m = (self._integer_defining,), a + b
+        s = _signs_at(P, m, 2 * d)[0]
         if s == 0:
-            # the isolated root is exactly mid: collapse to a rational
-            self.lo = self.hi = mid
+            # the isolated root is exactly the midpoint: collapse onto it
+            self._cell = (m, m, 2 * d)
             return
         if self._lo_sign is None:
-            self._lo_sign = _signs_at(P, self.lo.numerator,
-                                      self.lo.denominator)[0]
-        if s * self._lo_sign < 0:
-            self.hi = mid
-        else:
-            self.lo = mid
+            self._lo_sign = _signs_at(P, a, d)[0]
+        self._cell = ((2 * a, m, 2 * d) if s * self._lo_sign < 0
+                      else (m, 2 * b, 2 * d))
 
     def refine_to(self, width: Fraction) -> None:
         """Bisect until hi - lo <= width."""
-        while self.hi - self.lo > width:
+        num, den = width.numerator, width.denominator
+        while (self._cell[1] - self._cell[0]) * den > num * self._cell[2]:
             self.refine_step()
 
     def is_root_of(self, P: list[int]) -> bool:
@@ -476,15 +494,14 @@ class AlgebraicReal:
         has a root there exactly when a is one, and it is simple."""
         if len(P) < 2:
             return not any(P)
-        lo, hi = self.lo, self.hi
-        if lo == hi:
-            return _signs_at((P,), lo.numerator, lo.denominator)[0] == 0
-        m, M, _ = _interval_horner(P, lo, hi)
+        a, b, d = self._cell
+        if a == b:
+            return _signs_at((P,), a, d)[0] == 0
+        m, M, _ = _interval_horner(P, a, b, d)
         if m > 0 or M < 0:
             return False
         g = (integer_gcd(P, self._integer_defining),)
-        return (_signs_at(g, lo.numerator, lo.denominator)[0]
-                * _signs_at(g, hi.numerator, hi.denominator)[0] < 0)
+        return _signs_at(g, a, d)[0] * _signs_at(g, b, d)[0] < 0
 
     def enclose(self, P: list[int], den: int, width: Fraction | None = None,
                 max_bits: int = 4096) -> tuple[Fraction, Fraction]:
@@ -500,19 +517,22 @@ class AlgebraicReal:
         same steps and returns the same rationals.
         """
         for _ in range(max_bits):
-            if self.lo == self.hi:
+            a, b, d = self._cell
+            if a == b:
                 break
-            lo, hi, D = _interval_horner(P, self.lo, self.hi)
+            lo, hi, D = _interval_horner(P, a, b, d)
             if ((lo > 0 or hi < 0) if width is None else
                     (hi - lo) * width.denominator
                     <= width.numerator * den * D):
                 D *= den
                 return Fraction(lo, D), Fraction(hi, D)
             self.refine_step()
-        if self.lo != self.hi:
+        a, b, d = self._cell
+        if a != b:
             raise PrecisionExceededError(
                 f"root refinement undecided within {max_bits} bits")
-        v = sum(c * self.lo ** k for k, c in enumerate(P)) / Fraction(den)
+        v, _, D = _interval_horner(P, a, a, d)
+        v = Fraction(v, D * den)
         return v, v
 
 
@@ -556,22 +576,23 @@ def _integer_root(q: list[int], right_sign: int, i: int,
     return None
 
 
-def _sturm_isolate(u: UniPoly) -> tuple[list[Fraction], list[tuple], UniPoly]:
+def _sturm_isolate(u: UniPoly) -> tuple[list[tuple[int, int, int]], UniPoly]:
     """Bisect (-B, B] with Sturm counts, for nonzero u over Q, on its monic
     square-free part p and its Sturm chain, both as integer polynomials.
 
-    Returns the rational roots, an isolating interval (lo, hi) for each
-    irrational root, and p divided by (t - r) for each rational root r: the
-    intervals isolate its roots, and their endpoints are not roots of it.
-    A cell (lo, hi] carries V(lo) and V(hi), whose difference counts its
-    roots even when an end is a root, so a root on a bisection point is the
-    right end of a one-root cell. Any other root of such a cell is interior,
-    and the sign of p(hi), read with V(hi), guides ``_integer_root`` on
-    q(s) = A^(n-1) P(s/A), for P = A t^n + ... the integer form of p. Cell
-    ends are integers over B's denominator times 2^k.
+    Returns one cell (a, b, d) per root, ascending: integers over one
+    denominator, a = b for a rational root a/d, else the isolating interval
+    [a/d, b/d] of an irrational one; and p divided by (t - r) for each
+    rational root r: the intervals isolate its roots, and their endpoints
+    are not roots of it. A cell (lo, hi] carries V(lo) and V(hi), whose
+    difference counts its roots even when an end is a root, so a root on a
+    bisection point is the right end of a one-root cell. Any other root of
+    such a cell is interior, and the sign of p(hi), read with V(hi), guides
+    ``_integer_root`` on q(s) = A^(n-1) P(s/A), for P = A t^n + ... the
+    integer form of p. Cell ends are integers over B's denominator times
+    2^k, and the cells, half-open and disjoint, are walked left to right.
     """
-    rats: list[Fraction] = []
-    cells: list[tuple[Fraction, Fraction]] = []
+    cells: list[tuple[int, int, int]] = []
     P = primitive_integers(u.coeffs)[0]
     seq = _integer_sturm(P)
     if len(seq[-1]) > 1:
@@ -596,56 +617,50 @@ def _sturm_isolate(u: UniPoly) -> tuple[list[Fraction], list[tuple], UniPoly]:
         a, b, d, vlo, vhi, shi = stack.pop()
         if vlo - vhi > 1:
             vmid, smid = point(a + b, 2 * d)
-            stack.append((2 * a, a + b, 2 * d, vlo, vmid, smid))
             stack.append((a + b, 2 * b, 2 * d, vmid, vhi, shi))
+            stack.append((2 * a, a + b, 2 * d, vlo, vmid, smid))
             continue
         if vlo == vhi:
             continue
         if shi == 0:
-            rats.append(Fraction(b, d))
+            cells.append((b, b, d))
             continue
         s = _integer_root(q, shi, a * A // d + 1, -(-b * A // d) - 1)
-        if s is None:
-            cells.append((Fraction(a, d), Fraction(b, d)))
-        else:
-            rats.append(Fraction(s, A))
-    for r in rats:
-        P = exact_quotient(P, [-r.numerator, r.denominator])
-        if P is None:
-            raise RuntimeError("inexact polynomial division")
-    return rats, cells, UniPoly([Fraction(c, P[-1]) for c in P])
+        cells.append((a, b, d) if s is None else (s, s, A))
+    for a, b, d in cells:
+        if a == b:
+            g = gcd(a, d)
+            P = exact_quotient(P, [-a // g, d // g])
+            if P is None:
+                raise RuntimeError("inexact polynomial division")
+    return cells, UniPoly([Fraction(c, P[-1]) for c in P])
 
 
 def has_rational_root(p: UniPoly) -> bool:
     """Whether nonzero p over Q has a rational root."""
-    return bool(_sturm_isolate(p)[0])
+    return any(a == b for a, b, _ in _sturm_isolate(p)[0])
 
 
 def isolate_real_roots(u: UniPoly) -> list[AlgebraicReal]:
     """Isolate all distinct real roots of u (Fraction coefficients).
 
-    Returns sorted AlgebraicReal values, one per distinct real root; rational
-    roots come back with degenerate intervals, read off the isolation (see
-    ``_sturm_isolate``). The other roots share one ``defining`` polynomial,
-    u's square-free part divided by (t - r) for each rational r, so it has
-    no rational root, not even at an end of their intervals. Those are
-    refined to width at most 1/4 and never contain more than one root. u
-    may have repeated factors.
+    Returns AlgebraicReal values in ascending order, one per distinct real
+    root, as ``_sturm_isolate`` finds them; rational roots come back with
+    degenerate intervals, read off the isolation. The other roots share one
+    ``defining`` polynomial, u's square-free part divided by (t - r) for
+    each rational r, so it has no rational root, not even at an end of their
+    intervals. Those are refined to width at most 1/4, inside their cells,
+    and never contain more than one root. u may have repeated factors.
     """
     if u.is_zero():
         raise ZeroInputError("cannot isolate roots of the zero polynomial")
     if u.degree < 1:
         return []
-    rats, cells, p = _sturm_isolate(u)
-    out = [AlgebraicReal(UniPoly([-r, Fraction(1)]), r, r) for r in rats]
-    for lo, hi in cells:
-        a = AlgebraicReal(p, lo, hi)
-        a.refine_to(_REFINE_WIDTH)
-        out.append(a)
-    # midpoint order is value order. The cells of one bisection meet at most
-    # in an endpoint, refinement keeps each interval inside its cell, and the
-    # midpoint of an irrational root's interval is interior to it. A rational
-    # root lies inside a cell of its own, or is the right end of its cell and
-    # so at most an endpoint of a neighbour's.
-    out.sort(key=lambda a: (a.lo + a.hi) / 2)
+    cells, p = _sturm_isolate(u)
+    out = []
+    for a, b, d in cells:
+        x = AlgebraicReal._of_cell(
+            p if a < b else UniPoly([Fraction(-a, d), Fraction(1)]), (a, b, d))
+        x.refine_to(_REFINE_WIDTH)
+        out.append(x)
     return out

@@ -8,11 +8,14 @@ form, that the same operation gives coefficient by coefficient.
 from fractions import Fraction
 from math import comb, gcd
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from germinv import BivarPoly
+from germinv.numberfield import FieldContext
 from germinv.puiseux import _transform
+from germinv.unipoly import UniPoly
 
 BIG = 10**400
 
@@ -196,3 +199,14 @@ def test_equal_polynomials_share_one_form():
     p = BivarPoly.from_integers({(0, 1): 3 * BIG, (1, 1): -6 * BIG}, -1, 9)
     assert p.integer_form() == ({(0, 1): -1, (1, 1): 2}, BIG, 3)
     assert p.terms == {(0, 1): Fraction(-BIG, 3), (1, 1): Fraction(2 * BIG, 3)}
+
+
+def test_polynomial_over_q_c_is_unhashable():
+    # a polynomial over Q(c) keeps its term map, and Q(c) elements, whose
+    # equality is a certified zero test, have no hash
+    K = FieldContext(UniPoly([Fraction(-2), Fraction(0), Fraction(1)]),
+                     Fraction(1), Fraction(2))
+    p = BivarPoly({(1, 0): K.generator(), (0, 1): Fraction(1)})
+    assert p.integer_form() is None
+    with pytest.raises(TypeError):
+        hash(p)

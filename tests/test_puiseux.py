@@ -256,6 +256,42 @@ def assert_reflection_law(curve: BivarPoly) -> None:
             (curve.to_string(), axis)
 
 
+def test_simple_edge_roots_are_read_off_the_z_term(monkeypatch):
+    # _np_branches calls an edge root c simple when p1 = q(u^b, u^a (c + z))
+    # / u^v has a z term: p1(0, z) = (c + z)^j E(c + z), so that term is
+    # c^j E'(c) z with c != 0. Here E'(c) != 0 is evaluated instead, on
+    # each root at the first substitution by it, the one _np_branches makes.
+    # The last curve is (y -+ sqrt2 x)^2 = x^3: a double root sqrt2 opens
+    # Q(sqrt2), where E'(c) is an element that is zero
+    edge_roots, transform = germinv.puiseux._edge_roots, _transform
+    pending, seen = {}, []
+
+    def recorded_roots(E, ctx, b):
+        out = edge_roots(E, ctx, b)
+        pending.update((id(c), (c, E)) for c, _ in out)
+        return out
+
+    def recorded_transform(q, a, b, c):
+        v, p1 = transform(q, a, b, c)
+        c0, E = pending.pop(id(c), (None, None))
+        if c0 is c:
+            seen.append(((0, 1) in p1.support,
+                         bool(E.derivative().eval(c)),
+                         isinstance(c, FieldElement)))
+        return v, p1
+
+    monkeypatch.setattr(germinv.puiseux, "_edge_roots", recorded_roots)
+    monkeypatch.setattr(germinv.puiseux, "_transform", recorded_transform)
+    curves = [TangencyCurve(f) for f in golden_row_germs()]
+    curves = [c.h_sf for c in curves if not c.degenerate]
+    for curve in curves + [parse_poly("(y^2 + 2*x^2 - x^3)^2 - 8*x^2*y^2")]:
+        expand_branches(curve)
+    assert all(z_term == simple for z_term, simple, _ in seen)
+    # simple and multiple roots, rational and in Q(c), are all met
+    assert {(s, e) for _, s, e in seen} == {(True, False), (False, False),
+                                            (True, True), (False, True)}
+
+
 def test_reflections_map_branches_onto_branches():
     # x -> -x sends a half-branch of h to one of h(-x, y): sigma flips in
     # the y-dominant chart and on the x-axis, the x-series negates in the

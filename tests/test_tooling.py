@@ -70,8 +70,22 @@ def test_curve_layer_makes_no_fractions():
     assert _calls_fraction(SRC / "bivar.py", names) == []
     assert _calls_fraction(SRC / "tangency.py", {"tangency_poly"}) == []
     # the check sees a call where there is one
-    assert _calls_fraction(SRC / "bivar.py", {"leading_coeff_grlex"}) == [
-        "leading_coeff_grlex"]
+    assert _calls_fraction(SRC / "bivar.py", {"coeff"}) == ["coeff"]
+
+
+def test_real_root_layer_keeps_integer_cells():
+    # an isolating interval is integers over one denominator, and the
+    # bisection and the interval Horner run on it with no Fraction; the
+    # roots come out of the bisection in order, with no sort
+    names = {"refine_step", "is_root_of", "_interval_horner"}
+    assert _calls_fraction(SRC / "unipoly.py", names) == []
+    tree = ast.parse((SRC / "unipoly.py").read_text())
+    (isolate,) = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                  and f.name == "isolate_real_roots"]
+    sorts = [n for n in ast.walk(isolate) if isinstance(n, ast.Call)
+             and (isinstance(n.func, ast.Attribute) and n.func.attr == "sort"
+                  or isinstance(n.func, ast.Name) and n.func.id == "sorted")]
+    assert sorts == []
 
 
 def _resolves(target: str) -> bool:

@@ -1,27 +1,27 @@
 """Arithmetic in a single real algebraic extension Q(c).
 
 A ``FieldContext`` is the real algebraic number c itself (a
-``unipoly.AlgebraicReal``: monic square-free defining polynomial m over Q and
-an isolating interval) plus reduction and inversion mod m. An element is one
-integer vector in the power basis 1, c, c^2, ... over one denominator: a
-polynomial in c reduced mod m when it is made, with no trailing zero, over a
-denominator den > 0 with gcd(*vec, den) = 1. This is all the field structure
-branch expansion ever needs: one adjoined root per branch, with
+``unipoly.AlgebraicReal``: square-free integer defining polynomial m with no
+rational root, and an isolating interval) plus reduction and inversion mod
+m. An element is one integer vector in the power basis 1, c, c^2, ... over
+one denominator: a polynomial in c reduced mod m when it is made, with no
+trailing zero, over a denominator den > 0 with gcd(*vec, den) = 1. This is
+all the field structure branch expansion ever needs: one adjoined root per
+branch, with
 
 * certified zero tests and signs, both asked of c as questions about the
   element's vector at c: ``AlgebraicReal.is_root_of`` (gcd with m and its
   signs at the ends of the isolating interval, never numerics) and
   ``AlgebraicReal.enclose`` (exact interval Horner refined by bisection,
   with a bit budget), which also gives every rational bound and float;
-  both run on integer forms, the one of m cached on c,
+  both run on integer forms, m's as c holds it,
 * sums and products on ints: a product is one ``unipoly.integer_product``,
   and ``FieldContext.element_from_integers`` reduces it once, by
   ``unipoly.pseudo_remainder`` by the integer form of m, and divides out
   one gcd,
 * division (extended Euclid over Q; if m turns out reducible and a zero
   divisor appears, m is replaced by its factor that still has c as a root,
-  which changes no element's value; ``AlgebraicReal._define`` resets its
-  caches).
+  which changes no element's value; ``_define`` certifies it anew).
 
 An element mixes with ``int`` and ``Fraction`` operands in ``+ - * /`` on
 either side, and prints as its 9-digit value in parentheses, so code over
@@ -37,11 +37,9 @@ Q[t]/(m) is a field, and the zero test is syntactic: an element is zero
 exactly when its vector reduced mod m is zero (dynamic evaluation, Della
 Dora-Dicrescenzo-Duval 1985). Two rules certify m:
 
-* degree <= 3 and no rational root (no factor of degree 1). Moduli from
-  ``unipoly.isolate_real_roots`` have no rational root by construction, and
-  their contexts are built with ``rational_root_free=True``; any other
-  modulus, and every modulus that inversion shrinks, is checked with
-  ``unipoly.has_rational_root``;
+* degree <= 3: m has no rational root, so no factor of degree 1. Every
+  context is isolated (``isolate_real_roots``, then ``FieldContext.of_root``,
+  or the constructor), and a shrink keeps a factor of m;
 * a binomial t^n - a of degree n > 3, by Capelli's theorem
   (``_binomial_irreducible``), decided with exact integer roots. Branches
   that open an extension by pure ramification get such moduli.
@@ -57,7 +55,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import zip_longest
 
-from .unipoly import (AlgebraicReal, UniPoly, has_rational_root,
+from .unipoly import (AlgebraicReal, UniPoly, exact_quotient,
                       integer_product, primitive_integers, pseudo_remainder)
 
 
@@ -74,29 +72,30 @@ def _exact_root(n: int, k: int) -> int | None:
         x = y
 
 
-def _is_power(a: Fraction, k: int) -> bool:
-    """Is the rational a a k-th power in Q?"""
-    if a < 0:
-        return k % 2 == 1 and _is_power(-a, k)
-    return (_exact_root(a.numerator, k) is not None
-            and _exact_root(a.denominator, k) is not None)
+def _is_power(num: int, den: int, k: int) -> bool:
+    """Is the rational num/den, den > 0, a k-th power in Q?"""
+    if num < 0:
+        return k % 2 == 1 and _is_power(-num, den, k)
+    g = math.gcd(num, den)
+    return (_exact_root(num // g, k) is not None
+            and _exact_root(den // g, k) is not None)
 
 
-def _binomial_irreducible(n: int, a: Fraction) -> bool:
-    """Is t^n - a irreducible over Q? Capelli's theorem (Lang, *Algebra*,
-    VI §9): iff a is no p-th power in Q for every prime p dividing n and,
-    when 4 divides n, a is not -4 b^4 for a rational b. A d-th power for a
-    divisor d > 1 of n is a p-th power for each prime p dividing d, so every
-    such d is tried."""
-    if any(_is_power(a, d) for d in range(2, n + 1) if n % d == 0):
+def _binomial_irreducible(n: int, num: int, den: int) -> bool:
+    """Is t^n - a irreducible over Q, for a = num/den and den > 0?
+    Capelli's theorem (Lang, *Algebra*, VI §9): iff a is no p-th power in Q
+    for every prime p dividing n and, when 4 divides n, a is not -4 b^4 for
+    a rational b. A d-th power for a divisor d > 1 of n is a p-th power for
+    each prime p dividing d, so every such d is tried."""
+    if any(_is_power(num, den, d) for d in range(2, n + 1) if n % d == 0):
         return False
-    return n % 4 != 0 or not _is_power(-a / 4, 4)
+    return n % 4 != 0 or not _is_power(-num, 4 * den, 4)
 
 
 def _egcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     """Return (g, u) with u*a = g mod b and g = gcd(a, b), g monic."""
     r0, r1 = a, b
-    u0, u1 = UniPoly.constant(Fraction(1)), UniPoly()
+    u0, u1 = UniPoly([Fraction(1)]), UniPoly()
     while not r1.is_zero():
         q, r = r0.divmod(r1)
         r0, r1 = r1, r
@@ -108,32 +107,31 @@ def _egcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
 
 
 class FieldContext(AlgebraicReal):
-    """The field Q(c) for one isolated real root c of a square-free modulus:
-    c as an ``AlgebraicReal``, whose ``defining`` polynomial is the modulus.
-    ``irreducible`` is True when the modulus is certified irreducible, which
-    makes the zero test syntactic, and False when that is not known. Pass
-    ``rational_root_free=True`` only for a modulus known to have no rational
-    root, such as a ``defining`` from ``isolate_real_roots``; otherwise it is
-    checked."""
+    """The field Q(c) for one isolated real root c of a square-free modulus
+    with no rational root: c as an ``AlgebraicReal``, whose defining
+    polynomial is the modulus. ``irreducible`` is True when the modulus is
+    certified irreducible, which makes the zero test syntactic, and False
+    when that is not known. The constructor isolates its modulus, as
+    ``AlgebraicReal``'s does, and ``of_root`` opens Q(r) on an isolated r."""
 
     __slots__ = ("irreducible",)
 
-    def __init__(self, modulus: UniPoly, lo: Fraction, hi: Fraction,
-                 rational_root_free: bool = False):
-        super().__init__(modulus.monic(), lo, hi)
-        self._certify(rational_root_free)
+    @classmethod
+    def of_root(cls, r: AlgebraicReal) -> "FieldContext":
+        """Q(r) on the isolated r's defining polynomial and cell."""
+        return cls._of_cell(r._integer_defining, r._cell)
 
-    def _certify(self, rational_root_free: bool = False) -> None:
-        m = self.defining
-        # degree <= 3 and no rational root: no factor of degree 1, so m is
-        # irreducible and Q[t]/(m) is a field; a binomial of higher degree is
-        # decided by Capelli's theorem. False means not known.
-        if m.degree > 3 and not any(m.coeffs[1:-1]):
-            self.irreducible = _binomial_irreducible(
-                m.degree, -Fraction(m.coeffs[0]))
+    def _define(self, P: list[int]) -> None:
+        """Set the modulus and certify it. P has no rational root, so of
+        degree <= 3 it has no factor of degree 1 and is irreducible; a
+        binomial of higher degree is decided by Capelli's theorem. False
+        means not known."""
+        super()._define(P)
+        n = len(P) - 1
+        if n > 3 and not any(P[1:-1]):
+            self.irreducible = _binomial_irreducible(n, -P[0], P[-1])
         else:
-            self.irreducible = m.degree <= 3 and (
-                rational_root_free or not has_rational_root(m))
+            self.irreducible = n <= 3
 
     # -- element construction -------------------------------------------------
 
@@ -184,13 +182,13 @@ class FieldContext(AlgebraicReal):
                 return self.element(u.coeffs)
             # g divides the modulus, and c is a root of exactly one of g,
             # modulus/g: of g when A(c) = 0; else keep modulus/g and retry.
-            if self.is_root_of(primitive_integers(g.coeffs)[0]):
+            G = primitive_integers(g.coeffs)[0]
+            if self.is_root_of(G):
                 raise ZeroDivisionError("inverse of zero extension element")
-            q, r = self.defining.divmod(g)
-            if not r.is_zero():
+            q = exact_quotient(self._integer_defining, G)
+            if q is None:
                 raise RuntimeError("inexact division of the modulus")
-            self._define(q.monic())
-            self._certify()
+            self._define(q)
 
 
 def integer_vectors(xs) -> tuple[list, int, list, FieldContext | None]:
@@ -317,8 +315,6 @@ class FieldElement:
         """Exact rational value if the element is visibly rational, else None."""
         if len(self.vec) <= 1:
             return Fraction(self.vec[0] if self.vec else 0, self.den)
-        if self.ctx.is_rational():
-            return UniPoly(self.vec).eval(self.ctx.lo) / self.den
         return None
 
     def interval(self, width: Fraction | None = None,

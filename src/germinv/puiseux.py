@@ -84,7 +84,8 @@ class NewtonPolygonEdge:
     its slope, and ``poly`` the edge polynomial E(c) = sum a_ij c^(j - j2)
     over the support points (i, j) on the edge, j2 the least j among them,
     whose nonzero real roots are the leading coefficients of branches
-    z ~ c * u^gamma.
+    z ~ c * u^gamma. Over Q, ``poly`` has the integer coefficients of p's
+    integer form, E up to a positive factor, which has the same roots.
     """
 
     __slots__ = ("gamma", "poly")
@@ -99,7 +100,7 @@ class NewtonPolygonEdge:
 
 
 def newton_polygon(p: BivarPoly) -> list[NewtonPolygonEdge]:
-    """Negative-slope lower-hull edges of p's support, gamma descending.
+    """Negative-slope lower-hull edges of p's support, gamma ascending.
 
     Raises ZeroInputError for the zero polynomial and UnitGermError when p
     has a nonzero constant term (no vanishing branches at the origin).
@@ -108,6 +109,8 @@ def newton_polygon(p: BivarPoly) -> list[NewtonPolygonEdge]:
         raise ZeroInputError("zero polynomial has no Newton polygon")
     if (0, 0) in p.support:
         raise UnitGermError("polynomial does not vanish at the origin")
+    form = p.integer_form()
+    terms = p.terms if form is None else form[0]
     pts = sorted(p.support)
     hull: list[tuple[int, int]] = []
     for pt in pts:
@@ -127,9 +130,9 @@ def newton_polygon(p: BivarPoly) -> list[NewtonPolygonEdge]:
                    if a[0] <= q[0] <= b[0]
                    and (q[0] - a[0]) * dj == (q[1] - a[1]) * di]
         height = a[1] - b[1]
-        coeffs = [Fraction(0)] * (height + 1)
+        coeffs = [0] * (height + 1)
         for q in on_edge:
-            coeffs[q[1] - b[1]] = p.coeff(q)
+            coeffs[q[1] - b[1]] = terms[q]
         edges.append(NewtonPolygonEdge(Fraction(di, -dj), UniPoly(coeffs)))
     return edges
 
@@ -330,8 +333,7 @@ def _edge_roots(E: UniPoly, ctx, b: int):
         if r.is_rational():
             out.append((r.lo, ctx))
         elif ctx is None:
-            new_ctx = FieldContext(r.defining, r.lo, r.hi,
-                                   rational_root_free=True)
+            new_ctx = FieldContext.of_root(r)
             out.append((new_ctx.generator(), new_ctx))
         else:
             raise TowerDepthExceededError(

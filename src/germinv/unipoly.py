@@ -2,10 +2,11 @@
 real root isolation, and interval-refinable real algebraic numbers.
 
 ``AlgebraicReal`` is germinv's one representation of a real algebraic number
-(a defining polynomial over Q plus an isolating interval). Isolation returns
-it, and ``numberfield.FieldContext`` is one, for the generator of Q(c). Only
-its own methods refine the interval: ``refine_step`` bisects, ``refine_to``
-bisects to a width, and ``enclose`` until a bound on p(a) is decided.
+(an integer defining polynomial with no rational root, unless the number
+is rational, plus an isolating interval). Isolation returns it, and
+``numberfield.FieldContext`` is one, for the generator of Q(c). Only its own
+methods refine the interval: ``refine_step`` bisects, ``refine_to`` bisects
+to a width, and ``enclose`` until a bound on p(a) is decided.
 
 ``isolate_real_roots`` reads rational roots off the one-root cells of a
 Sturm bisection, with no search over divisors: a root on a bisection point
@@ -22,15 +23,16 @@ Sturm chains, gcds, signs and interval bounds run on integer forms (lists of
 ints, lowest degree first), each a positive multiple of the polynomial it
 stands for: no gcd here runs Euclid on Fractions, and ``integer_product``
 and ``exact_quotient`` are the one product and exact division of such forms.
-``AlgebraicReal.is_root_of`` and ``enclose`` take p as an integer form too,
-as a Q(c) element holds it; the first reads p(a) = 0 off the signs of
-gcd(p, defining) at the interval's ends. The same ``UniPoly`` container is
-reused internally with coefficients in a simple real extension field (see
-``numberfield``), whose elements act like Fractions: every routine only uses
-``+ - * /``, truth testing (certified nonzero), and ``coeff_sign``, and none
-of them asks which coefficient type it has. Nothing here bounds the roots of
-a polynomial over Q(c): the number of its real roots comes from the signs of
-its Sturm chain's leading coefficients (``count_all_real_roots``).
+``AlgebraicReal`` holds its defining polynomial so, and ``is_root_of`` and
+``enclose`` take p as an integer form too, as a Q(c) element holds it; the
+first reads p(a) = 0 off the signs of gcd(p, defining) at the interval's
+ends. The same ``UniPoly`` container is reused internally with coefficients
+in a simple real extension field (see ``numberfield``), whose elements act
+like Fractions: every routine only uses ``+ - * /``, truth testing
+(certified nonzero), and ``coeff_sign``, and none of them asks which
+coefficient type it has. Nothing here bounds the roots of a polynomial over
+Q(c): the number of its real roots comes from the signs of its Sturm
+chain's leading coefficients (``count_all_real_roots``).
 
 Zero-or-not questions are decided exactly: a quantity is declared zero only
 when the coefficient type proves it (``Fraction == 0``, or the extension
@@ -46,6 +48,9 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import PrecisionExceededError, ZeroInputError
+
+# 1 / c is a float for an int c, and _ONE / c is exact
+_ONE = Fraction(1)
 
 
 def coeff_sign(x, max_bits: int = 256) -> int:
@@ -70,12 +75,6 @@ class UniPoly:
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = cs
-
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def constant(c) -> "UniPoly":
-        return UniPoly([c])
 
     # -- shape --------------------------------------------------------------
 
@@ -154,18 +153,6 @@ class UniPoly:
                     out[i + j] = out[i + j] + a * b
         return UniPoly(out)
 
-    def __pow__(self, n: int) -> "UniPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = UniPoly([Fraction(1)])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def scale(self, c) -> "UniPoly":
         if not c:
             return UniPoly()
@@ -187,7 +174,7 @@ class UniPoly:
             if not c:
                 continue
             if inv_lc is None:
-                inv_lc = 1 / other.lc()
+                inv_lc = _ONE / other.lc()
             q = c * inv_lc
             quot[k - dd] = q
             for j in range(dd + 1):
@@ -206,7 +193,7 @@ class UniPoly:
         l = self.lc()
         if l == 1:
             return self
-        return self.scale(1 / l)
+        return self.scale(_ONE / l)
 
     def eval(self, x):
         """Horner evaluation; x may be Fraction, float, or extension element."""
@@ -402,19 +389,25 @@ def cauchy_bound(p: UniPoly) -> Fraction:
 
 
 class AlgebraicReal:
-    """A real algebraic number: square-free defining polynomial over Q plus an
-    isolating interval [lo, hi] with rational endpoints, held as the cell
-    (a, b, d) of integers a <= b over one denominator d > 0, lo = a/d and
-    hi = b/d: the form in which ``_sturm_isolate`` bisects. ``lo``, ``hi``
-    and ``midpoint`` are Fractions made when read.
+    """A real algebraic number: an integer defining polynomial P, primitive
+    with a positive leading coefficient, and an isolating interval [lo, hi],
+    held as the cell (a, b, d) of integers a <= b over one denominator
+    d > 0, lo = a/d and hi = b/d: the form in which ``_sturm_isolate``
+    bisects. ``defining`` (P made monic), ``lo``, ``hi`` and ``midpoint``
+    are made when read.
 
-    Rational numbers are stored with the degenerate interval [r, r]. For
-    irrational roots the endpoints are never roots of ``defining`` and the
-    interval contains exactly one root. ``refine_step`` halves the interval;
-    the value itself never changes, so monotone refinement is semantically
-    pure and safe to share. It alone moves ``lo``, and only to a point where
-    the defining polynomial has the sign it has at ``lo``, so that sign is
-    evaluated once per defining polynomial, on its integer form.
+    A rational r is the cell [r, r] of the linear P. An irrational number's
+    P is square-free with no rational root, so no end or bisection point of
+    its interval, which holds one root, is a root of P. The constructor
+    takes any polynomial over Q and an interval that holds exactly one of
+    its roots inside, or is a rational root's point; an end may be a
+    rational root, as an end of isolation's intervals can be. It isolates
+    the polynomial once and collapses onto the root when that is rational.
+
+    ``refine_step`` halves the interval; the value itself never changes, so
+    monotone refinement is semantically pure and safe to share. It alone
+    moves ``lo``, and only to a point where P has the sign it has at
+    ``lo``, so that sign is evaluated once per defining polynomial.
 
     Questions about p(a) for a polynomial p over Q, given by an integer
     form, are answered here and nowhere else: ``is_root_of`` decides
@@ -424,26 +417,40 @@ class AlgebraicReal:
     Q(a), and asks both questions of its elements' integer vectors.
     """
 
-    __slots__ = ("defining", "_cell", "_lo_sign", "_integer_defining")
+    __slots__ = ("_cell", "_lo_sign", "_integer_defining")
 
     def __init__(self, defining: UniPoly, lo: Fraction, hi: Fraction):
         d = lcm(lo.denominator, hi.denominator)
-        self._define(defining)
-        self._cell = (lo.numerator * (d // lo.denominator),
-                      hi.numerator * (d // hi.denominator), d)
+        a, b = (lo.numerator * (d // lo.denominator),
+                hi.numerator * (d // hi.denominator))
+        if a == b:
+            P = [-a, d]
+        else:
+            cells, P = _sturm_isolate(defining)
+            for r, s, e in cells:
+                if r == s and a * e < r * d < b * e:
+                    P, a, b, d = [-r, e], r, r, e
+                    break
+        self._define(P)
+        self._cell = (a, b, d)
 
     @classmethod
-    def _of_cell(cls, defining: UniPoly, cell: tuple) -> "AlgebraicReal":
+    def _of_cell(cls, P: list[int], cell: tuple) -> "AlgebraicReal":
         x = object.__new__(cls)
-        x._define(defining)
+        x._define(P)
         x._cell = cell
         return x
 
-    def _define(self, defining: UniPoly) -> None:
-        """Set ``defining`` and its integer form; forget the old sign at lo."""
-        self.defining = defining
-        self._integer_defining = primitive_integers(defining.coeffs)[0]
+    def _define(self, P: list[int]) -> None:
+        """Set the defining polynomial; forget the old sign at lo."""
+        self._integer_defining = P
         self._lo_sign = None
+
+    @property
+    def defining(self) -> UniPoly:
+        """The defining polynomial, monic over Q."""
+        P = self._integer_defining
+        return UniPoly([Fraction(c, P[-1]) for c in P])
 
     lo = property(lambda self: Fraction(self._cell[0], self._cell[2]))
     hi = property(lambda self: Fraction(self._cell[1], self._cell[2]))
@@ -470,10 +477,6 @@ class AlgebraicReal:
             return
         P, m = (self._integer_defining,), a + b
         s = _signs_at(P, m, 2 * d)[0]
-        if s == 0:
-            # the isolated root is exactly the midpoint: collapse onto it
-            self._cell = (m, m, 2 * d)
-            return
         if self._lo_sign is None:
             self._lo_sign = _signs_at(P, a, d)[0]
         self._cell = ((2 * a, m, 2 * d) if s * self._lo_sign < 0
@@ -487,7 +490,7 @@ class AlgebraicReal:
 
     def is_root_of(self, P: list[int]) -> bool:
         """Certified test of p(a) = 0 for p over Q with integer form P (a
-        nonzero multiple of p, no trailing zero): exact at a collapsed root,
+        nonzero multiple of p, no trailing zero): exact at a rational a,
         else the interval bound, then whether g = gcd(P, defining) changes
         sign between lo and hi. g divides the square-free defining
         polynomial, whose only root in [lo, hi] is a, at neither end, so g
@@ -511,8 +514,8 @@ class AlgebraicReal:
         The interval is bisected until the bound excludes 0 (no ``width``:
         p(a) must be certified nonzero first) or until M - m <= ``width``.
         The bound is checked before each of at most ``max_bits`` steps; a
-        root that collapses to a rational gives the exact value. The bound
-        is ``_interval_horner``'s on P, which scales exactly with P, so a
+        rational a gives the exact value. The bound is
+        ``_interval_horner``'s on P, which scales exactly with P, so a
         positive multiple of P over the same multiple of den decides the
         same steps and returns the same rationals.
         """
@@ -576,21 +579,22 @@ def _integer_root(q: list[int], right_sign: int, i: int,
     return None
 
 
-def _sturm_isolate(u: UniPoly) -> tuple[list[tuple[int, int, int]], UniPoly]:
-    """Bisect (-B, B] with Sturm counts, for nonzero u over Q, on its monic
+def _sturm_isolate(u: UniPoly) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """Bisect (-B, B] with Sturm counts, for nonzero u over Q, on its
     square-free part p and its Sturm chain, both as integer polynomials.
 
     Returns one cell (a, b, d) per root, ascending: integers over one
-    denominator, a = b for a rational root a/d, else the isolating interval
-    [a/d, b/d] of an irrational one; and p divided by (t - r) for each
-    rational root r: the intervals isolate its roots, and their endpoints
-    are not roots of it. A cell (lo, hi] carries V(lo) and V(hi), whose
-    difference counts its roots even when an end is a root, so a root on a
-    bisection point is the right end of a one-root cell. Any other root of
-    such a cell is interior, and the sign of p(hi), read with V(hi), guides
-    ``_integer_root`` on q(s) = A^(n-1) P(s/A), for P = A t^n + ... the
-    integer form of p. Cell ends are integers over B's denominator times
-    2^k, and the cells, half-open and disjoint, are walked left to right.
+    denominator, a = b for a rational root a/d in lowest terms, else the
+    isolating interval [a/d, b/d] of an irrational one; and P, p divided by
+    (t - r) for each rational root r, primitive with a positive leading
+    coefficient and with no rational root. A cell (lo, hi] carries V(lo)
+    and V(hi), whose difference counts its roots even when an end is a
+    root, so a root on a bisection point is the right end of a one-root
+    cell. Any other root of such a cell is interior, and the sign of p(hi),
+    read with V(hi), guides ``_integer_root`` on q(s) = A^(n-1) P(s/A), for
+    P = A t^n + ... the integer form of p. Cell ends are integers over B's
+    denominator times 2^k, and the cells, half-open and disjoint, are
+    walked left to right.
     """
     cells: list[tuple[int, int, int]] = []
     P = primitive_integers(u.coeffs)[0]
@@ -627,40 +631,36 @@ def _sturm_isolate(u: UniPoly) -> tuple[list[tuple[int, int, int]], UniPoly]:
             continue
         s = _integer_root(q, shi, a * A // d + 1, -(-b * A // d) - 1)
         cells.append((a, b, d) if s is None else (s, s, A))
-    for a, b, d in cells:
+    for k, (a, b, d) in enumerate(cells):
         if a == b:
             g = gcd(a, d)
-            P = exact_quotient(P, [-a // g, d // g])
+            a, d = a // g, d // g
+            cells[k] = (a, a, d)
+            P = exact_quotient(P, [-a, d])
             if P is None:
                 raise RuntimeError("inexact polynomial division")
-    return cells, UniPoly([Fraction(c, P[-1]) for c in P])
-
-
-def has_rational_root(p: UniPoly) -> bool:
-    """Whether nonzero p over Q has a rational root."""
-    return any(a == b for a, b, _ in _sturm_isolate(p)[0])
+    return cells, P
 
 
 def isolate_real_roots(u: UniPoly) -> list[AlgebraicReal]:
     """Isolate all distinct real roots of u (Fraction coefficients).
 
     Returns AlgebraicReal values in ascending order, one per distinct real
-    root, as ``_sturm_isolate`` finds them; rational roots come back with
-    degenerate intervals, read off the isolation. The other roots share one
-    ``defining`` polynomial, u's square-free part divided by (t - r) for
-    each rational r, so it has no rational root, not even at an end of their
-    intervals. Those are refined to width at most 1/4, inside their cells,
-    and never contain more than one root. u may have repeated factors.
+    root, as ``_sturm_isolate`` finds them, each holding its cell and an
+    integer form from it: a rational root its linear factor, and the other
+    roots the one P with no rational root, u's square-free part divided by
+    (t - r) for each rational r. The irrational intervals are refined to
+    width at most 1/4, inside their cells, and never contain more than one
+    root. u may have repeated factors.
     """
     if u.is_zero():
         raise ZeroInputError("cannot isolate roots of the zero polynomial")
     if u.degree < 1:
         return []
-    cells, p = _sturm_isolate(u)
+    cells, P = _sturm_isolate(u)
     out = []
     for a, b, d in cells:
-        x = AlgebraicReal._of_cell(
-            p if a < b else UniPoly([Fraction(-a, d), Fraction(1)]), (a, b, d))
+        x = AlgebraicReal._of_cell(P if a < b else [-a, d], (a, b, d))
         x.refine_to(_REFINE_WIDTH)
         out.append(x)
     return out

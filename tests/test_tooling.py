@@ -76,9 +76,17 @@ def test_curve_layer_makes_no_fractions():
 def test_real_root_layer_keeps_integer_cells():
     # an isolating interval is integers over one denominator, and the
     # bisection and the interval Horner run on it with no Fraction; the
-    # roots come out of the bisection in order, with no sort
-    names = {"refine_step", "is_root_of", "_interval_horner"}
+    # roots come out of the bisection in order, with no sort; a number
+    # holds its defining polynomial as an integer form, isolation hands its
+    # form on, and a field certifies its modulus on it
+    names = {"refine_step", "is_root_of", "_interval_horner",
+             "_sturm_isolate", "isolate_real_roots", "_of_cell", "_define"}
     assert _calls_fraction(SRC / "unipoly.py", names) == []
+    assert _calls_fraction(SRC / "numberfield.py", {"_define"}) == []
+    # no caller vouches for a modulus: it has no rational root by
+    # construction
+    assert not [p.name for p in SRC.glob("*.py")
+                if "rational_root_free" in p.read_text()]
     tree = ast.parse((SRC / "unipoly.py").read_text())
     (isolate,) = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
                   and f.name == "isolate_real_roots"]

@@ -49,6 +49,16 @@ def test_divmod_matches_sympy():
         assert q == from_sympy(sq) and r == from_sympy(sr)
 
 
+def test_integer_coefficients_divide_exactly():
+    # an edge polynomial over Q holds its integer form; dividing it, or
+    # making it monic, stays in Q
+    p = UniPoly([1, 3, 2])
+    q, r = p.divmod(UniPoly([1, 2]))   # (2t + 1)(t + 1)
+    assert q == UniPoly([1, 1]) and r.is_zero()
+    assert p.monic() == UniPoly([Fraction(1, 2), Fraction(3, 2), 1])
+    assert {type(c) for c in p.monic().coeffs + q.coeffs} == {Fraction}
+
+
 def _to_ints(p) -> list[int]:
     """A sympy Poly over ZZ as an integer list, lowest degree first."""
     out = [int(c) for c in reversed(p.all_coeffs())]
@@ -200,10 +210,12 @@ def test_isolate_real_roots_matches_sympy():
              * _poly(Fraction(3, 2), 1) * _poly(0, -8, 1)]
     polys += [rand_poly(rng, rng.randint(1, 6)) for _ in range(25)]
     # and inputs with repeated factors, rational and irrational
-    polys += [_poly(Fraction(1, 2), -1)**3 * _poly(-2, 0, 1)**2 * _poly(3, 1),
+    half, root2 = _poly(Fraction(1, 2), -1), _poly(-2, 0, 1)
+    polys += [half * half * half * root2 * root2 * _poly(3, 1),
               _ROOT_ON_FIRST_SPLIT * _poly(-3, 0, 1), _poly(0, 0, 7)]
-    polys += [rand_poly(rng, rng.randint(1, 3))**2 * rand_poly(rng, 2)
-              for _ in range(10)]
+    for _ in range(10):
+        square = rand_poly(rng, rng.randint(1, 3))
+        polys.append(square * square * rand_poly(rng, 2))
     for p in polys:
         if p.is_zero() or p.degree < 1:
             continue
@@ -451,14 +463,15 @@ def _isolation_inputs(draw):
         min_size=1, max_size=3))
     p = _poly(draw(_nonzero))
     for f in factors:
-        p = p * f ** draw(st.integers(1, 2))
+        p = p * (f if draw(st.integers(1, 2)) == 1 else f * f)
     return p
 
 
 @settings(max_examples=60, deadline=None)
 @given(_isolation_inputs(), _coeff, _coeff, st.lists(_coeff, max_size=6))
 @example(_ROOT_ON_FIRST_SPLIT, Fraction(-2), Fraction(3, 2), [1, -2, 3])
-@example((_linear(10**400 + 1, 10**400 - 3) * _T2_MINUS_2**2 * _poly(0, 1))
+@example((_linear(10**400 + 1, 10**400 - 3) * _T2_MINUS_2 * _T2_MINUS_2
+          * _poly(0, 1))
          .scale(Fraction(-3, 10**400 + 1)), Fraction(-10**400, 7),
          Fraction(1, 10**399), [Fraction(10**400, 3), 0, -1])
 def test_integer_forms_match_fraction_references(u, x, y, coeffs):
@@ -490,22 +503,30 @@ def test_integer_forms_match_fraction_references(u, x, y, coeffs):
 @settings(max_examples=60, deadline=None)
 @given(_isolation_inputs())
 @example(_ROOT_ON_FIRST_SPLIT)
-@example(_T2_MINUS_2 * _poly(-11, 0, 5) * _poly(0, 1)**2 * _linear(2, 3))
+@example(_T2_MINUS_2 * _poly(-11, 0, 5) * _poly(0, 0, 1) * _linear(2, 3))
 def test_isolation_is_ascending_with_one_root_each(u):
     # the roots come out as the bisection walks its cells, left to right:
     # each interval holds its own root of u and no other inside it, and two
     # intervals meet at most in an endpoint. sqrt2 and sqrt(11/5) isolate in
     # adjacent cells, which meet at a point that is no root; an interval
-    # ends at a root of u only where it meets that rational root's point
+    # ends at a root of u only where it meets that rational root's point.
+    # The reference counts roots by sympy's Sturm sequence of the square-free
+    # part, which factors no integer (real_roots() would factor coefficients
+    # of a thousand digits): n ascending intervals, each with one root
+    # inside or at its point, hold the n roots in order
     if u.degree < 1:
         return
     roots = isolate_real_roots(u)
-    ref = sorted(set(sympy.Poly(to_sympy(u), _t).real_roots()))
-    assert len(roots) == len(ref)
-    for x, rr in zip(roots, ref):
+    ref = sympy.Poly(to_sympy(u), _t).sqf_part()
+    assert len(roots) == ref.count_roots()
+    for x in roots:
         lo, hi = sympy.Rational(x.lo), sympy.Rational(x.hi)
-        assert lo <= rr <= hi and (lo == hi) == x.is_rational()
-        assert not any(lo < s < hi for s in ref if s != rr)
+        assert (lo == hi) == x.is_rational()
+        if lo == hi:
+            assert ref.eval(lo) == 0
+        else:
+            at_ends = sum(ref.eval(e) == 0 for e in (lo, hi))
+            assert ref.count_roots(lo, hi) - at_ends == 1
     ends = {}
     for x in roots:
         ends.setdefault(x.lo, []).append(x)
@@ -517,13 +538,51 @@ def test_isolation_is_ascending_with_one_root_each(u):
             assert any(x.is_rational() for x in xs)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_isolation_inputs())
+@example(_ROOT_ON_FIRST_SPLIT)
+@example(_linear(1, 1) * _linear(2, 3) * _T2_MINUS_2 * _T2_MINUS_2)
+def test_constructor_gives_isolations_form(u):
+    # an irrational number's defining polynomial has no rational root by
+    # construction: on an isolated cell, and on a wider interval around the
+    # same root alone, the constructor gives isolation's integer form P, or
+    # collapses exactly onto the rational root; a field made from u on the
+    # cell is the one opened on the isolated root
+    if u.degree < 1:
+        return
+    roots = isolate_real_roots(u)
+    for r in roots:
+        x = AlgebraicReal(u, r.lo, r.hi)
+        assert x._integer_defining == r._integer_defining
+        assert (x.lo, x.hi) == (r.lo, r.hi)
+        if not r.is_rational():
+            assert (FieldContext(u, r.lo, r.hi).irreducible
+                    == FieldContext.of_root(r).irreducible)
+    if not roots:
+        return
+    # refine until no two intervals meet, then widen each halfway to its
+    # neighbours
+    while any(x.hi >= y.lo for x, y in zip(roots, roots[1:])):
+        for x, y in zip(roots, roots[1:]):
+            if x.hi >= y.lo:
+                x.refine_step()
+                y.refine_step()
+    ends = ([roots[0].lo - 1]
+            + [(x.hi + y.lo) / 2 for x, y in zip(roots, roots[1:])]
+            + [roots[-1].hi + 1])
+    for r, lo, hi in zip(roots, ends, ends[1:]):
+        x = AlgebraicReal(u, lo, hi)
+        assert x._integer_defining == r._integer_defining
+        assert (x.lo, x.hi) == ((r.lo, r.hi) if r.is_rational() else (lo, hi))
+
+
 def test_refine_step_collapses_onto_a_rational_root():
-    # t^2 - 1 on [0, 2]: the first midpoint is the root 1 itself, and from
-    # then on every answer is exact
+    # t^2 - 1 on [0, 2] holds the root 1, the interval's midpoint: the
+    # constructor collapses onto it, refine_step keeps it, and every answer
+    # is exact
     r = AlgebraicReal(_poly(-1, 0, 1), Fraction(0), Fraction(2))
-    assert not r.is_rational() and r.midpoint == 1
-    r.refine_step()
     assert r.is_rational() and (r.lo, r.hi) == (1, 1) and float(r) == 1.0
+    assert r.defining == _poly(-1, 1)
     r.refine_step()
     assert (r.lo, r.hi, r.midpoint) == (1, 1, 1)
     # p = (3t^2 + 1) / 2 and 5t - 4 at t = 1, with and without a width
@@ -536,14 +595,13 @@ def test_refine_step_collapses_onto_a_rational_root():
 
 
 def test_field_element_reads_a_collapsed_generator_as_rational():
-    # Q(c) for c the root 1 of t^2 - 1 on [0, 2]: an element of vector
-    # length 2 is visibly rational once c's interval has collapsed
+    # Q(c) for c the root 1 of t^2 - 1 on [0, 2]: the context collapses
+    # onto c when it is made, its modulus is t - 1, and every element is
+    # reduced to a vector of length at most 1, visibly rational
     K = FieldContext(_poly(-1, 0, 1), Fraction(0), Fraction(2))
+    assert K.is_rational() and K.irreducible and K.defining == _poly(-1, 1)
     c = K.generator()
     x = c * 3 + Fraction(1, 2)
-    assert x.as_rational() is None and not K.irreducible
-    K.refine_step()
-    assert K.is_rational()
     assert x.as_rational() == Fraction(7, 2) and c.as_rational() == 1
     assert x.interval() == (Fraction(7, 2), Fraction(7, 2))
     assert (c - 1).is_zero() and not (c + 1).is_zero()
@@ -559,7 +617,7 @@ def test_algebraic_sqrt2():
 
 def test_refine_step_evaluates_the_left_end_once(monkeypatch):
     # p(lo) keeps its sign while lo moves, so k steps evaluate p at k
-    # midpoints and at lo once
+    # midpoints and at lo once; the constructor's isolation comes before
     calls = []
     signs_at = unipoly._signs_at
 
@@ -567,8 +625,8 @@ def test_refine_step_evaluates_the_left_end_once(monkeypatch):
         calls.append(Fraction(n, d))
         return signs_at(polys, n, d)
 
-    monkeypatch.setattr(unipoly, "_signs_at", counted)
     r = AlgebraicReal(_T2_MINUS_2, Fraction(1), Fraction(2))
+    monkeypatch.setattr(unipoly, "_signs_at", counted)
     for _ in range(20):
         r.refine_step()
     assert len(calls) == 21 and calls.count(1) == 1
@@ -667,12 +725,14 @@ def test_count_all_real_roots_over_extension():
         sturm_sequence(UniPoly([zero, -r, zero, one]))) == 3
     # repeated factors: (t^2 - sqrt2)^2 (t - 1) and (t + sqrt2)^3 (t^2 + 1);
     # the square-free part comes from the same chain
-    p = UniPoly([-r, zero, one])**2 * UniPoly([-one, one])
+    p = UniPoly([-r, zero, one]) * UniPoly([-r, zero, one]) * UniPoly(
+        [-one, one])
     assert count_all_real_roots(sturm_sequence(p)) == 3
     red, seq = squarefree_sturm(p)
     assert red == UniPoly([-r, zero, one]) * UniPoly([-one, one])
     assert count_all_real_roots(seq) == 3
-    p = UniPoly([r, one])**3 * UniPoly([one, zero, one])
+    p = UniPoly([r, one]) * UniPoly([r, one]) * UniPoly([r, one]) * UniPoly(
+        [one, zero, one])
     assert count_all_real_roots(sturm_sequence(p)) == 1
     red, seq = squarefree_sturm(p)
     assert red == UniPoly([r, one]) * UniPoly([one, zero, one])
@@ -697,9 +757,12 @@ def test_field_reducible_modulus():
     assert (c * c - 2).is_zero()
     # gcd with m is t^2 - 3, which has no root in the interval
     assert not ((c * c - 3) * (c - Fraction(5, 4))).is_zero()
-    # c^2 - 3 is a zero divisor mod m: inverting it shrinks m to t^2 - 2
+    stale = c * c - 2           # reduced mod m, not yet tested
+    # c^2 - 3 is a zero divisor mod m: inverting it shrinks m to t^2 - 2,
+    # which is certified
     assert (c * c - 3).inverse() == -1
     assert K.defining == UniPoly([Fraction(-2), Fraction(0), Fraction(1)])
+    assert K.irreducible and stale.is_zero()
     assert (c - Fraction(7, 5)).sign() == 1
 
 
@@ -722,27 +785,25 @@ def test_shrinking_the_modulus_forgets_its_old_forms():
 
 
 def test_field_reducible_cubic_modulus():
-    # m = (t - 1)(t^2 - 2) on [5/4, 3/2] isolates sqrt2; m has the rational
-    # root 1, so zero in Q(c) is not "all coefficients zero" mod m
+    # m = (t - 1)(t^2 - 2) on [5/4, 3/2] isolates sqrt2; the constructor
+    # divides out the rational root's factor t - 1, so the modulus is
+    # t^2 - 2, certified, and zero in Q(c) is "all coefficients zero"
     K = FieldContext(_linear(1, 1) * _T2_MINUS_2, Fraction(5, 4),
                      Fraction(3, 2))
-    assert not K.irreducible
+    assert K.defining == _T2_MINUS_2 and K.irreducible
     c = K.generator()
-    assert (c * c - 2).is_zero()
+    assert (c * c - 2).vec == [] and (c * c - 2).is_zero()
     assert not (c - 1).is_zero()
-    stale = c * c - 2           # reduced mod m, not yet tested
-    # c - 1 is a zero divisor mod m: inverting it shrinks m to t^2 - 2,
-    # which is certified again
+    # c - 1 is a unit: 1/(c - 1) = c + 1, and the modulus stays
     assert (c - 1).inverse() == c + 1
     assert K.defining == _T2_MINUS_2 and K.irreducible
-    assert stale.is_zero()
     assert not (c * c - 3).is_zero()
     assert FieldContext(_T2_MINUS_2, Fraction(1), Fraction(2)).irreducible
 
 
 def test_field_context_trusts_isolation_only_where_checking_agrees():
-    # a context over a root from isolate_real_roots skips the rational-root
-    # check; checking would certify the same moduli
+    # a context opened on a root from isolate_real_roots certifies the same
+    # moduli as one the constructor makes from the isolated interval
     polys = [_linear(1, 1) * _linear(2, 3) * _T2_MINUS_2,
              _linear(7, -5) * UniPoly([Fraction(-2), Fraction(-3),
                                        Fraction(0), Fraction(1)]),
@@ -754,9 +815,9 @@ def test_field_context_trusts_isolation_only_where_checking_agrees():
         for r in isolate_real_roots(p):
             if r.is_rational():
                 continue
-            trusted = FieldContext(r.defining, r.lo, r.hi,
-                                   rational_root_free=True)
-            checked = FieldContext(r.defining, r.lo, r.hi)
+            trusted = FieldContext.of_root(r)
+            checked = FieldContext(p, r.lo, r.hi)
+            assert trusted.defining == checked.defining == r.defining
             assert trusted.irreducible == checked.irreducible
             seen.add(trusted.irreducible)
     assert seen == {True, False}
@@ -780,7 +841,8 @@ def test_binomial_irreducibility_matches_sympy():
     for n, a in cases:
         want = sympy.Poly(_t ** n - sympy.Rational(a.numerator, a.denominator),
                           _t, domain="QQ").is_irreducible
-        assert _binomial_irreducible(n, a) == want, (n, a)
+        assert _binomial_irreducible(n, a.numerator, a.denominator) == want, (
+            n, a)
         seen.add(want)
     assert seen == {True, False}
 
@@ -790,7 +852,7 @@ def test_binomial_modulus_gets_the_syntactic_zero_test():
     # is not; the zero test is right either way
     m = UniPoly([Fraction(31, 60)] + [Fraction(0)] * 28 + [Fraction(1)])
     r = isolate_real_roots(m)[0]
-    K = FieldContext(r.defining, r.lo, r.hi, rational_root_free=True)
+    K = FieldContext.of_root(r)
     assert K.irreducible
     assert K.element(m.coeffs).is_zero()
     assert not K.element([Fraction(1)] + m.coeffs[2:]).is_zero()   # c^28 + 1
@@ -818,11 +880,3 @@ def test_eval_interval_bounds():
             x = lo + (hi - lo) * Fraction(k, 7)
             assert blo <= p.eval(x) <= bhi
 
-
-def test_pow_matches_repeated_mul():
-    p = UniPoly([Fraction(1), Fraction(2), Fraction(1)])
-    q = UniPoly([Fraction(1)])
-    for _ in range(4):
-        q = q * p
-    assert p**4 == q
-    assert p**0 == UniPoly([Fraction(1)])

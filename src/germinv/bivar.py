@@ -6,12 +6,12 @@ num/den, so that two equal polynomials hold the same form. Every operation
 of the public algebra (parsing, arithmetic, differentiation, composition,
 gcd, square-free part) runs on the integers, and each result is reduced by
 one integer gcd. The term map ``(i, j) -> Fraction`` is made only when
-``terms`` is read, for printing and the numeric oracle. A polynomial with a
-coefficient in a real extension Q(c) (see ``numberfield``) keeps a term map
-of those coefficients instead; branch expansion only reads, reflects,
-truncates, shifts and substitutes such polynomials, and never adds or
-multiplies them. ``numberfield.integer_vectors`` decides which form a term
-map gets.
+``terms`` is read, for printing and the numeric oracle. Over a real
+extension Q(c) (see ``numberfield``) a polynomial holds one integer vector
+per monomial, in the power basis of c over one denominator, which the
+field's context reduces once (``from_vectors``); an element of Q(c) is made
+only where a coefficient is read. Branch expansion only reads, reflects,
+truncates, shifts and substitutes them: no sums or products.
 
 Each operation has one path, whatever the shape of its inputs (constants,
 polynomials in x alone or in y alone included). gcd first runs the heuristic
@@ -41,8 +41,8 @@ from math import gcd as _igcd, isqrt, lcm
 from typing import Iterable
 
 from .errors import BothZeroError, ZeroInputError
-from .numberfield import integer_vectors
-from .unipoly import exact_quotient, integer_gcd, integer_product
+from .unipoly import (exact_quotient, integer_gcd, integer_product,
+                      primitive_integers)
 
 
 def _grlex_key(ij: tuple[int, int]) -> tuple[int, int]:
@@ -59,50 +59,54 @@ class BivarPoly:
     """Immutable sparse polynomial sum of coeff * x^i * y^j.
 
     Over Q, ``_map`` is the primitive integer map and ``_num``/``_den`` the
-    content, num > 0 and den > 0 coprime (1/1 for the zero polynomial);
-    ``_terms`` caches the Fraction map. Over Q(c), ``_num`` is None and
-    ``_map`` is the term map itself.
+    content, num > 0 and den > 0 coprime (1/1 for the zero polynomial), and
+    ``_ctx`` is None. Over Q(c), ``_ctx`` is the field's context and ``_map``
+    holds vectors over the denominator ``_den``. ``_terms`` caches the
+    coefficients.
     """
 
-    __slots__ = ("_map", "_num", "_den", "_terms")
+    __slots__ = ("_map", "_num", "_den", "_ctx", "_terms")
 
-    def __init__(self, terms: dict | Iterable = ()):
-        d = {ij: c for ij, c in dict(terms).items() if c}
-        vecs, den, _, ctx = integer_vectors(list(d.values()))
-        if ctx is None:
-            self._reduce(dict(zip(d, (v[0] for v in vecs))), 1, den)
-        else:
-            self._map, self._num, self._den, self._terms = d, None, 1, d
+    def __new__(cls, terms: dict | Iterable = ()):
+        """The polynomial of a term map of rational coefficients."""
+        d = dict(terms)
+        ints, s = primitive_integers(list(d.values()))
+        return BivarPoly.from_integers(dict(zip(d, ints)), s.numerator,
+                                       s.denominator)
 
-    def _reduce(self, ints: dict, num: int, den: int) -> None:
-        """Hold num/den times ints (den > 0, zero entries allowed) in the
+    @staticmethod
+    def _of(stored: dict, num: int, den: int, ctx) -> "BivarPoly":
+        """The polynomial that holds the given form as it is."""
+        p = object.__new__(BivarPoly)
+        p._map, p._num, p._den, p._ctx, p._terms = stored, num, den, ctx, None
+        return p
+
+    @staticmethod
+    def from_integers(ints: dict, num: int = 1, den: int = 1) -> "BivarPoly":
+        """num/den times the integer map ints (den > 0, zeros allowed) in the
         canonical form: one gcd over the entries, one for the content."""
         g = _igcd(*ints.values())
         if not g or not num:
-            self._map, self._num, self._den, self._terms = {}, 1, 1, None
-            return
+            return BivarPoly._of({}, 1, 1, None)
         num *= g
         if num < 0:
             g, num = -g, -num
         r = _igcd(num, den)
-        self._map = {ij: v // g for ij, v in ints.items() if v}
-        self._num, self._den, self._terms = num // r, den // r, None
+        return BivarPoly._of({ij: v // g for ij, v in ints.items() if v},
+                             num // r, den // r, None)
 
     @staticmethod
-    def from_integers(ints: dict, num: int = 1, den: int = 1) -> "BivarPoly":
-        """The polynomial num/den times the integer map ints, den > 0."""
-        p = object.__new__(BivarPoly)
-        p._reduce(ints, num, den)
-        return p
+    def from_vectors(ctx, vecs: dict, den: int) -> "BivarPoly":
+        """The polynomial over Q(c) with coefficients vecs[ij] / den, for
+        integer vectors in the power basis of ctx's generator and den > 0,
+        which ctx reduces (``FieldContext.reduce_vectors``)."""
+        vecs, den = ctx.reduce_vectors(vecs, den)
+        return BivarPoly._of(vecs, 1, den, ctx)
 
     def _held(self, stored: dict) -> "BivarPoly":
-        """A polynomial of the same kind as self that stores ``stored``: an
-        integer map that is primitive under self's content, or a term map
-        of nonzero coefficients in Q(c)."""
-        p = object.__new__(BivarPoly)
-        p._map, p._num, p._den = stored, self._num, self._den
-        p._terms = stored if self._num is None else None
-        return p
+        """A polynomial of self's kind and content, or denominator and field,
+        that stores ``stored``."""
+        return BivarPoly._of(stored, self._num, self._den, self._ctx)
 
     # -- constructors ---------------------------------------------------------
 
@@ -127,10 +131,10 @@ class BivarPoly:
 
     @property
     def terms(self) -> dict:
-        """The term map (i, j) -> coefficient, made once when first read."""
+        """The term map (i, j) -> coefficient, made once when first read:
+        Fractions over Q, elements of Q(c) over Q(c)."""
         if self._terms is None:
-            n, d = self._num, self._den
-            self._terms = {ij: Fraction(v * n, d) for ij, v in self._map.items()}
+            self._terms = {ij: self.coeff(ij) for ij in self._map}
         return self._terms
 
     @property
@@ -140,17 +144,21 @@ class BivarPoly:
 
     def coeff(self, ij: tuple[int, int]):
         """The coefficient of a monomial of the support."""
-        if self._terms is None:
+        if self._ctx is None:
             return Fraction(self._map[ij] * self._num, self._den)
-        return self._terms[ij]
+        return self._ctx.coefficient(self._map[ij], self._den)
 
     def integer_form(self) -> tuple[dict, int, int] | None:
         """(ints, num, den) with p = num/den times the primitive integer map
         ints, num > 0; None over Q(c)."""
-        return None if self._num is None else (self._map, self._num, self._den)
+        return None if self._ctx else (self._map, self._num, self._den)
+
+    def vector_form(self) -> tuple[dict, int, object]:
+        """(vecs, den, ctx): the coefficient vecs[ij] / den in ctx's field."""
+        return self._map, self._den, self._ctx
 
     def _form(self) -> tuple[dict, int, int]:
-        if self._num is None:
+        if self._ctx:
             raise TypeError("arithmetic needs rational coefficients")
         return self._map, self._num, self._den
 
@@ -180,13 +188,13 @@ class BivarPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        if self._num is None or other._num is None:
+        if self._ctx or other._ctx:
             return self.terms == other.terms
         return (self._num == other._num and self._den == other._den
                 and self._map == other._map)
 
     def __hash__(self):
-        if self._num is None:
+        if self._ctx:
             # its Q(c) coefficients have no hash
             raise TypeError("a polynomial over Q(c) is unhashable")
         return hash((self._num, self._den, frozenset(self._map.items())))
@@ -283,8 +291,9 @@ class BivarPoly:
                            for (i, j), c in self._map.items()})
 
     def reflect(self, a: int) -> "BivarPoly":
-        """p(-x, (-1)^a y)."""
-        return self._held({(i, j): (-c if (i + a * j) % 2 else c)
+        """p(-x, (-1)^a y), its integer or vector negated at odd i + a j."""
+        neg = (lambda v: [-x for x in v]) if self._ctx else int.__neg__
+        return self._held({(i, j): (neg(c) if (i + a * j) % 2 else c)
                            for (i, j), c in self._map.items()})
 
     def truncate(self, n: int) -> "BivarPoly":
@@ -292,8 +301,8 @@ class BivarPoly:
         kept = {ij: c for ij, c in self._map.items() if ij[0] <= n}
         if len(kept) == len(self._map):
             return self
-        if self._num is None:
-            return BivarPoly(kept)
+        if self._ctx:
+            return self._held(kept)
         return BivarPoly.from_integers(kept, self._num, self._den)
 
     # -- printing ---------------------------------------------------------------------

@@ -26,10 +26,10 @@ branch, with
 An element mixes with ``int`` and ``Fraction`` operands in ``+ - * /`` on
 either side, and prints as its 9-digit value in parentheses, so code over
 exact coefficients treats Q and Q(c) alike and never asks which it has.
-Hot loops take a batch of coefficients, rationals and elements alike, as
-vectors over one common denominator (``integer_vectors``), which also tells
-a batch of rationals, held as one integer form (``bivar``), from one that
-needs Q(c).
+A polynomial over Q(c) (``bivar``) holds integer vectors over one
+denominator, which the context reduces all at once (``reduce_vectors``),
+and an element only where a coefficient is read (``coefficient``); the
+powers of a branch coefficient come as such vectors too (``integer_powers``).
 
 m is kept square-free but is not factored into irreducibles; the isolating
 interval does the job of choosing the root. When m is certified irreducible,
@@ -160,10 +160,28 @@ class FieldContext(AlgebraicReal):
         r, s = self.reduce_integers(vec)
         den *= s
         g = math.gcd(*r, den)
-        out = FieldElement(self, [x // g for x in r], den // g)
-        if self.irreducible:
-            out._zero_known = not r
-        return out
+        return FieldElement(self, [x // g for x in r], den // g,
+                            not r if self.irreducible else None)
+
+    def reduce_vectors(self, vecs: dict, den: int) -> tuple[dict, int]:
+        """(out, D) with out[k] / D = vecs[k] / den, den > 0, for each k whose
+        value is not zero (the reduced vector is empty or, over a modulus not
+        certified, has c as a root): each reduced once, one gcd out."""
+        red = {}
+        for k, vec in vecs.items():
+            r, s = self.reduce_integers(vec)
+            if r and (self.irreducible or not self.is_root_of(r)):
+                red[k] = r, s
+        top = math.lcm(*(s for _, s in red.values()))
+        g = math.gcd(den * top, *(x for r, _ in red.values() for x in r))
+        return ({k: [x * (top // s) // g for x in r]
+                 for k, (r, s) in red.items()}, den * top // g)
+
+    def coefficient(self, vec: list, den: int) -> "FieldElement":
+        """The element vec / den read off a polynomial's support, a reduced
+        vector and den > 0, so not zero: one gcd and no zero test."""
+        g = math.gcd(*vec, den)
+        return FieldElement(self, [x // g for x in vec], den // g, False)
 
     def coerce(self, x) -> "FieldElement":
         if isinstance(x, FieldElement):
@@ -191,41 +209,23 @@ class FieldContext(AlgebraicReal):
             self._define(q)
 
 
-def integer_vectors(xs) -> tuple[list, int, list, FieldContext | None]:
-    """Coefficients over one denominator: (vecs, den, ext, ctx) with
-    x = sum(vec[i] c^i) / den for each x in xs and its vector vec, c the
-    generator of ctx, the field of the extension elements among xs (None
-    when there are none), and ``ext`` telling which x are such elements. A
-    rational x, and an element that is visibly rational, has a vector of
-    length 1. This is where a batch of coefficients is told to lie in Q or
-    in Q(c): with ctx None the first entries of the vectors over den are
-    the batch's integer form, which ``bivar.BivarPoly`` holds, reduced, for
-    a term map of rationals."""
-    ext = [isinstance(x, FieldElement) for x in xs]
-    parts = [(x.vec, x.den) if e else ((x.numerator,), x.denominator)
-             for x, e in zip(xs, ext)]
-    ctx = next((x.ctx for x, e in zip(xs, ext) if e), None)
-    den = math.lcm(*[d for _, d in parts])
-    vecs = [[y * (den // d) for y in vec] for vec, d in parts]
-    return vecs, den, ext, ctx
-
-
-def integer_powers(vec: list, den: int, n: int,
-                   ctx: FieldContext | None) -> tuple[list, int]:
-    """The powers c^0, ..., c^n of c = sum(vec[i] g^i) / den, g the
-    generator of ctx (a rational c has a vector of length 1 and needs no
-    ctx), over one denominator: (pows, D) with c^k = sum(pows[k][i] g^i) / D,
-    each power reduced once as it is made."""
+def integer_powers(c, n: int) -> tuple[list, int, FieldContext | None]:
+    """(pows, D, ctx) with c^k = sum(pows[k][i] g^i) / D for k <= n, for a
+    rational c (ctx None, vectors of length 1) or c in Q(g), ctx's field:
+    the powers over one denominator, each reduced once as it is made."""
+    vec, den, ctx = ((c.vec, c.den, c.ctx) if isinstance(c, FieldElement)
+                     else ([c.numerator], c.denominator, None))
     if len(vec) == 1:
         x = vec[0]
-        return [[x ** k * den ** (n - k)] for k in range(n + 1)], den ** n
+        return [[x ** k * den ** (n - k)] for k in range(n + 1)], den ** n, ctx
     pows, dens = [[1]], [1]
     for _ in range(n):
         p, s = ctx.reduce_integers(integer_product(pows[-1], vec))
         pows.append(p)
         dens.append(dens[-1] * den * s)
     top = dens[-1]
-    return [[x * (top // dk) for x in p] for p, dk in zip(pows, dens)], top
+    return ([[x * (top // dk) for x in p] for p, dk in zip(pows, dens)], top,
+            ctx)
 
 
 class FieldElement:
@@ -235,11 +235,12 @@ class FieldElement:
 
     __slots__ = ("ctx", "vec", "den", "_zero_known")
 
-    def __init__(self, ctx: FieldContext, vec: list, den: int):
+    def __init__(self, ctx: FieldContext, vec: list, den: int,
+                 zero_known: bool | None = None):
         self.ctx = ctx
         self.vec = vec
         self.den = den
-        self._zero_known = None
+        self._zero_known = zero_known
 
     # -- predicates ------------------------------------------------------------
 

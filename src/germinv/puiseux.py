@@ -18,21 +18,17 @@ of levels, an axis one with none. Past a simple root the branch continues
 one Newton step at a time (``_tail_step``), when its series is first read or
 when ``leading_term`` carries other polynomials through the same chain. All
 arithmetic is exact: rational, or in a single real algebraic extension Q(c)
-when a leading coefficient is irrational. Elements of Q(c) act like
-Fractions (``+ - * /``, signs, ``str``), so no step asks which kind of
-coefficient it holds but the branch order, which compares Q(c) ones by
-their intervals. A branch that would need a second nested extension raises
-TowerDepthExceededError rather than returning anything uncertified.
+when a leading coefficient is irrational. Every coefficient of a polynomial
+over Q(c) reads as an element of Q(c), and elements act like Fractions
+(``+ - * /``, signs, ``str``), so no step asks which kind of coefficient it
+holds but the branch order. A branch that would need a second nested
+extension raises TowerDepthExceededError rather than anything uncertified.
 
-A rational polynomial is held as one primitive integer map and a content
-(see ``bivar``), and an element of Q(c) as an integer vector in the power
-basis over one denominator (see ``numberfield``), so each substitution
-q(u^b, u^a (c + z)) / u^v of a chain (``_transform``) runs on integers: q's
-coefficients and the powers of c are read as vectors over one common
-denominator, and every product of them is one integer product. A rational
-result is one integer map reduced by one gcd; over Q(c) each output
-coefficient is reduced mod the modulus once, when it is made, as an element
-of Q(c), or as a Fraction when it is rational.
+A polynomial is held on integers (see ``bivar``): over Q one primitive
+integer map and a content, over Q(c) one integer vector per coefficient
+over one denominator. So each substitution q(u^b, u^a (c + z)) / u^v of a
+chain (``_transform``) makes every product one integer product, and reduces
+its result once: by one gcd over Q, each vector mod the modulus over Q(c).
 
 The recursion runs once per chart, over a parameter u of either sign, and
 each chain it ends is one real analytic branch, with half-branches u = s and
@@ -63,8 +59,7 @@ from math import comb, prod
 
 from .bivar import BivarPoly
 from .errors import TowerDepthExceededError, UnitGermError, ZeroInputError
-from .numberfield import (FieldContext, FieldElement, integer_powers,
-                          integer_vectors)
+from .numberfield import FieldContext, FieldElement, integer_powers
 from .unipoly import (UniPoly, count_all_real_roots, isolate_real_roots,
                       squarefree_sturm)
 
@@ -110,7 +105,7 @@ def newton_polygon(p: BivarPoly) -> list[NewtonPolygonEdge]:
     if (0, 0) in p.support:
         raise UnitGermError("polynomial does not vanish at the origin")
     form = p.integer_form()
-    terms = p.terms if form is None else form[0]
+    coeff = p.coeff if form is None else form[0].__getitem__
     pts = sorted(p.support)
     hull: list[tuple[int, int]] = []
     for pt in pts:
@@ -132,7 +127,7 @@ def newton_polygon(p: BivarPoly) -> list[NewtonPolygonEdge]:
         height = a[1] - b[1]
         coeffs = [0] * (height + 1)
         for q in on_edge:
-            coeffs[q[1] - b[1]] = terms[q]
+            coeffs[q[1] - b[1]] = coeff(q)
         edges.append(NewtonPolygonEdge(Fraction(di, -dj), UniPoly(coeffs)))
     return edges
 
@@ -372,36 +367,26 @@ def _transform(q: BivarPoly, a: int, b: int, c) -> tuple[int, BivarPoly]:
     dividing the substituted polynomial.
 
     The term (i, j) of q gives C(j, l) c^(j - l) times its coefficient to the
-    term (i b + j a - v, l). This runs on integers: a rational q's integer
-    form is read as it is held, a q over Q(c) and c are read as integer
-    vectors over one denominator each (``numberfield.integer_vectors``, a
-    rational's of length 1), and the powers of c are made over one
-    denominator (``integer_powers``). Each vector is packed into one integer
-    (``_pack``), so a contribution is one integer product and an output
-    coefficient one integer sum. With q and c rational the output is one
-    integer map over one denominator, reduced by one gcd
-    (``BivarPoly.from_integers``). Otherwise an output coefficient is reduced
-    mod the modulus once, when it is made, and it is an element of Q(c)
-    exactly when one of its contributions was (an extension coefficient of
-    q, or c^k with k >= 1 for an extension c), a Fraction otherwise: the
-    same coefficients, of the same types, as the substitution computed term
-    by term.
+    term (i b + j a - v, l). This runs on integers: q's vectors as it holds
+    them (a rational q's integers as vectors of length 1), and the powers
+    of c over one denominator (``integer_powers``). Each vector is packed
+    into one integer (``_pack``), so a contribution is one integer product
+    and an output coefficient one integer sum. The output is rational
+    exactly when q and c are, one integer map reduced by one gcd
+    (``BivarPoly.from_integers``); otherwise Q(c)'s context reduces each of
+    its vectors once (``BivarPoly.from_vectors``).
     """
     v = min(i * b + j * a for (i, j) in q.support)
-    (cvec,), cden, (c_ext,), ctx = integer_vectors((c,))
+    J = q.deg_y()
+    pows, pden, ctx = integer_powers(c, J)
     form = q.integer_form()
     if form is None:
-        nums, den, ext, q_ctx = integer_vectors(list(q.terms.values()))
-        ctx, num = q_ctx if ctx is None else ctx, 1
+        vecs, den, ctx = q.vector_form()
+        nums, num = list(vecs.values()), 1
     else:
         ints, num, den = form
-        ext = [False] * len(ints)
-        if c_ext:  # extension outputs take the content in
-            nums, num = [[x * num] for x in ints.values()], 1
-        else:
-            nums = [[x] for x in ints.values()]
-    J = q.deg_y()
-    pows, pden = integer_powers(cvec, cden, J, ctx)
+        k = 1 if ctx is None else num   # outputs in Q(c) take the content in
+        nums, num = [[x * k] for x in ints.values()], num // k
     # every entry of a packed sum stays below 2^(shift - 1) in absolute value
     width_n, width_c = max(map(len, nums)), max(map(len, pows))
     shift = 1
@@ -414,24 +399,20 @@ def _transform(q: BivarPoly, a: int, b: int, c) -> tuple[int, BivarPoly]:
     rows = {j: [comb(j, l) * cpows[j - l] for l in range(j + 1)]
             for j in {j for _, j in q.support}}
     out: dict = {}
-    in_ext = set()
-    for (i, j), vec, x in zip(q.support, nums, ext):
+    for (i, j), vec in zip(q.support, nums):
         base = i * b + j * a - v
         n = _pack(vec, shift)
         row = rows[j]
         for l in range(j + 1):
             key = (base, l)
             out[key] = out.get(key, 0) + n * row[l]
-        if x or c_ext:
-            in_ext.update((base, l) for l in range(j + 1 if x else j))
     den *= pden
-    if not in_ext:
+    if ctx is None:
         return v, BivarPoly.from_integers(out, num, den)
     width = width_n + width_c - 1
-    return v, BivarPoly({
-        key: (ctx.element_from_integers(_unpack(n, shift, width), den)
-              if key in in_ext else Fraction(n, den))
-        for key, n in out.items() if n})
+    return v, BivarPoly.from_vectors(
+        ctx, {key: _unpack(n, shift, width) for key, n in out.items() if n},
+        den)
 
 
 def _np_branches(q: BivarPoly, ctx, sigma: int, levels: list,
@@ -519,8 +500,8 @@ def _branch_sort_key(b: HalfBranch):
     # chart, first gamma, sigma, first c, e, then the levels below by -gamma
     # and c: depth-first order. Compared coefficients share a node and edge:
     # rationals, roots of one isolate_real_roots call or their negations, or
-    # one root in Q(c); the midpoint of c's own interval orders them.
-    keys = [(Fraction(a, b0), UniPoly(c.vec).eval(c.ctx.midpoint) / c.den
+    # one root in Q(c), read at the midpoint of its field's cell.
+    keys = [(Fraction(a, b0), c.ctx.at_midpoint(c.vec, c.den)
              if isinstance(c, FieldElement) else c)
             for a, b0, c in b.levels] or [(0, 0)]
     return (CHART_RANK[b.chart], keys[0][0], -b.sigma, keys[0][1], b.e,

@@ -400,9 +400,9 @@ class AlgebraicReal:
     P is square-free with no rational root, so no end or bisection point of
     its interval, which holds one root, is a root of P. The constructor
     takes any polynomial over Q and an interval that holds exactly one of
-    its roots inside, or is a rational root's point; an end may be a
-    rational root, as an end of isolation's intervals can be. It isolates
-    the polynomial once and collapses onto the root when that is rational.
+    its roots inside (an end may be a rational root, as isolation's can
+    be), or is a rational root's point, and raises ValueError otherwise. It
+    isolates the polynomial once and collapses onto a rational root.
 
     ``refine_step`` halves the interval; the value itself never changes, so
     monotone refinement is semantically pure and safe to share. It alone
@@ -423,15 +423,18 @@ class AlgebraicReal:
         d = lcm(lo.denominator, hi.denominator)
         a, b = (lo.numerator * (d // lo.denominator),
                 hi.numerator * (d // hi.denominator))
-        if a == b:
-            P = [-a, d]
-        else:
-            cells, P = _sturm_isolate(defining)
-            for r, s, e in cells:
-                if r == s and a * e < r * d < b * e:
-                    P, a, b, d = [-r, e], r, r, e
-                    break
-        self._define(P)
+        cells, P = _sturm_isolate(defining)
+        # the rational roots at the point or inside, then the irrational ones
+        found = [(r, r, e) for r, s, e in cells if r == s and (
+            a * e < r * d < b * e or a == b and a * e == r * d)]
+        if a < b:
+            seq = _integer_sturm(P)
+            found += [(a, b, d)] * (_variations(_signs_at(seq, a, d))
+                                    - _variations(_signs_at(seq, b, d)))
+        if len(found) != 1:
+            raise ValueError("the interval holds no root or more than one")
+        a, b, d = found[0]
+        self._define(P if a < b else [-a, d])
         self._cell = (a, b, d)
 
     @classmethod
@@ -455,10 +458,14 @@ class AlgebraicReal:
     lo = property(lambda self: Fraction(self._cell[0], self._cell[2]))
     hi = property(lambda self: Fraction(self._cell[1], self._cell[2]))
 
-    @property
-    def midpoint(self) -> Fraction:
+    midpoint = property(lambda self: self.at_midpoint([0, 1], 1))
+
+    def at_midpoint(self, P: list[int], den: int) -> Fraction:
+        """p(midpoint) for p = P / den, P an integer polynomial: one integer
+        Horner at the cell's (a + b, 2 d)."""
         a, b, d = self._cell
-        return Fraction(a + b, 2 * d)
+        v, _, D = _interval_horner(P, a + b, a + b, 2 * d)
+        return Fraction(v, D * den)
 
     def __repr__(self) -> str:
         if self.is_rational():

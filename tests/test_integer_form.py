@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from germinv import BivarPoly
-from germinv.numberfield import FieldContext
+from germinv.numberfield import FieldContext, FieldElement
 from germinv.puiseux import _transform
 from germinv.unipoly import UniPoly
 
@@ -202,11 +202,14 @@ def test_equal_polynomials_share_one_form():
 
 
 def test_polynomial_over_q_c_is_unhashable():
-    # a polynomial over Q(c) keeps its term map, and Q(c) elements, whose
-    # equality is a certified zero test, have no hash
+    # a polynomial over Q(c) holds integer vectors, and its coefficients
+    # read as Q(c) elements, whose equality is a certified zero test and
+    # which have no hash
     K = FieldContext(UniPoly([Fraction(-2), Fraction(0), Fraction(1)]),
                      Fraction(1), Fraction(2))
-    p = BivarPoly({(1, 0): K.generator(), (0, 1): Fraction(1)})
+    p = BivarPoly.from_vectors(K, {(1, 0): [0, 1], (0, 1): [1]}, 1)
     assert p.integer_form() is None
+    assert p.terms == {(1, 0): K.generator(), (0, 1): 1}
+    assert all(isinstance(c, FieldElement) for c in p.terms.values())
     with pytest.raises(TypeError):
         hash(p)

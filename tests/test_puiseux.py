@@ -11,7 +11,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -350,8 +350,9 @@ def test_residuals_on_random_tangency_curves():
 
 
 def transform_by_terms(q, a, b, c):
-    """q(u^b, u^a (c + z)) / u^v computed coefficient by coefficient, in the
-    coefficients' own arithmetic: the reference for ``_transform``."""
+    """(v, coefficients) of q(u^b, u^a (c + z)) / u^v computed coefficient
+    by coefficient, in the coefficients' own arithmetic, its zeros dropped:
+    the reference for ``_transform``."""
     v = min(i * b + j * a for (i, j) in q.terms)
     cpows = [Fraction(1)]
     for _ in range(q.deg_y()):
@@ -363,22 +364,35 @@ def transform_by_terms(q, a, b, c):
             t = coeff * (comb(j, l) * cpows[j - l])
             cur = out.get((base, l))
             out[(base, l)] = t if cur is None else cur + t
-    return v, BivarPoly(out)
+    return v, {key: x for key, x in out.items() if x}
 
 
-def assert_same_transform(got, want):
-    # the same keys in the same order, and per key the same type and value;
-    # an element of Q(c) also in the same field and with the same reduced
-    # vector over the same denominator
+def assert_same_transform(got, want, ctx=None):
+    # the same keys in the same order; over Q (no ctx) per key the same
+    # type and value, and over Q(c) per key an element of the same field
+    # with the same reduced vector over the same denominator
     assert got[0] == want[0]
-    assert list(got[1].terms) == list(want[1].terms)
-    for key, w in want[1].terms.items():
-        g = got[1].terms[key]
-        assert type(g) is type(w), key
-        if isinstance(w, FieldElement):
-            assert g.ctx is w.ctx and (g.vec, g.den) == (w.vec, w.den), key
+    terms = got[1].terms
+    assert list(terms) == list(want[1])
+    assert (got[1].integer_form() is None) == (ctx is not None)
+    for key, w in want[1].items():
+        g = terms[key]
+        if ctx is None:
+            assert type(g) is type(w) and g == w, key
         else:
-            assert g == w, key
+            w = ctx.coerce(w)
+            assert isinstance(g, FieldElement) and g.ctx is ctx, key
+            assert (g.vec, g.den) == (w.vec, w.den), key
+
+
+def poly_over(ctx, terms):
+    """The polynomial over Q(c), c the generator of ctx, with a term map of
+    rationals and elements: their vectors over one denominator."""
+    xs = {ij: ctx.coerce(x) for ij, x in terms.items()}
+    den = lcm(*(x.den for x in xs.values()))
+    return BivarPoly.from_vectors(
+        ctx, {ij: [v * (den // x.den) for v in x.vec] for ij, x in xs.items()},
+        den)
 
 
 def random_fraction(rng):
@@ -396,7 +410,10 @@ def random_transform_input(rng, ctx):
                 [random_fraction(rng) for _ in range(ctx.defining.degree)])
         else:
             terms[ij] = random_fraction(rng)
-    q = BivarPoly(terms)
+    if any(isinstance(x, FieldElement) for x in terms.values()):
+        q = poly_over(ctx, terms)
+    else:
+        q = BivarPoly(terms)
     if q.is_zero():
         q = BivarPoly({(1, 1): Fraction(1)})
     return q, rng.randint(1, 4), rng.randint(1, 3)
@@ -515,10 +532,10 @@ def test_transform_matches_term_by_term_in_extension(name):
     # has the coefficient h c - h g = 0, which is zero only after reduction
     g = ctx.generator()
     h = ctx.element([0] * (ctx.defining.degree - 1) + [1])
-    q = BivarPoly({(0, 1): h, (1, 0): -(h * g)})
+    q = poly_over(ctx, {(0, 1): h, (1, 0): -(h * g)})
     got = _transform(q, 1, 1, g)
     assert (0, 0) not in got[1].terms
-    assert_same_transform(got, transform_by_terms(q, 1, 1, g))
+    assert_same_transform(got, transform_by_terms(q, 1, 1, g), ctx)
     rng = random.Random(name)
     for k in range(30):
         q, a, b = random_transform_input(rng, ctx)
@@ -526,14 +543,18 @@ def test_transform_matches_term_by_term_in_extension(name):
         c = (ctx.element([random_fraction(rng), random_fraction(rng) or 1])
              if k % 3 == 0 else ctx.generator() if k % 3 == 1
              else random_fraction(rng) or Fraction(1))
+        # the output is over Q(c) unless q and c are both rational
+        field = (ctx if q.integer_form() is None
+                 or isinstance(c, FieldElement) else None)
         assert_same_transform(_transform(q, a, b, c),
-                              transform_by_terms(q, a, b, c))
+                              transform_by_terms(q, a, b, c), field)
 
 
 def test_transform_in_extension_makes_no_field_arithmetic(monkeypatch):
     # the substitution runs on integer vectors and reduces each output
-    # coefficient once: no product or sum of field elements on the way, no
-    # Fraction for an extension coefficient, and one for each rational one
+    # vector once: no product or sum of field elements on the way, and no
+    # element and no Fraction made; every output coefficient then reads as
+    # an element of Q(c)
     f = rotate_germ(parse_poly(ROTATED_REPEATED_FACTOR))
     curve = TangencyCurve(f)
     config = ExpansionConfig()
@@ -558,18 +579,24 @@ def test_transform_in_extension_makes_no_field_arithmetic(monkeypatch):
             return method(self, other)
 
         monkeypatch.setattr(FieldElement, name, counted)
-    made = []
-    new = Fraction.__new__
+    made, elements = [], []
+    new, init = Fraction.__new__, FieldElement.__init__
 
     def counted_new(cls, *args, **kwargs):
         made.append(args)
         return new(cls, *args, **kwargs)
 
+    def counted_init(self, *args):
+        elements.append(args)
+        init(self, *args)
+
     monkeypatch.setattr(Fraction, "__new__", counted_new)
+    monkeypatch.setattr(FieldElement, "__init__", counted_init)
     v, p = _transform(*args)
     monkeypatch.setattr(Fraction, "__new__", new)
-    rational = [c for c in p.terms.values() if not isinstance(c, FieldElement)]
-    assert rational and len(rational) < len(p.terms)
-    assert ops == [] and len(made) == len(rational)
+    assert ops == [] and made == [] and elements == []
+    assert p.integer_form() is None and p.terms
+    assert all(isinstance(c, FieldElement) for c in p.terms.values())
+    assert len(elements) == len(p.terms)
     transform_by_terms(*args)
     assert len(ops) > 100

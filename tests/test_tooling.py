@@ -51,14 +51,17 @@ def test_bivariate_layer_uses_no_unipoly():
     assert "UniPoly" not in names
 
 
-def _calls_fraction(path: Path, names: set) -> list[str]:
-    """The functions among ``names`` in the module that call Fraction(...)."""
+def _calls(path: Path, names: set, callees=frozenset({"Fraction"})
+           ) -> list[str]:
+    """The functions among ``names`` in the module that call one of
+    ``callees``, by its name or as an attribute."""
     tree = ast.parse(path.read_text(), filename=str(path))
     return sorted(f.name for f in ast.walk(tree)
                   if isinstance(f, ast.FunctionDef) and f.name in names
                   and any(isinstance(n, ast.Call)
-                          and isinstance(n.func, ast.Name)
-                          and n.func.id == "Fraction" for n in ast.walk(f)))
+                          and getattr(n.func, "id", getattr(n.func, "attr",
+                                                            None)) in callees
+                          for n in ast.walk(f)))
 
 
 def test_curve_layer_makes_no_fractions():
@@ -67,10 +70,33 @@ def test_curve_layer_makes_no_fractions():
     # again
     names = {"gcd_cofactors", "squarefree_part", "_integer_primitive",
              "_from_integers", "_signed"}
-    assert _calls_fraction(SRC / "bivar.py", names) == []
-    assert _calls_fraction(SRC / "tangency.py", {"tangency_poly"}) == []
+    assert _calls(SRC / "bivar.py", names) == []
+    assert _calls(SRC / "tangency.py", {"tangency_poly"}) == []
     # the check sees a call where there is one
-    assert _calls_fraction(SRC / "bivar.py", {"coeff"}) == ["coeff"]
+    assert _calls(SRC / "bivar.py", {"coeff"}) == ["coeff"]
+
+
+def test_q_c_polynomials_hold_integer_vectors():
+    # a polynomial over Q(c) holds integer vectors over one denominator,
+    # which its field's context reduces: the bivariate layer imports nothing
+    # from numberfield, no helper tells two kinds of term map apart, and
+    # neither the substitution nor the methods that build a polynomial's
+    # form make a Fraction or an element of Q(c)
+    tree = ast.parse((SRC / "bivar.py").read_text())
+    modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+               for a in n.names]
+    modules += [n.module or "" for n in ast.walk(tree)
+                if isinstance(n, ast.ImportFrom)]
+    assert not [m for m in modules if "numberfield" in m]
+    assert not [p.name for p in SRC.glob("*.py")
+                if "integer_vectors" in p.read_text()]
+    makers = {"Fraction", "FieldElement", "element_from_integers"}
+    built = {"__new__", "_of", "from_integers", "from_vectors", "_held",
+             "__neg__", "swap_vars", "shift_down", "reflect", "truncate"}
+    assert _calls(SRC / "bivar.py", built, makers) == []
+    assert _calls(SRC / "puiseux.py", {"_transform"}, makers) == []
+    # the check sees a call where there is one
+    assert _calls(SRC / "bivar.py", {"coeff"}, makers) == ["coeff"]
 
 
 def test_real_root_layer_keeps_integer_cells():
@@ -81,8 +107,8 @@ def test_real_root_layer_keeps_integer_cells():
     # form on, and a field certifies its modulus on it
     names = {"refine_step", "is_root_of", "_interval_horner",
              "_sturm_isolate", "isolate_real_roots", "_of_cell", "_define"}
-    assert _calls_fraction(SRC / "unipoly.py", names) == []
-    assert _calls_fraction(SRC / "numberfield.py", {"_define"}) == []
+    assert _calls(SRC / "unipoly.py", names) == []
+    assert _calls(SRC / "numberfield.py", {"_define"}) == []
     # no caller vouches for a modulus: it has no rational root by
     # construction
     assert not [p.name for p in SRC.glob("*.py")

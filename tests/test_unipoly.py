@@ -576,6 +576,29 @@ def test_constructor_gives_isolations_form(u):
         assert (x.lo, x.hi) == ((r.lo, r.hi) if r.is_rational() else (lo, hi))
 
 
+@pytest.mark.parametrize("u, lo, hi", [
+    (_T2_MINUS_2, Fraction(2), Fraction(3)),           # no root
+    (_poly(-1, 0, 1), Fraction(1), Fraction(2)),       # a root at an end only
+    (_T2_MINUS_2, Fraction(5, 4), Fraction(5, 4)),     # a point, no root
+    (_T2_MINUS_2, Fraction(-2), Fraction(2)),          # two roots
+    (_T2_MINUS_2, Fraction(2), Fraction(1)),           # lo above hi
+])
+def test_constructor_rejects_an_interval_without_exactly_one_root(u, lo, hi):
+    # the interval must hold one root inside, or be a rational root's point
+    with pytest.raises(ValueError):
+        AlgebraicReal(u, lo, hi)
+    with pytest.raises(ValueError):
+        FieldContext(u, lo, hi)
+
+
+def test_constructor_keeps_a_rational_root_at_an_end():
+    # (t - 1)(t^2 - 2) on [1, 2]: the end 1 is a root, sqrt2 the one inside
+    x = AlgebraicReal(_linear(1, 1) * _T2_MINUS_2, Fraction(1), Fraction(2))
+    assert x.defining == _T2_MINUS_2 and (x.lo, x.hi) == (1, 2)
+    x = AlgebraicReal(_linear(1, 1) * _T2_MINUS_2, Fraction(1), Fraction(1))
+    assert x.is_rational() and x.defining == _poly(-1, 1)
+
+
 def test_refine_step_collapses_onto_a_rational_root():
     # t^2 - 1 on [0, 2] holds the root 1, the interval's midpoint: the
     # constructor collapses onto it, refine_step keeps it, and every answer

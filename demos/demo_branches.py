@@ -55,6 +55,6 @@ rot = analyze_germ(f.compose(px, py))
 print(f"rotated invariant: ({rot.invariant.lo}, {rot.invariant.hi})")
 for r in rot.restrictions:
     if r.branch.ctx is not None:
-        coeffs = ", ".join(str(c) for c in r.branch.ctx.defining.coeffs)
+        coeffs = ", ".join(str(c) for c in r.branch.ctx.defining)
         print(f"  algebraic branch ({r.kind}): minimal polynomial "
               f"coefficients [{coeffs}]")

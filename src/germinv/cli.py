@@ -9,8 +9,12 @@ Subcommands:
 
 Exit codes: 0 success (and "possible" for compare), 1 equivalence excluded,
 2 bad input (including a coefficient the numeric oracle cannot hold as a
-double), 3 certified symbolic resource limit, 4 crosscheck failure or
-unstable path tracking, 70 unexpected internal error.
+double, and an integer literal longer than the interpreter's limit on
+integer string conversion, ``sys.get_int_max_str_digits()``), 3 certified
+symbolic resource limit (also a computed number too long for that limit to
+print), 4 crosscheck failure or unstable path tracking, 70 unexpected
+internal error. Output goes to stdout only when a command returns, so an
+error leaves stdout empty.
 
 Output is deterministic byte for byte for a given invocation: floats are
 printed with repr (shortest round-trip form), exact rationals as n or n/d,
@@ -20,6 +24,7 @@ and all orderings are fixed by the analysis itself.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -362,8 +367,11 @@ def main(argv=None) -> int:
     if bad is not None:
         print(f"error: {bad}", file=sys.stderr)
         return EXIT_INPUT
+    out = io.StringIO()
     try:
-        return args.func(args, sys.stdout)
+        code = args.func(args, out)
+        sys.stdout.write(out.getvalue())
+        return code
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -380,6 +388,14 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         return EXIT_OK
     except Exception as exc:  # noqa: BLE001
+        limit = sys.get_int_max_str_digits()
+        if (isinstance(exc, ValueError)
+                and f"Exceeds the limit ({limit} digits)" in str(exc)):
+            # a computed integer too long to print in decimal
+            print(f"resource limit: a number to print has more than {limit} "
+                  "digits, the interpreter's limit on integer string "
+                  "conversion (PYTHONINTMAXSTRDIGITS)", file=sys.stderr)
+            return EXIT_RESOURCE
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -19,9 +19,10 @@ branch, with
   and ``FieldContext.element_from_integers`` reduces it once, by
   ``unipoly.pseudo_remainder`` by the integer form of m, and divides out
   one gcd,
-* division (extended Euclid over Q; if m turns out reducible and a zero
-  divisor appears, m is replaced by its factor that still has c as a root,
-  which changes no element's value; ``_define`` certifies it anew).
+* division by one half-extended remainder chain of (m, A) on integers
+  (``FieldContext.invert``); if m turns out reducible and a zero divisor
+  appears, m is replaced by its factor that still has c as a root, which
+  changes no element's value; ``_define`` certifies it anew.
 
 An element mixes with ``int`` and ``Fraction`` operands in ``+ - * /`` on
 either side, and prints as its 9-digit value in parentheses, so code over
@@ -55,8 +56,8 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import zip_longest
 
-from .unipoly import (AlgebraicReal, UniPoly, exact_quotient,
-                      integer_product, primitive_integers, pseudo_remainder)
+from .unipoly import (AlgebraicReal, exact_quotient, integer_product,
+                      poly_string, pseudo_remainder)
 
 
 def _exact_root(n: int, k: int) -> int | None:
@@ -92,20 +93,6 @@ def _binomial_irreducible(n: int, num: int, den: int) -> bool:
     return n % 4 != 0 or not _is_power(-num, 4 * den, 4)
 
 
-def _egcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
-    """Return (g, u) with u*a = g mod b and g = gcd(a, b), g monic."""
-    r0, r1 = a, b
-    u0, u1 = UniPoly([Fraction(1)]), UniPoly()
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-    if r0.is_zero():
-        return r0, u0
-    lc = r0.lc()
-    return r0.scale(1 / lc), u0.scale(1 / lc)
-
-
 class FieldContext(AlgebraicReal):
     """The field Q(c) for one isolated real root c of a square-free modulus
     with no rational root: c as an ``AlgebraicReal``, whose defining
@@ -134,12 +121,6 @@ class FieldContext(AlgebraicReal):
             self.irreducible = n <= 3
 
     # -- element construction -------------------------------------------------
-
-    def element(self, coeffs) -> "FieldElement":
-        """The element sum(coeffs[i] c^i) for rationals coeffs."""
-        ints, s = primitive_integers(coeffs)
-        return self.element_from_integers([x * s.numerator for x in ints],
-                                          s.denominator)
 
     def generator(self) -> "FieldElement":
         return self.element_from_integers([0, 1], 1)
@@ -190,17 +171,36 @@ class FieldContext(AlgebraicReal):
             return x
         return self.from_rational(x)
 
-    def invert(self, vec: list) -> "FieldElement":
-        """1/A(c) for the integer vector of A, by the extended Euclid over
-        Q; ZeroDivisionError when A(c) = 0."""
-        a = UniPoly([Fraction(x) for x in vec])
+    def invert(self, vec: list, den: int) -> "FieldElement":
+        """den / A(c) for the integer vector vec of A and den > 0: one
+        half-extended remainder chain of (m, A) on integers, each remainder
+        r with u, r = u A mod m and deg u < deg m, the pair divided by its
+        content. A constant r ends it: den / A(c) = den u / r. A zero
+        remainder leaves g = gcd(A, m), and c is a root of exactly one of g
+        and m / g: of g when A(c) = 0, a ZeroDivisionError; else the
+        modulus shrinks to m / g, which changes no element's value, and the
+        chain runs again. A vector longer than m, made before a shrink,
+        becomes the divisor after the first step."""
         while True:
-            g, u = _egcd(a, self.defining)
-            if g.degree == 0:
-                return self.element(u.coeffs)
-            # g divides the modulus, and c is a root of exactly one of g,
-            # modulus/g: of g when A(c) = 0; else keep modulus/g and retry.
-            G = primitive_integers(g.coeffs)[0]
+            r, u, s, v = self._integer_defining, [], vec, [1]
+            while len(s) > 1:
+                # r - (lc r / lc s) t^k s, times lc s, until r is shorter
+                while len(r) >= len(s):
+                    k, a, b = len(r) - len(s), r[-1], s[-1]
+                    r = [b * x - a * y for x, y in
+                         zip_longest(r, [0] * k + s, fillvalue=0)]
+                    u = [b * x - a * y for x, y in
+                         zip_longest(u, [0] * k + v, fillvalue=0)]
+                    while r and not r[-1]:
+                        r.pop()
+                g = math.gcd(*r, *u)
+                r, u, s, v = s, v, [x // g for x in r], [x // g for x in u]
+            if s:
+                sign = 1 if s[0] > 0 else -1
+                return self.element_from_integers(
+                    [sign * den * x for x in v], sign * s[0])
+            k = math.gcd(*r) if r[-1] > 0 else -math.gcd(*r)
+            G = [x // k for x in r]
             if self.is_root_of(G):
                 raise ZeroDivisionError("inverse of zero extension element")
             q = exact_quotient(self._integer_defining, G)
@@ -300,7 +300,7 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        return self.ctx.invert(self.vec) * self.den
+        return self.ctx.invert(self.vec, self.den)
 
     def __truediv__(self, other):
         if isinstance(other, FieldElement):
@@ -311,12 +311,6 @@ class FieldElement:
         return self.inverse() * other
 
     # -- numeric views -------------------------------------------------------------
-
-    def as_rational(self) -> Fraction | None:
-        """Exact rational value if the element is visibly rational, else None."""
-        if len(self.vec) <= 1:
-            return Fraction(self.vec[0] if self.vec else 0, self.den)
-        return None
 
     def interval(self, width: Fraction | None = None,
                  max_bits: int = 4096) -> tuple[Fraction, Fraction]:
@@ -354,6 +348,5 @@ class FieldElement:
         return f"({self._digits(9)})"
 
     def __repr__(self) -> str:
-        poly = UniPoly([Fraction(x, self.den) for x in self.vec])
-        poly = poly.to_string("c")
+        poly = poly_string([Fraction(x, self.den) for x in self.vec], "c")
         return f"FieldElement({poly} ~ {self._digits(6)})"

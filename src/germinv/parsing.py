@@ -14,6 +14,7 @@ Errors carry the byte offset of the offending token.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .bivar import BivarPoly
@@ -43,7 +44,13 @@ class _Scanner:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:
+            # the digits exceed the interpreter's integer string limit
+            raise ParseError(
+                f"integer literal longer than {sys.get_int_max_str_digits()}"
+                " digits", start) from None
 
 
 def _parse_base(s: _Scanner) -> BivarPoly:

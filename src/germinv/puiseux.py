@@ -29,6 +29,8 @@ integer map and a content, over Q(c) one integer vector per coefficient
 over one denominator. So each substitution q(u^b, u^a (c + z)) / u^v of a
 chain (``_transform``) makes every product one integer product, and reduces
 its result once: by one gcd over Q, each vector mod the modulus over Q(c).
+An edge polynomial holds p's coefficients as p holds them, and its roots
+over Q(c) come from one Sturm chain on integer vectors (``_edge_roots``).
 
 The recursion runs once per chart, over a parameter u of either sign, and
 each chain it ends is one real analytic branch, with half-branches u = s and
@@ -57,11 +59,11 @@ import weakref
 from fractions import Fraction
 from math import comb, prod
 
-from .bivar import BivarPoly
+from .bivar import BivarPoly, _zz_prem
 from .errors import TowerDepthExceededError, UnitGermError, ZeroInputError
 from .numberfield import FieldContext, FieldElement, integer_powers
-from .unipoly import (UniPoly, count_all_real_roots, isolate_real_roots,
-                      squarefree_sturm)
+from .unipoly import (_variations, integer_product, isolate_real_roots,
+                      poly_string)
 
 _MAX_DEPTH = 64
 
@@ -75,23 +77,26 @@ _SWAPPED = ("y-axis", "x-dominant")
 
 
 class NewtonPolygonEdge:
-    """One negative-slope edge of the lower Newton hull: ``gamma`` is minus
-    its slope, and ``poly`` the edge polynomial E(c) = sum a_ij c^(j - j2)
-    over the support points (i, j) on the edge, j2 the least j among them,
-    whose nonzero real roots are the leading coefficients of branches
-    z ~ c * u^gamma. Over Q, ``poly`` has the integer coefficients of p's
-    integer form, E up to a positive factor, which has the same roots.
+    """One negative-slope edge of the lower Newton hull, which runs ``di``
+    in i as it drops ``drop`` in j: ``gamma`` = di / drop is minus its slope
+    di/dj, and ``poly`` the edge polynomial E(c) = sum a_ij c^(j - j2) over
+    the support points (i, j) on the edge, j2 the least j among them, whose
+    nonzero real roots are the leading coefficients of branches
+    z ~ c * u^gamma. ``poly`` lists E's coefficients, lowest degree first,
+    as p holds them, E up to a positive factor, which has the same roots:
+    over Q the integers of p's integer form, over Q(c) integer vectors over
+    p's one denominator, ``[]`` for a zero coefficient.
     """
 
     __slots__ = ("gamma", "poly")
 
-    def __init__(self, gamma: Fraction, poly: UniPoly):
-        self.gamma = gamma
+    def __init__(self, di: int, drop: int, poly: list):
+        self.gamma = Fraction(di, drop)
         self.poly = poly
 
     def __repr__(self):
         return (f"NewtonPolygonEdge(gamma={self.gamma}, "
-                f"E={self.poly.to_string('c')})")
+                f"E={poly_string(self.poly, 'c')})")
 
 
 def newton_polygon(p: BivarPoly) -> list[NewtonPolygonEdge]:
@@ -104,8 +109,7 @@ def newton_polygon(p: BivarPoly) -> list[NewtonPolygonEdge]:
         raise ZeroInputError("zero polynomial has no Newton polygon")
     if (0, 0) in p.support:
         raise UnitGermError("polynomial does not vanish at the origin")
-    form = p.integer_form()
-    coeff = p.coeff if form is None else form[0].__getitem__
+    held, _, ctx = p.vector_form()
     pts = sorted(p.support)
     hull: list[tuple[int, int]] = []
     for pt in pts:
@@ -124,11 +128,10 @@ def newton_polygon(p: BivarPoly) -> list[NewtonPolygonEdge]:
         on_edge = [q for q in pts
                    if a[0] <= q[0] <= b[0]
                    and (q[0] - a[0]) * dj == (q[1] - a[1]) * di]
-        height = a[1] - b[1]
-        coeffs = [0] * (height + 1)
+        coeffs = [0 if ctx is None else []] * (a[1] - b[1] + 1)
         for q in on_edge:
-            coeffs[q[1] - b[1]] = coeff(q)
-        edges.append(NewtonPolygonEdge(Fraction(di, -dj), UniPoly(coeffs)))
+            coeffs[q[1] - b[1]] = held[q]
+        edges.append(NewtonPolygonEdge(di, -dj, coeffs))
     return edges
 
 
@@ -293,33 +296,53 @@ def radial_branches() -> list[HalfBranch]:
 # -- the Newton-Puiseux recursion ------------------------------------------------
 
 
-def _edge_roots(E: UniPoly, ctx, b: int):
-    """Real roots of the edge polynomial of an edge with gamma = a/b, to be
-    expanded: list of (value, ctx), ascending.
+def _edge_roots(E: list, ctx, b: int):
+    """Real roots of the edge polynomial E of an edge with gamma = a/b, to
+    be expanded: list of (value, ctx), ascending.
 
-    Over Q, and inside Q(c) when every coefficient is rational, the roots
-    come from one isolation. For even b they come in pairs +-c, and only
-    the positive half is kept. A kept rational root is used as is, and an
-    irrational one opens a fresh extension Q(c) over Q but needs a second
-    extension inside Q(c). With irrational coefficients only a root in Q(c)
-    itself is usable: the square-free part must be linear, or have no real
-    root at all, which the signs of its Sturm chain's leading coefficients
-    tell without bounding the roots. The part and its chain come from one
-    remainder sequence (``squarefree_sturm``). A branch that needs more
-    raises TowerDepthExceededError.
+    Over Q, and inside Q(c) when every coefficient is rational (a vector of
+    length at most 1), the roots come from one isolation. For even b they
+    come in pairs +-c, and only the positive half is kept. A kept rational
+    root is used as is, and an irrational one opens a fresh extension Q(c)
+    over Q but needs a second extension inside Q(c).
+
+    With an irrational coefficient only a root in Q(c) itself is usable,
+    and one Sturm chain of E on integer vectors tells which. Each member
+    after E and E' is -lc^(2k) prem(F, G) for the two members F, G before
+    it (``bivar._zz_prem`` scales by lc = lc(G) to the power
+    deg F - deg G + 1, made even by one more factor), a positive multiple
+    of the signed remainder, with its vectors reduced mod the modulus
+    (``FieldContext.reduce_vectors``), which drops the zero ones. The chain
+    ends in gcd(E, E') up to a unit. A linear square-free part E / gcd
+    gives the one root -e_(n-1) / (n e_n). Otherwise E must have no real
+    root: the sign variations of the chain's leading coefficients at -inf
+    and at +inf agree. A branch that needs more raises
+    TowerDepthExceededError.
     """
     if ctx is not None:
-        coeffs = [ctx.coerce(c) for c in E.coeffs]
-        rats = [c.as_rational() for c in coeffs]
-        if any(q is None for q in rats):
-            red, seq = squarefree_sturm(UniPoly(coeffs))
-            if red.degree == 1:
-                return [(-red.coeffs[0], ctx)]  # red is monic
-            if count_all_real_roots(seq) == 0:
+        if any(len(v) > 1 for v in E):
+            seq = [E, [[k * x for x in v] for k, v in enumerate(E)][1:]]
+            while len(seq[-1]) > 1:
+                F, G = seq[-2], seq[-1]
+                R = _zz_prem(F, G)
+                if (len(F) - len(G)) % 2 == 0:
+                    R = [integer_product(G[-1], v) for v in R]
+                red, _ = ctx.reduce_vectors(dict(enumerate(R)), 1)
+                if not red:
+                    break
+                seq.append([[-x for x in red.get(k, ())]
+                            for k in range(max(red) + 1)])
+            n = len(E) - 1
+            if len(seq[-1]) == n:
+                return [(ctx.coefficient([-x for x in E[-2]], n)
+                         / ctx.coefficient(E[-1], 1), ctx)]
+            at_inf = [ctx.coefficient(P[-1], 1).sign() for P in seq]
+            if _variations(at_inf) == _variations(
+                    [s if len(P) % 2 else -s for s, P in zip(at_inf, seq)]):
                 return []
             raise TowerDepthExceededError(
                 "branch coefficient needs a second algebraic extension")
-        E = UniPoly(rats)
+        E = [v[0] if v else 0 for v in E]
     roots = isolate_real_roots(E)
     if b % 2 == 0:
         roots = roots[len(roots) // 2:]

@@ -1,5 +1,9 @@
-"""Dense univariate polynomials over exact coefficients, Sturm sequences,
-real root isolation, and interval-refinable real algebraic numbers.
+"""Univariate polynomials as coefficient lists, real root isolation, and
+interval-refinable real algebraic numbers.
+
+A polynomial here is a list of its coefficients, lowest degree first, as
+``bivar`` holds its integer polynomials: no class wraps it, and nothing here
+computes over coefficients other than rationals.
 
 ``AlgebraicReal`` is germinv's one representation of a real algebraic number
 (an integer defining polynomial with no rational root, unless the number
@@ -18,21 +22,16 @@ rational root. The square-free part of u comes with its Sturm chain: the
 chain of u ends in gcd(u, u'), so a square-free u costs one remainder
 sequence, and a repeated factor a second one.
 
-Coefficients are ``fractions.Fraction`` throughout the public API. Over Q,
-Sturm chains, gcds, signs and interval bounds run on integer forms (lists of
-ints, lowest degree first), each a positive multiple of the polynomial it
-stands for: no gcd here runs Euclid on Fractions, and ``integer_product``
-and ``exact_quotient`` are the one product and exact division of such forms.
-``AlgebraicReal`` holds its defining polynomial so, and ``is_root_of`` and
-``enclose`` take p as an integer form too, as a Q(c) element holds it; the
-first reads p(a) = 0 off the signs of gcd(p, defining) at the interval's
-ends. The same ``UniPoly`` container is reused internally with coefficients
-in a simple real extension field (see ``numberfield``), whose elements act
-like Fractions: every routine only uses ``+ - * /``, truth testing
-(certified nonzero), and ``coeff_sign``, and none of them asks which
-coefficient type it has. Nothing here bounds the roots of a polynomial over
-Q(c): the number of its real roots comes from the signs of its Sturm
-chain's leading coefficients (``count_all_real_roots``).
+Coefficients are ``fractions.Fraction`` or ``int`` in the public API. Sturm
+chains, gcds, signs and interval bounds run on integer forms (lists of ints,
+lowest degree first), each a positive multiple of the polynomial it stands
+for: no gcd here runs Euclid on Fractions, and ``integer_product`` and
+``exact_quotient`` are the one product and exact division of such forms,
+``pseudo_remainder`` the one remainder. ``AlgebraicReal`` holds its defining
+polynomial so, and ``is_root_of`` and ``enclose`` take p as an integer form
+too, as a Q(c) element holds it; the first reads p(a) = 0 off the signs of
+gcd(p, defining) at the interval's ends. A polynomial over Q(c) is a list
+of integer vectors (see ``numberfield`` and ``puiseux._edge_roots``).
 
 Zero-or-not questions are decided exactly: a quantity is declared zero only
 when the coefficient type proves it (``Fraction == 0``, or the extension
@@ -45,12 +44,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import PrecisionExceededError, ZeroInputError
-
-# 1 / c is a float for an int c, and _ONE / c is exact
-_ONE = Fraction(1)
 
 
 def coeff_sign(x, max_bits: int = 256) -> int:
@@ -61,148 +57,26 @@ def coeff_sign(x, max_bits: int = 256) -> int:
     return x.sign(max_bits)
 
 
-class UniPoly:
-    """Dense univariate polynomial, lowest degree first.
-
-    Invariant: the trailing (leading-degree) entry is nonzero unless the
-    polynomial is zero, in which case ``coeffs`` is empty.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable = ()):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = cs
-
-    # -- shape --------------------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def lc(self):
-        """Leading coefficient."""
-        return self.coeffs[-1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        if len(self.coeffs) != len(other.coeffs):
-            return False
-        return all(not (a - b) for a, b in zip(self.coeffs, other.coeffs))
-
-    def __hash__(self):
-        return hash(tuple(self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"UniPoly({self.to_string()})"
-
-    def to_string(self, var: str = "t") -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            if k == 0:
-                mono = str(c)
-            else:
-                head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-                mono = f"{head}{var}" + (f"^{k}" if k > 1 else "")
-            parts.append(mono)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return UniPoly(out)
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
-
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if not self.coeffs or not other.coeffs:
-            return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return UniPoly(out)
-
-    def scale(self, c) -> "UniPoly":
+def poly_string(cs: Sequence, var: str = "t") -> str:
+    """The polynomial with coefficients cs, lowest degree first, as text:
+    highest degree first, zero coefficients left out."""
+    parts = []
+    for k in range(len(cs) - 1, -1, -1):
+        c = cs[k]
         if not c:
-            return UniPoly()
-        return UniPoly([a * c for a in self.coeffs])
-
-    def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        """Euclidean division; coefficient type must support exact division."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
-            return UniPoly(), self
-        rem = list(self.coeffs)
-        dv = other.coeffs
-        dd = other.degree
-        inv_lc = None
-        quot = [Fraction(0)] * (len(rem) - dd)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k]
-            if not c:
-                continue
-            if inv_lc is None:
-                inv_lc = _ONE / other.lc()
-            q = c * inv_lc
-            quot[k - dd] = q
-            for j in range(dd + 1):
-                rem[k - dd + j] = rem[k - dd + j] - q * dv[j]
-        return UniPoly(quot), UniPoly(rem)
-
-    def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return self.divmod(other)[1]
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly([k * c for k, c in enumerate(self.coeffs)][1:])
-
-    def monic(self) -> "UniPoly":
-        if not self.coeffs:
-            return self
-        l = self.lc()
-        if l == 1:
-            return self
-        return self.scale(_ONE / l)
-
-    def eval(self, x):
-        """Horner evaluation; x may be Fraction, float, or extension element."""
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        if acc is None:
-            return 0.0 if isinstance(x, float) else Fraction(0)
-        return acc
+            continue
+        if k == 0:
+            mono = str(c)
+        else:
+            head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
+            mono = f"{head}{var}" + (f"^{k}" if k > 1 else "")
+        parts.append(mono)
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
 
 
 # -- gcd and integer forms ----------------------------------------------------
@@ -239,30 +113,6 @@ def integer_gcd(a: list[int], b: list[int]) -> list[int]:
 
 
 # -- Sturm machinery ----------------------------------------------------------
-
-
-def sturm_sequence(u: UniPoly) -> list[UniPoly]:
-    """Sturm chain u, u', -rem, ... down to the last nonzero remainder,
-    which is gcd(u, u') up to a constant factor: a constant exactly when u
-    is square-free."""
-    seq = [u, u.derivative()]
-    while seq[-1].degree > 0:
-        seq.append(-(seq[-2] % seq[-1]))
-    if seq[-1].is_zero():
-        seq.pop()
-    return seq
-
-
-def squarefree_sturm(u: UniPoly) -> tuple[UniPoly, list[UniPoly]]:
-    """(p, seq) for nonzero u: p = u / gcd(u, u'), monic, and seq a Sturm
-    chain of p up to a constant factor, which changes no sign variation.
-    The chain of u ends in the gcd, and only when that is not constant is
-    a second chain made, from the quotient."""
-    seq = sturm_sequence(u)
-    if seq[-1].degree >= 1:
-        u = u.divmod(seq[-1])[0]
-        seq = sturm_sequence(u)
-    return u.monic(), seq
 
 
 def _variations(values: Sequence[int]) -> int:
@@ -306,8 +156,10 @@ def _remainder_chain(a: list[int], b: list[int]) -> list[list[int]]:
 
 
 def _integer_sturm(P: list[int]) -> list[list[int]]:
-    """``sturm_sequence`` of integer P as primitive integer polynomials, each
-    a positive multiple of that chain's member."""
+    """The Sturm chain P, P', -rem, ... of integer P down to the last nonzero
+    remainder, gcd(P, P') up to a constant factor (a constant exactly when P
+    is square-free), as primitive integer polynomials, each a positive
+    multiple of that chain's member."""
     dP = [k * c for k, c in enumerate(P)][1:]
     g = gcd(*dP)
     return _remainder_chain(P, [c // g for c in dP])
@@ -366,23 +218,13 @@ def _interval_horner(P: list[int], a: int, b: int, d: int
     return m, M, D
 
 
-def count_all_real_roots(seq: Sequence[UniPoly]) -> int:
-    """Number of distinct real roots of the polynomial whose Sturm chain is
-    ``seq``, on the whole line: the sign variations of the chain at -inf
-    minus those at +inf, where each member has the sign of its leading
-    coefficient, flipped at -inf when its degree is odd."""
-    at_inf = [coeff_sign(q.lc()) for q in seq]
-    return (_variations([-s if q.degree % 2 else s
-                         for s, q in zip(at_inf, seq)])
-            - _variations(at_inf))
-
-
-def cauchy_bound(p: UniPoly) -> Fraction:
-    """B with all real roots of p (over Q) in (-B, B)."""
-    if p.degree < 1:
+def cauchy_bound(P: Sequence) -> Fraction:
+    """B with all real roots of P (rational coefficients, lowest degree
+    first, nonzero leading one) in (-B, B)."""
+    if len(P) < 2:
         return Fraction(1)
-    m = max(abs(c) for c in p.coeffs[:-1])
-    return 1 + Fraction(m, abs(p.lc()))
+    m = max(abs(c) for c in P[:-1])
+    return 1 + Fraction(m, abs(P[-1]))
 
 
 # -- real algebraic numbers ----------------------------------------------------
@@ -399,10 +241,11 @@ class AlgebraicReal:
     A rational r is the cell [r, r] of the linear P. An irrational number's
     P is square-free with no rational root, so no end or bisection point of
     its interval, which holds one root, is a root of P. The constructor
-    takes any polynomial over Q and an interval that holds exactly one of
-    its roots inside (an end may be a rational root, as isolation's can
-    be), or is a rational root's point, and raises ValueError otherwise. It
-    isolates the polynomial once and collapses onto a rational root.
+    takes any polynomial over Q, as its coefficient list, and an interval
+    that holds exactly one of its roots inside (an end may be a rational
+    root, as isolation's can be), or is a rational root's point, and raises
+    ValueError otherwise. It isolates the polynomial once and collapses onto
+    a rational root.
 
     ``refine_step`` halves the interval; the value itself never changes, so
     monotone refinement is semantically pure and safe to share. It alone
@@ -419,7 +262,7 @@ class AlgebraicReal:
 
     __slots__ = ("_cell", "_lo_sign", "_integer_defining")
 
-    def __init__(self, defining: UniPoly, lo: Fraction, hi: Fraction):
+    def __init__(self, defining: Sequence, lo: Fraction, hi: Fraction):
         d = lcm(lo.denominator, hi.denominator)
         a, b = (lo.numerator * (d // lo.denominator),
                 hi.numerator * (d // hi.denominator))
@@ -450,10 +293,10 @@ class AlgebraicReal:
         self._lo_sign = None
 
     @property
-    def defining(self) -> UniPoly:
-        """The defining polynomial, monic over Q."""
+    def defining(self) -> list[Fraction]:
+        """The defining polynomial, monic over Q, lowest degree first."""
         P = self._integer_defining
-        return UniPoly([Fraction(c, P[-1]) for c in P])
+        return [Fraction(c, P[-1]) for c in P]
 
     lo = property(lambda self: Fraction(self._cell[0], self._cell[2]))
     hi = property(lambda self: Fraction(self._cell[1], self._cell[2]))
@@ -470,7 +313,7 @@ class AlgebraicReal:
     def __repr__(self) -> str:
         if self.is_rational():
             return f"{type(self).__name__}({self.lo})"
-        return f"{type(self).__name__}({self.defining.to_string()} in [{self.lo}, {self.hi}] ~ {float(self)})"
+        return f"{type(self).__name__}({poly_string(self.defining)} in [{self.lo}, {self.hi}] ~ {float(self)})"
 
     def __float__(self) -> float:
         return float(self.midpoint)
@@ -586,7 +429,7 @@ def _integer_root(q: list[int], right_sign: int, i: int,
     return None
 
 
-def _sturm_isolate(u: UniPoly) -> tuple[list[tuple[int, int, int]], list[int]]:
+def _sturm_isolate(u: Sequence) -> tuple[list[tuple[int, int, int]], list[int]]:
     """Bisect (-B, B] with Sturm counts, for nonzero u over Q, on its
     square-free part p and its Sturm chain, both as integer polynomials.
 
@@ -604,7 +447,7 @@ def _sturm_isolate(u: UniPoly) -> tuple[list[tuple[int, int, int]], list[int]]:
     walked left to right.
     """
     cells: list[tuple[int, int, int]] = []
-    P = primitive_integers(u.coeffs)[0]
+    P = primitive_integers(u)[0]
     seq = _integer_sturm(P)
     if len(seq[-1]) > 1:
         P = exact_quotient(P, seq[-1])
@@ -613,7 +456,7 @@ def _sturm_isolate(u: UniPoly) -> tuple[list[tuple[int, int, int]], list[int]]:
         seq = _integer_sturm(P)
     lead = 1 if P[-1] > 0 else -1
     P = [lead * c for c in P]
-    B = cauchy_bound(UniPoly(P))
+    B = cauchy_bound(P)
     A, n = P[-1], len(P) - 1
     q = [c * A ** (n - 1 - k) for k, c in enumerate(P[:-1])] + [1]
 
@@ -649,8 +492,9 @@ def _sturm_isolate(u: UniPoly) -> tuple[list[tuple[int, int, int]], list[int]]:
     return cells, P
 
 
-def isolate_real_roots(u: UniPoly) -> list[AlgebraicReal]:
-    """Isolate all distinct real roots of u (Fraction coefficients).
+def isolate_real_roots(u: Sequence) -> list[AlgebraicReal]:
+    """Isolate all distinct real roots of u, a list of rational
+    coefficients, lowest degree first; trailing zeros are dropped.
 
     Returns AlgebraicReal values in ascending order, one per distinct real
     root, as ``_sturm_isolate`` finds them, each holding its cell and an
@@ -660,9 +504,12 @@ def isolate_real_roots(u: UniPoly) -> list[AlgebraicReal]:
     width at most 1/4, inside their cells, and never contain more than one
     root. u may have repeated factors.
     """
-    if u.is_zero():
+    u = list(u)
+    while u and not u[-1]:
+        u.pop()
+    if not u:
         raise ZeroInputError("cannot isolate roots of the zero polynomial")
-    if u.degree < 1:
+    if len(u) < 2:
         return []
     cells, P = _sturm_isolate(u)
     out = []

@@ -104,3 +104,12 @@ def series_germs() -> list[BivarPoly]:
         f = parse_poly(text)
         germs += [f, f.swap_vars()]
     return germs + [parse_poly("(x^2 + y^2)^2")]
+
+
+def field_element(ctx, coeffs):
+    """sum(coeffs[i] g^i) for rationals coeffs and g the generator of the
+    field ctx, by the field's ring arithmetic (Horner)."""
+    g, x = ctx.generator(), ctx.from_rational(0)
+    for q in reversed(coeffs):
+        x = x * g + q
+    return x

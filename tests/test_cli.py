@@ -245,6 +245,39 @@ def test_exit_zero_germ(capsys, argv):
     assert err.startswith("error: the zero germ ")
 
 
+_DIGITS = sys.get_int_max_str_digits()   # 0: no limit
+_LONG = "1" + "0" * (_DIGITS + 700)
+needs_digit_limit = pytest.mark.skipif(
+    not _DIGITS, reason="the interpreter has no integer string limit")
+
+
+@needs_digit_limit
+def test_exit_literal_longer_than_the_digit_limit(capsys):
+    # int() refuses the literal: a parse error at its offset
+    for germ, at in ((f"{_LONG}*x^2 + y^4", 0),
+                     (f"x^2 + 1/{_LONG}*y^4", 8)):
+        rc, out, err = run(capsys, "inv", germ)
+        assert (rc, out) == (2, "")
+        assert err == (f"error: integer literal longer than {_DIGITS} digits"
+                       f" (at offset {at})\n")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("argv", [
+    ("inv", "G"), ("inv", "G", "--format", "json"),
+    ("compare", "G", "x^2 + y^4"), ("branches", "G"),
+    ("branches", "(x + y)^3 + 10^1200*y^4")])
+def test_exit_number_too_long_to_print(capsys, argv):
+    # a number of more digits than the limit, in the germ (10^k for k past
+    # the limit) or in a series coefficient (10^3600 of 10^1200 cubed),
+    # cannot be printed: a resource limit, with nothing on stdout
+    germ = f"10^{_DIGITS + 700}*x^2 + y^4"
+    rc, out, err = run(capsys, *(germ if a == "G" else a for a in argv))
+    assert (rc, out) == (3, "")
+    assert err.startswith(f"resource limit: a number to print has more than "
+                          f"{_DIGITS} digits")
+
+
 def test_exit_crosscheck_failure(capsys):
     # band crossing the non-origin tangency lines y = +/- 1/sqrt(2):
     # extra critical angles, path count 8 against 4 half-branches

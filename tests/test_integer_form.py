@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from germinv import BivarPoly
 from germinv.numberfield import FieldContext, FieldElement
 from germinv.puiseux import _transform
-from germinv.unipoly import UniPoly
 
 BIG = 10**400
 
@@ -205,8 +204,7 @@ def test_polynomial_over_q_c_is_unhashable():
     # a polynomial over Q(c) holds integer vectors, and its coefficients
     # read as Q(c) elements, whose equality is a certified zero test and
     # which have no hash
-    K = FieldContext(UniPoly([Fraction(-2), Fraction(0), Fraction(1)]),
-                     Fraction(1), Fraction(2))
+    K = FieldContext([-2, 0, 1], Fraction(1), Fraction(2))
     p = BivarPoly.from_vectors(K, {(1, 0): [0, 1], (0, 1): [1]}, 1)
     assert p.integer_form() is None
     assert p.terms == {(1, 0): K.generator(), (0, 1): 1}

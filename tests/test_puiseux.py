@@ -15,6 +15,7 @@ from math import comb, gcd, lcm
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,12 +25,11 @@ from germinv import (BivarPoly, expand_branches, newton_polygon, parse_poly,
 from germinv.errors import (TowerDepthExceededError, UnitGermError,
                             ZeroInputError)
 from germinv.numberfield import FieldContext, FieldElement
-from germinv.puiseux import PuiseuxSeries, _transform
+from germinv.puiseux import PuiseuxSeries, _edge_roots, _transform
 from germinv.tangency import ExpansionConfig, TangencyCurve, restrict
-from germinv.unipoly import UniPoly
 
-from conftest import (ROTATED_REPEATED_FACTOR, golden_row_germs, random_germ,
-                      rotate_germ, series_germs)
+from conftest import (ROTATED_REPEATED_FACTOR, field_element,
+                      golden_row_germs, random_germ, rotate_germ, series_germs)
 
 
 def test_newton_polygon_cusp():
@@ -38,8 +38,7 @@ def test_newton_polygon_cusp():
     (e,) = edges
     assert e.gamma == Fraction(3, 2)
     # edge polynomial c^2 - 1 up to sign
-    assert e.poly.coeffs in ([Fraction(-1), Fraction(0), Fraction(1)],
-                             [Fraction(1), Fraction(0), Fraction(-1)])
+    assert e.poly in ([-1, 0, 1], [1, 0, -1])
 
 
 def test_newton_polygon_two_edges():
@@ -268,15 +267,21 @@ def test_simple_edge_roots_are_read_off_the_z_term(monkeypatch):
 
     def recorded_roots(E, ctx, b):
         out = edge_roots(E, ctx, b)
-        pending.update((id(c), (c, E)) for c, _ in out)
+        pending.update((id(c), (c, E, ctx)) for c, _ in out)
         return out
 
     def recorded_transform(q, a, b, c):
         v, p1 = transform(q, a, b, c)
-        c0, E = pending.pop(id(c), (None, None))
+        c0, E, ctx = pending.pop(id(c), (None, None, None))
         if c0 is c:
-            seen.append(((0, 1) in p1.support,
-                         bool(E.derivative().eval(c)),
+            # E'(c) by Horner; E holds integers, or vectors over Q(c)
+            value = 0
+            for k in range(len(E) - 1, 0, -1):
+                e = E[k]
+                if ctx is not None:
+                    e = ctx.coefficient(e, 1) if e else 0
+                value = value * c + k * e
+            seen.append(((0, 1) in p1.support, bool(value),
                          isinstance(c, FieldElement)))
         return v, p1
 
@@ -406,8 +411,8 @@ def random_transform_input(rng, ctx):
     for _ in range(rng.randint(1, 7)):
         ij = (rng.randint(0, 4), rng.randint(0, 4))
         if ctx is not None and rng.random() < 0.6:
-            terms[ij] = ctx.element(
-                [random_fraction(rng) for _ in range(ctx.defining.degree)])
+            terms[ij] = field_element(
+                ctx, [random_fraction(rng) for _ in ctx.defining[1:]])
         else:
             terms[ij] = random_fraction(rng)
     if any(isinstance(x, FieldElement) for x in terms.values()):
@@ -430,26 +435,39 @@ FIELDS = {
 }
 
 
+_t = sympy.Symbol("t")
+
+
+def sympy_poly(cs):
+    """Rationals, lowest degree first, as a sympy polynomial over Q in t."""
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in map(Fraction, reversed(cs))] or [0], _t,
+                      domain="QQ")
+
+
 def as_q_poly(x):
     """A coefficient as a polynomial over Q in the generator: the form of
-    the reference arithmetic, UniPoly over Q mod the modulus."""
+    the reference arithmetic, sympy's over Q mod the modulus."""
     if isinstance(x, FieldElement):
-        return UniPoly([Fraction(v, x.den) for v in x.vec])
-    return UniPoly([Fraction(x)])
+        return sympy_poly([Fraction(v, x.den) for v in x.vec])
+    return sympy_poly([x])
 
 
 def assert_canonical(x):
     # reduced when made, no trailing zero, over den > 0 coprime to the vector
     assert x.den > 0 and gcd(*x.vec, x.den) == 1
     assert not x.vec or x.vec[-1]
-    assert len(x.vec) <= x.ctx.defining.degree
+    assert len(x.vec) < len(x.ctx.defining)
 
 
 def check_field_arithmetic(ctx, xs, rng):
     """+ - * / and inverse on random pairs from xs, an element first and an
     element or a rational second, in both orders, against the reference."""
+    def m():
+        return sympy_poly(ctx.defining)
+
     def ref(x):
-        return as_q_poly(x) % ctx.defining
+        return as_q_poly(x).rem(m())
 
     for _ in range(40):
         a, b = ctx.coerce(rng.choice(xs)), rng.choice(xs)
@@ -458,28 +476,28 @@ def check_field_arithmetic(ctx, xs, rng):
                               (x - y, ref(x) - ref(y)),
                               (x * y, ref(x) * ref(y))):
                 assert_canonical(got)
-                assert ref(got) == want % ctx.defining
+                assert ref(got) == want.rem(m())
             if y:
                 got = x / y
                 assert_canonical(got)
-                assert ref(got) * ref(y) % ctx.defining == ref(x)
+                assert (ref(got) * ref(y)).rem(m()) == ref(x)
         if b:
             inv = ctx.coerce(b).inverse()
             assert_canonical(inv)
-            assert ref(inv) * ref(b) % ctx.defining == UniPoly([1])
+            assert (ref(inv) * ref(b)).rem(m()) == sympy_poly([1])
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_field_arithmetic_is_canonical_and_matches_q_polynomials(name):
     coeffs, lo, hi = FIELDS[name]
-    ctx = FieldContext(UniPoly([Fraction(x) for x in coeffs]), lo, hi)
+    ctx = FieldContext(coeffs, lo, hi)
     rng = random.Random(f"canonical {name}")
 
     def draw():
         if rng.random() < 0.25:
             return random_fraction(rng)
-        return ctx.element([random_fraction(rng)
-                            for _ in range(ctx.defining.degree)])
+        return field_element(
+            ctx, [random_fraction(rng) for _ in ctx.defining[1:]])
 
     xs = [draw() for _ in range(12)] + [ctx.from_rational(0)]
     check_field_arithmetic(ctx, xs, rng)
@@ -489,9 +507,63 @@ def test_field_arithmetic_is_canonical_and_matches_q_polynomials(name):
         assert not ctx.irreducible
         c = ctx.generator()
         assert (c * c - Fraction(1, 3)).inverse() == Fraction(3, 5)
-        assert ctx.defining == UniPoly([Fraction(-2), 0, Fraction(1)])
+        assert ctx.defining == [Fraction(-2), 0, Fraction(1)]
         assert ctx.irreducible
         check_field_arithmetic(ctx, xs + [draw() for _ in range(12)], rng)
+
+
+def field_poly(ctx, *factors):
+    """The product of polynomials with coefficients rationals and elements
+    of ctx's field, lowest degree first, as an edge polynomial over Q(c)
+    holds it: integer vectors over one denominator."""
+    out = [ctx.from_rational(1)]
+    for f in factors:
+        prod = [ctx.from_rational(0)] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] = prod[i + j] + a * b
+        out = prod
+    den = lcm(*(x.den for x in out))
+    return [[v * (den // x.den) for v in x.vec] for x in out]
+
+
+def test_edge_roots_over_extension():
+    # the Sturm chain of an edge polynomial E with irrational coefficients,
+    # on integer vectors, over Q(sqrt2), over the reducible modulus
+    # (t^2 - 2)(t^2 - 1/3) and over t^4 - 10 t^2 + 1 around sqrt2 + sqrt3,
+    # irreducible but not certified: E's real roots counted from its
+    # chain's leading coefficients, the root of a linear square-free part,
+    # and a give-up otherwise; E from known factors, some repeated, and the
+    # real-rootless z^2 + g
+    contexts = [FieldContext([-2, 0, 1], Fraction(1), Fraction(2)),
+                FieldContext(*FIELDS["reducible"]),
+                FieldContext([1, 0, -10, 0, 1], Fraction(3), Fraction(7, 2))]
+    assert [K.irreducible for K in contexts] == [True, False, False]
+    for K in contexts:
+        g = K.generator()
+        line, quad = [-g, 1], [g, 0, 1]   # z - g, and z^2 + g > 0
+        cases = [
+            ((line, line, line), [g]),
+            (([1, g], [1, g]), [-1 / g]),
+            (([-1, 1], [-1, 1], [g]), [1]),     # a rational root
+            ((quad,), []),
+            ((quad, quad, [1, 0, 1]), []),
+            (([-g, 0, 1],), None),              # +-g^(1/2), not in Q(g)
+            (([-g, 0, 1], [-g, 0, 1], [-1, 1]), None),
+            (([g, 1], [g, 1], [g, 1], [1, 0, 1]), None),  # one real root
+            ((line, [-2 * g, 1]), None),        # g and 2 g, two roots
+        ]
+        for factors, want in cases:
+            E = field_poly(K, *factors)
+            assert any(len(v) > 1 for v in E)
+            if want is None:
+                with pytest.raises(TowerDepthExceededError):
+                    _edge_roots(E, K, 1)
+            else:
+                got = _edge_roots(E, K, 1)
+                assert len(got) == len(want)
+                assert all(c == w and ctx is K
+                           for (c, ctx), w in zip(got, want))
 
 
 def test_even_b_edge_opens_fields_only_for_kept_roots(monkeypatch):
@@ -526,12 +598,12 @@ def test_transform_matches_term_by_term_over_q():
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_transform_matches_term_by_term_in_extension(name):
     coeffs, lo, hi = FIELDS[name]
-    ctx = FieldContext(UniPoly([Fraction(x) for x in coeffs]), lo, hi)
+    ctx = FieldContext(coeffs, lo, hi)
     assert ctx.irreducible == (name != "reducible")
     # along z = c u, c the generator g, h y - h g x with h = g^(deg - 1)
     # has the coefficient h c - h g = 0, which is zero only after reduction
     g = ctx.generator()
-    h = ctx.element([0] * (ctx.defining.degree - 1) + [1])
+    h = field_element(ctx, [0] * (len(ctx.defining) - 2) + [1])
     q = poly_over(ctx, {(0, 1): h, (1, 0): -(h * g)})
     got = _transform(q, 1, 1, g)
     assert (0, 0) not in got[1].terms
@@ -540,7 +612,8 @@ def test_transform_matches_term_by_term_in_extension(name):
     for k in range(30):
         q, a, b = random_transform_input(rng, ctx)
         # an extension c, the generator itself, and a rational c in Q(c)
-        c = (ctx.element([random_fraction(rng), random_fraction(rng) or 1])
+        c = (field_element(ctx, [random_fraction(rng),
+                                 random_fraction(rng) or 1])
              if k % 3 == 0 else ctx.generator() if k % 3 == 1
              else random_fraction(rng) or Fraction(1))
         # the output is over Q(c) unless q and c are both rational

@@ -40,15 +40,14 @@ def test_package_does_not_import_sympy():
     assert found == []
 
 
-def test_bivariate_layer_uses_no_unipoly():
-    # the bivariate layer is BivarPoly plus integer lists: its gcd takes
-    # contents in y over Z[x] with unipoly's integer gcd, not on UniPoly
-    tree = ast.parse((SRC / "bivar.py").read_text())
-    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    names |= {a.asname or a.name for n in ast.walk(tree)
-              if isinstance(n, (ast.Import, ast.ImportFrom))
-              for a in n.names}
-    assert "UniPoly" not in names
+def test_no_generic_polynomial_arithmetic():
+    # a univariate polynomial is a coefficient list, of integers or, over
+    # Q(c), of integer vectors: no class wraps it, and no Sturm chain, gcd
+    # or inverse runs generic arithmetic on Fractions or field elements
+    gone = ("UniPoly", "_egcd", "sturm_sequence", "squarefree_sturm",
+            "count_all_real_roots")
+    assert [(p.name, name) for p in sorted(SRC.glob("*.py"))
+            for name in gone if name in p.read_text()] == []
 
 
 def _calls(path: Path, names: set, callees=frozenset({"Fraction"})
@@ -95,6 +94,11 @@ def test_q_c_polynomials_hold_integer_vectors():
              "__neg__", "swap_vars", "shift_down", "reflect", "truncate"}
     assert _calls(SRC / "bivar.py", built, makers) == []
     assert _calls(SRC / "puiseux.py", {"_transform"}, makers) == []
+    # an edge polynomial holds p's vectors, and the edge roots over Q(c)
+    # and the inverse run on integers
+    assert _calls(SRC / "puiseux.py", {"newton_polygon"}, makers) == []
+    assert _calls(SRC / "puiseux.py", {"_edge_roots"}) == []
+    assert _calls(SRC / "numberfield.py", {"invert"}) == []
     # the check sees a call where there is one
     assert _calls(SRC / "bivar.py", {"coeff"}, makers) == ["coeff"]
 

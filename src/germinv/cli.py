@@ -58,12 +58,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_symbolic_flags(p):
-    p.add_argument("--order", type=int, default=12,
+    # the defaults are ExpansionConfig's own
+    config = ExpansionConfig()
+    p.add_argument("--order", type=int, default=config.order,
                    help="series truncation order of the expanded branches "
-                        "(default 12)")
-    p.add_argument("--max-bits", type=int, default=256, dest="max_bits",
+                        "(default %(default)s)")
+    p.add_argument("--max-bits", type=int, default=config.max_bits,
+                   dest="max_bits",
                    help="interval refinement budget for algebraic signs "
-                        "(default 256)")
+                        "(default %(default)s)")
 
 
 def _add_numeric_flags(p):

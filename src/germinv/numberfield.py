@@ -39,8 +39,8 @@ exactly when its vector reduced mod m is zero (dynamic evaluation, Della
 Dora-Dicrescenzo-Duval 1985). Two rules certify m:
 
 * degree <= 3: m has no rational root, so no factor of degree 1. Every
-  context is isolated (``isolate_real_roots``, then ``FieldContext.of_root``,
-  or the constructor), and a shrink keeps a factor of m;
+  context is opened by ``FieldContext.of_root`` on a root that
+  ``isolate_real_roots`` made, and a shrink keeps a factor of m;
 * a binomial t^n - a of degree n > 3, by Capelli's theorem
   (``_binomial_irreducible``), decided with exact integer roots. Branches
   that open an extension by pure ramification get such moduli.
@@ -98,8 +98,8 @@ class FieldContext(AlgebraicReal):
     with no rational root: c as an ``AlgebraicReal``, whose defining
     polynomial is the modulus. ``irreducible`` is True when the modulus is
     certified irreducible, which makes the zero test syntactic, and False
-    when that is not known. The constructor isolates its modulus, as
-    ``AlgebraicReal``'s does, and ``of_root`` opens Q(r) on an isolated r."""
+    when that is not known. ``of_root`` is the one way to open Q(r), on a
+    root r that ``isolate_real_roots`` made."""
 
     __slots__ = ("irreducible",)
 

@@ -531,13 +531,13 @@ def _branch_sort_key(b: HalfBranch):
             tuple((-g, c) for g, c in keys[1:]))
 
 
-def expand_branches(curve: BivarPoly, order: int = 24) -> list[HalfBranch]:
+def expand_branches(curve: BivarPoly, order: int) -> list[HalfBranch]:
     """All real half-branches of the square-free curve at the origin: one
     chain per real analytic branch, and its mirror, the ``twin``.
 
     ``order`` is the series trust bound in the parameter s: the truncated
-    series hold every term below it (they are lifted when first read). The
-    input must be square-free;
+    series hold every term below it (they are lifted when first read); the
+    caller passes ``ExpansionConfig.order``. The input must be square-free;
     pass it through ``squarefree_part`` first if unsure. Raises UnitGermError
     when the curve does not pass through the origin, ZeroInputError for the
     zero polynomial, and TowerDepthExceededError for branches whose exact

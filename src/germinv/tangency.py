@@ -112,7 +112,7 @@ class TangencyCurve:
             if (0, 0) not in g.support:
                 self.cofactor = r
 
-    def half_branches(self, order: int = 12) -> list[HalfBranch]:
+    def half_branches(self, order: int) -> list[HalfBranch]:
         if self.degenerate:
             return radial_branches()
         return expand_branches(self.h_sf, order)

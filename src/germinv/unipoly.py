@@ -7,8 +7,9 @@ computes over coefficients other than rationals.
 
 ``AlgebraicReal`` is germinv's one representation of a real algebraic number
 (an integer defining polynomial with no rational root, unless the number
-is rational, plus an isolating interval). Isolation returns it, and
-``numberfield.FieldContext`` is one, for the generator of Q(c). Only its own
+is rational, plus an isolating interval). ``isolate_real_roots`` is its one
+maker, and ``numberfield.FieldContext`` is one, for the generator of Q(c),
+opened on an isolated root by ``FieldContext.of_root``. Only its own
 methods refine the interval: ``refine_step`` bisects, ``refine_to`` bisects
 to a width, and ``enclose`` until a bound on p(a) is decided.
 
@@ -26,11 +27,14 @@ Coefficients are ``fractions.Fraction`` or ``int`` in the public API. Sturm
 chains, gcds, signs and interval bounds run on integer forms (lists of ints,
 lowest degree first), each a positive multiple of the polynomial it stands
 for: no gcd here runs Euclid on Fractions, and ``integer_product`` and
-``exact_quotient`` are the one product and exact division of such forms,
-``pseudo_remainder`` the one remainder. ``AlgebraicReal`` holds its defining
-polynomial so, and ``is_root_of`` and ``enclose`` take p as an integer form
-too, as a Q(c) element holds it; the first reads p(a) = 0 off the signs of
-gcd(p, defining) at the interval's ends. A polynomial over Q(c) is a list
+``exact_quotient`` are the one product and exact division of such forms.
+``pseudo_remainder`` is the remainder of Sturm chains and of the reduction
+mod a Q(c) modulus; ``bivar._zz_prem`` is its form over Z[x][y], and
+``numberfield.FieldContext.invert`` eliminates on a half-extended chain of
+its own. ``AlgebraicReal`` holds its defining polynomial so, and
+``is_root_of`` and ``enclose`` take p as an integer form too, as a Q(c)
+element holds it; the first reads p(a) = 0 off the signs of gcd(p,
+defining) at the interval's ends. A polynomial over Q(c) is a list
 of integer vectors (see ``numberfield`` and ``puiseux._edge_roots``).
 
 Zero-or-not questions are decided exactly: a quantity is declared zero only
@@ -235,17 +239,16 @@ class AlgebraicReal:
     with a positive leading coefficient, and an isolating interval [lo, hi],
     held as the cell (a, b, d) of integers a <= b over one denominator
     d > 0, lo = a/d and hi = b/d: the form in which ``_sturm_isolate``
-    bisects. ``defining`` (P made monic), ``lo``, ``hi`` and ``midpoint``
-    are made when read.
+    bisects. ``defining`` (P made monic), ``lo`` and ``hi`` are made when
+    read.
 
-    A rational r is the cell [r, r] of the linear P. An irrational number's
-    P is square-free with no rational root, so no end or bisection point of
-    its interval, which holds one root, is a root of P. The constructor
-    takes any polynomial over Q, as its coefficient list, and an interval
-    that holds exactly one of its roots inside (an end may be a rational
-    root, as isolation's can be), or is a rational root's point, and raises
-    ValueError otherwise. It isolates the polynomial once and collapses onto
-    a rational root.
+    ``isolate_real_roots`` is the one maker: it hands each cell of
+    ``_sturm_isolate`` to ``_of_cell``, and ``FieldContext.of_root`` opens
+    Q(a) on such a number's P and cell. So a rational r is the cell [r, r]
+    of the linear P, and an irrational number's P is square-free with no
+    rational root: no end or bisection point of its interval, which holds
+    one root, is a root of P. The class reads no float; a certified double
+    of a is ``float(FieldContext.of_root(a).generator())``.
 
     ``refine_step`` halves the interval; the value itself never changes, so
     monotone refinement is semantically pure and safe to share. It alone
@@ -261,24 +264,6 @@ class AlgebraicReal:
     """
 
     __slots__ = ("_cell", "_lo_sign", "_integer_defining")
-
-    def __init__(self, defining: Sequence, lo: Fraction, hi: Fraction):
-        d = lcm(lo.denominator, hi.denominator)
-        a, b = (lo.numerator * (d // lo.denominator),
-                hi.numerator * (d // hi.denominator))
-        cells, P = _sturm_isolate(defining)
-        # the rational roots at the point or inside, then the irrational ones
-        found = [(r, r, e) for r, s, e in cells if r == s and (
-            a * e < r * d < b * e or a == b and a * e == r * d)]
-        if a < b:
-            seq = _integer_sturm(P)
-            found += [(a, b, d)] * (_variations(_signs_at(seq, a, d))
-                                    - _variations(_signs_at(seq, b, d)))
-        if len(found) != 1:
-            raise ValueError("the interval holds no root or more than one")
-        a, b, d = found[0]
-        self._define(P if a < b else [-a, d])
-        self._cell = (a, b, d)
 
     @classmethod
     def _of_cell(cls, P: list[int], cell: tuple) -> "AlgebraicReal":
@@ -301,8 +286,6 @@ class AlgebraicReal:
     lo = property(lambda self: Fraction(self._cell[0], self._cell[2]))
     hi = property(lambda self: Fraction(self._cell[1], self._cell[2]))
 
-    midpoint = property(lambda self: self.at_midpoint([0, 1], 1))
-
     def at_midpoint(self, P: list[int], den: int) -> Fraction:
         """p(midpoint) for p = P / den, P an integer polynomial: one integer
         Horner at the cell's (a + b, 2 d)."""
@@ -313,10 +296,7 @@ class AlgebraicReal:
     def __repr__(self) -> str:
         if self.is_rational():
             return f"{type(self).__name__}({self.lo})"
-        return f"{type(self).__name__}({poly_string(self.defining)} in [{self.lo}, {self.hi}] ~ {float(self)})"
-
-    def __float__(self) -> float:
-        return float(self.midpoint)
+        return f"{type(self).__name__}({poly_string(self.defining)} in [{self.lo}, {self.hi}])"
 
     def is_rational(self) -> bool:
         return self._cell[0] == self._cell[1]

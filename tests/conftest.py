@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from germinv import BivarPoly, parse_poly
+from germinv.numberfield import FieldContext
+from germinv.unipoly import isolate_real_roots
 
 # Reference germs. Expected values worked out independently: the tangency
 # curve of each was factored by hand, every half-branch parametrized, and
@@ -104,6 +106,13 @@ def series_germs() -> list[BivarPoly]:
         f = parse_poly(text)
         germs += [f, f.swap_vars()]
     return germs + [parse_poly("(x^2 + y^2)^2")]
+
+
+def root_field(modulus, k: int) -> FieldContext:
+    """Q(c) for c the k-th real root, ascending, of the modulus (rationals,
+    lowest degree first), as the library opens every field: isolation, then
+    ``FieldContext.of_root``."""
+    return FieldContext.of_root(isolate_real_roots(modulus)[k])
 
 
 def field_element(ctx, coeffs):

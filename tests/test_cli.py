@@ -212,6 +212,24 @@ def test_exit_contradictory_flags(capsys):
         assert err.startswith("error: need "), flags
 
 
+def test_crosscheck_text_of_a_zero_psi(capsys):
+    # x^2 vanishes on the y axis, so psi is identically 0 and every sample
+    # of it is below the floor: the prediction holds, and the check passes
+    rc, out, _ = run(capsys, "crosscheck", "x^2")
+    assert rc == 0
+    assert ("psi:    predicted identically 0; all samples below floor"
+            in out.splitlines())
+    assert out.endswith("result: PASS\n")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--ladder", "1"), "--ladder must be at least 2"),
+    (("--grid", "15"), "--grid must be at least 16")])
+def test_exit_ladder_or_grid_too_small(capsys, flags, message):
+    rc, out, err = run(capsys, "crosscheck", "x^2 + y^4", *flags)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["psi", "crosscheck"])
 @pytest.mark.parametrize("germ", [
     "10^400*x^2 + y^2", "10^308*x^2 + y^2", f"1/1{'0' * 400}*x^2 + y^2"])

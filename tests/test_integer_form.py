@@ -13,8 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from germinv import BivarPoly
-from germinv.numberfield import FieldContext, FieldElement
+from germinv.numberfield import FieldElement
 from germinv.puiseux import _transform
+
+from conftest import root_field
 
 BIG = 10**400
 
@@ -204,10 +206,26 @@ def test_polynomial_over_q_c_is_unhashable():
     # a polynomial over Q(c) holds integer vectors, and its coefficients
     # read as Q(c) elements, whose equality is a certified zero test and
     # which have no hash
-    K = FieldContext([-2, 0, 1], Fraction(1), Fraction(2))
+    K = root_field([-2, 0, 1], 1)
     p = BivarPoly.from_vectors(K, {(1, 0): [0, 1], (0, 1): [1]}, 1)
     assert p.integer_form() is None
     assert p.terms == {(1, 0): K.generator(), (0, 1): 1}
     assert all(isinstance(c, FieldElement) for c in p.terms.values())
     with pytest.raises(TypeError):
         hash(p)
+
+
+def test_polynomials_over_q_c_compare_by_value():
+    # over the reducible modulus (t^2 - 2)(t^2 - 3), c = sqrt2 is its third
+    # root: c^2 stays the vector of c^2, which is not 2's, yet c^2 x + y and
+    # 2 x + y are one polynomial, and 3 x + y is another
+    K = root_field([6, 0, -5, 0, 1], 2)
+    assert not K.irreducible
+
+    def poly(vec):
+        return BivarPoly.from_vectors(K, {(1, 0): vec, (0, 1): [1]}, 1)
+
+    p, q = poly([0, 0, 1]), poly([2])
+    assert p.vector_form()[0] != q.vector_form()[0]
+    assert p == q and q == p
+    assert p != poly([3]) and poly([3]) != q

@@ -26,7 +26,7 @@ def try_analyze(f):
         return None
 
 
-X_AXIS = expand_branches(parse_poly("y"))[0]
+X_AXIS = expand_branches(parse_poly("y"), 24)[0]
 
 
 def fake(sign, alpha=None):

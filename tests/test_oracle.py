@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 from germinv import (BivarPoly, PathCountUnstableError, analyze_germ,
                      crosscheck, oracle, parse_poly)
-from germinv.oracle import (_POW_U, TWO_PI, _angle_grid,
-                            _angular_derivative_poly, _critical_angles,
-                            _nearest_maps, _SignCertificate, _term_arrays,
-                            _track, compile_poly, critical_paths,
-                            estimate_exponent, sphere_extrema, SphereExtrema)
+from germinv.oracle import (_POW_U, R2_MIN, TWO_PI, _angle_grid,
+                            _angular_derivative_poly, _check_fit,
+                            _critical_angles, _nearest_maps,
+                            _SignCertificate, _term_arrays, _track,
+                            compile_poly, critical_paths, estimate_exponent,
+                            sphere_extrema, FitResult, SphereExtrema)
 from germinv.tangency import Restriction
 from germinv.invariant import Classification
 
@@ -565,6 +566,26 @@ def test_critical_paths_kissing_branches_raise():
     with pytest.raises(PathCountUnstableError) as exc:
         critical_paths(f, np.geomspace(1e-4, 1e-1, 40))
     assert 1e-4 < exc.value.t < 1e-1
+
+
+def test_check_fit_reports_each_disagreement():
+    # a fit that agrees adds nothing; samples above the floor where psi is
+    # predicted identically 0, and a poor fit with the predicted sign and
+    # slope, each add their one failure
+    def failures(fit, predicted):
+        out = []
+        _check_fit("psi", fit, predicted, out)
+        return out
+
+    below = FitResult(math.nan, 0, 0.0, 0, True)
+    good = FitResult(2.0, 1, 1.0, 40, False)
+    assert failures(below, (0, None)) == failures(good, (1, 2.0)) == []
+    assert failures(good, (0, None)) == [
+        "psi: predicted identically 0 but samples rise above the floor "
+        "(FitResult(exp=2.0000, sign=+1, r2=1.000000, n=40))"]
+    poor = FitResult(2.01, 1, 0.5, 40, False)
+    assert poor.r2 < R2_MIN
+    assert failures(poor, (1, 2.0)) == [f"psi: r2 0.500000 < {R2_MIN}"]
 
 
 def test_crosscheck_reference_germs(reference_germs):

@@ -29,7 +29,8 @@ from germinv.puiseux import PuiseuxSeries, _edge_roots, _transform
 from germinv.tangency import ExpansionConfig, TangencyCurve, restrict
 
 from conftest import (ROTATED_REPEATED_FACTOR, field_element,
-                      golden_row_germs, random_germ, rotate_germ, series_germs)
+                      golden_row_germs, random_germ, root_field, rotate_germ,
+                      series_germs)
 
 
 def test_newton_polygon_cusp():
@@ -56,7 +57,7 @@ def test_newton_polygon_rejects_units_and_zero():
 
 
 def test_axes_curve():
-    bs = expand_branches(parse_poly("x*y"))
+    bs = expand_branches(parse_poly("x*y"), 24)
     assert len(bs) == 4
     assert sorted(b.chart for b in bs) == ["x-axis", "x-axis",
                                            "y-axis", "y-axis"]
@@ -64,7 +65,7 @@ def test_axes_curve():
 
 
 def test_cusp_branches_exact():
-    bs = expand_branches(parse_poly("y^2 - x^3"))
+    bs = expand_branches(parse_poly("y^2 - x^3"), 24)
     assert len(bs) == 2
     for b in bs:
         assert b.chart == "y-dominant" and b.sigma == 1
@@ -77,7 +78,7 @@ def test_cusp_branches_exact():
 
 def test_quadratic_extension_branches():
     # y^2 - 2x^2: lines y = +-sqrt(2) x, coefficients in Q(sqrt2)
-    bs = expand_branches(parse_poly("y^2 - 2*x^2"))
+    bs = expand_branches(parse_poly("y^2 - 2*x^2"), 24)
     assert len(bs) == 4
     assert all(b.ctx is not None and b.exact and b.e == 1 for b in bs)
     slopes = sorted(float(b.y.terms[0][1]) / float(b.x.terms[0][1])
@@ -88,17 +89,17 @@ def test_quadratic_extension_branches():
 
 def test_no_real_branches():
     # y^2 + x^2 is square-free with no real points off the origin
-    assert expand_branches(parse_poly("y^2 + x^2")) == []
+    assert expand_branches(parse_poly("y^2 + x^2"), 24) == []
 
 
 def test_tower_depth_raises():
     # branches y = +-sqrt(2)x +- c x^(5/2) need a second extension for c
     with pytest.raises(TowerDepthExceededError):
-        expand_branches(parse_poly("(y^2 - 2*x^2)^2 - x^7"))
+        expand_branches(parse_poly("(y^2 - 2*x^2)^2 - x^7"), 24)
 
 
 def expand_curve(text):
-    return expand_branches(squarefree_part(parse_poly(text)))
+    return expand_branches(squarefree_part(parse_poly(text)), 24)
 
 
 def test_in_extension_linear_edge():
@@ -182,8 +183,8 @@ def test_tail_step_simple_root_check_survives_optimize():
 
 def test_branch_order_deterministic():
     p = parse_poly("x*y*(x^2 - y^3)")
-    a = [b.describe() for b in expand_branches(p)]
-    b = [b.describe() for b in expand_branches(p)]
+    a = [b.describe() for b in expand_branches(p, 24)]
+    b = [b.describe() for b in expand_branches(p, 24)]
     assert a == b
 
 
@@ -192,7 +193,7 @@ def test_branch_order_by_chart_gamma_side_and_coefficient():
     # side sigma = +1 first, then the leading coefficient of y
     p = parse_poly("x*(y - x^2)*(y + x^2)*(y^2 - x^3 - x^4)")
     got = [(b.chart, b.sigma, Fraction(b.y.lead()[0], b.e), b.y.lead()[1])
-           for b in expand_branches(p)]
+           for b in expand_branches(p, 24)]
     half = Fraction(3, 2)
     assert got == [("y-axis", 1, 1, 1), ("y-axis", -1, 1, -1),
                    ("y-dominant", 1, half, -1), ("y-dominant", 1, half, 1),
@@ -233,7 +234,7 @@ def reflected_rows(curve: BivarPoly, axis: str) -> list:
     monomial = (("x-axis", "y-dominant") if axis == "x"
                 else ("y-axis", "x-dominant"))
     rows = []
-    for b in expand_branches(curve):
+    for b in expand_branches(curve, 24):
         sigma = -b.sigma if b.chart in monomial else b.sigma
         x, y = ((negated(b.x), b.y.to_string()) if axis == "x"
                 else (b.x.to_string(), negated(b.y)))
@@ -249,9 +250,9 @@ def assert_reflection_law(curve: BivarPoly) -> None:
             want = reflected_rows(curve, axis)
         except TowerDepthExceededError:
             with pytest.raises(TowerDepthExceededError):
-                expand_branches(image)
+                expand_branches(image, 24)
             continue
-        assert sorted(series_rows(expand_branches(image))) == want, \
+        assert sorted(series_rows(expand_branches(image, 24))) == want, \
             (curve.to_string(), axis)
 
 
@@ -290,7 +291,7 @@ def test_simple_edge_roots_are_read_off_the_z_term(monkeypatch):
     curves = [TangencyCurve(f) for f in golden_row_germs()]
     curves = [c.h_sf for c in curves if not c.degenerate]
     for curve in curves + [parse_poly("(y^2 + 2*x^2 - x^3)^2 - 8*x^2*y^2")]:
-        expand_branches(curve)
+        expand_branches(curve, 24)
     assert all(z_term == simple for z_term, simple, _ in seen)
     # simple and multiple roots, rational and in Q(c), are all met
     assert {(s, e) for _, s, e in seen} == {(True, False), (False, False),
@@ -424,14 +425,14 @@ def random_transform_input(rng, ctx):
     return q, rng.randint(1, 4), rng.randint(1, 3)
 
 
-# (modulus coefficients, lowest first, and an interval isolating the root)
+# (modulus coefficients, lowest first, and the index of the generator among
+# its real roots, ascending)
 FIELDS = {
-    "quadratic": ([Fraction(-2, 3), 0, 1], Fraction(4, 5), Fraction(1)),
-    "cubic": ([Fraction(-1, 2), -1, 0, 1], Fraction(1), Fraction(2)),
-    "capelli": ([-3, 0, 0, 0, 1], Fraction(1), Fraction(2)),
+    "quadratic": ([Fraction(-2, 3), 0, 1], 1),         # sqrt(2/3)
+    "cubic": ([Fraction(-1, 2), -1, 0, 1], 0),         # its one real root
+    "capelli": ([-3, 0, 0, 0, 1], 1),                  # 3^(1/4)
     # (t^2 - 2)(t^2 - 1/3) around sqrt(2): not certified irreducible
-    "reducible": ([Fraction(2, 3), 0, Fraction(-7, 3), 0, 1],
-                  Fraction(7, 5), Fraction(3, 2)),
+    "reducible": ([Fraction(2, 3), 0, Fraction(-7, 3), 0, 1], 3),
 }
 
 
@@ -489,8 +490,7 @@ def check_field_arithmetic(ctx, xs, rng):
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_field_arithmetic_is_canonical_and_matches_q_polynomials(name):
-    coeffs, lo, hi = FIELDS[name]
-    ctx = FieldContext(coeffs, lo, hi)
+    ctx = root_field(*FIELDS[name])
     rng = random.Random(f"canonical {name}")
 
     def draw():
@@ -535,9 +535,8 @@ def test_edge_roots_over_extension():
     # chain's leading coefficients, the root of a linear square-free part,
     # and a give-up otherwise; E from known factors, some repeated, and the
     # real-rootless z^2 + g
-    contexts = [FieldContext([-2, 0, 1], Fraction(1), Fraction(2)),
-                FieldContext(*FIELDS["reducible"]),
-                FieldContext([1, 0, -10, 0, 1], Fraction(3), Fraction(7, 2))]
+    contexts = [root_field([-2, 0, 1], 1), root_field(*FIELDS["reducible"]),
+                root_field([1, 0, -10, 0, 1], 3)]
     assert [K.irreducible for K in contexts] == [True, False, False]
     for K in contexts:
         g = K.generator()
@@ -581,7 +580,7 @@ def test_even_b_edge_opens_fields_only_for_kept_roots(monkeypatch):
             return super().of_root(r)
 
     monkeypatch.setattr(germinv.puiseux, "FieldContext", Counted)
-    bs = expand_branches(parse_poly("(y^2 - 2*x^3)*(y^2 + 3*x^3)"))
+    bs = expand_branches(parse_poly("(y^2 - 2*x^3)*(y^2 + 3*x^3)"), 24)
     assert len(bs) == 4
     assert len(made) == len({id(b.ctx) for b in bs if b.ctx is not None}) == 2
 
@@ -597,8 +596,7 @@ def test_transform_matches_term_by_term_over_q():
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_transform_matches_term_by_term_in_extension(name):
-    coeffs, lo, hi = FIELDS[name]
-    ctx = FieldContext(coeffs, lo, hi)
+    ctx = root_field(*FIELDS[name])
     assert ctx.irreducible == (name != "reducible")
     # along z = c u, c the generator g, h y - h g x with h = g^(deg - 1)
     # has the coefficient h c - h g = 0, which is zero only after reduction

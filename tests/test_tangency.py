@@ -63,7 +63,7 @@ def test_rotation_equivariance_of_tangency():
 def test_degenerate_radial_curve():
     curve = TangencyCurve(parse_poly("x^2 + y^2"))
     assert curve.degenerate
-    bs = curve.half_branches()
+    bs = curve.half_branches(12)
     assert [b.chart for b in bs] == ["radial", "radial"]
     f = parse_poly("x^2 + y^2")
     rs = [restrict(f, b, ExpansionConfig(), curve) for b in bs]
@@ -132,7 +132,7 @@ def test_leading_term_contract():
     # below that order finds nothing, and the bound 20 finds the term
     f = parse_poly("(y - x^2)^2 + x^20")
     curve = TangencyCurve(f)
-    deep = [b for b in curve.half_branches()
+    deep = [b for b in curve.half_branches(12)
             if leading_term((f,), b, 100)[1] == 20]
     assert deep
     for b in deep:
@@ -146,7 +146,7 @@ def test_leading_term_contract():
         curve = TangencyCurve(f)
         bound = f.total_degree() * curve.h_sf.total_degree()
         kinds = []
-        for b in curve.half_branches():
+        for b in curve.half_branches(12):
             i, _, _ = leading_term((f, curve.cofactor), b, bound)
             kinds.append((i, b.exact))
             if i == 1 and b.exact:
@@ -159,7 +159,7 @@ def test_restrict_never_reads_k0_from_an_exhausted_bound(monkeypatch):
     # either polynomial is an error, not the zero class
     f = parse_poly("(x^2 - y^3)^2")
     curve = TangencyCurve(f)
-    branch = curve.half_branches()[0]
+    branch = curve.half_branches(12)[0]
     monkeypatch.setattr(germinv.tangency, "leading_term", lambda *a: None)
     with pytest.raises(RuntimeError):
         restrict(f, branch, ExpansionConfig(), curve)

@@ -126,6 +126,41 @@ def test_real_root_layer_keeps_integer_cells():
     assert sorts == []
 
 
+def _callers(callees: set) -> list[str]:
+    """``module.function`` or ``module.Class.method`` for each function in
+    the package that calls one of ``callees``, by its name or as an
+    attribute."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owners = [(f"{path.stem}.{c.name}.", c.body) for c in tree.body
+                  if isinstance(c, ast.ClassDef)] + [(f"{path.stem}.",
+                                                      tree.body)]
+        for prefix, body in owners:
+            found += [prefix + f.name for f in body
+                      if isinstance(f, ast.FunctionDef)
+                      and any(isinstance(n, ast.Call)
+                              and getattr(n.func, "id", getattr(
+                                  n.func, "attr", None)) in callees
+                              for n in ast.walk(f))]
+    return sorted(found)
+
+
+def test_real_algebraic_numbers_have_one_maker():
+    # isolation makes every real algebraic number and opens every Q(c) on
+    # one: no constructor takes a polynomial and an interval, no caller
+    # names the classes, and no uncertified float reads the cell's midpoint
+    from germinv.numberfield import FieldContext
+    from germinv.unipoly import AlgebraicReal
+    for cls in (AlgebraicReal, FieldContext):
+        assert not {"__init__", "__float__", "midpoint"} & set(vars(cls))
+    assert _callers({"_of_cell"}) == ["numberfield.FieldContext.of_root",
+                                      "unipoly.isolate_real_roots"]
+    assert _callers({"AlgebraicReal", "FieldContext"}) == []
+    # the check sees a call where there is one
+    assert "unipoly.isolate_real_roots" in _callers({"_sturm_isolate"})
+
+
 def _resolves(target: str) -> bool:
     """Is ``module.attr`` or ``module.Class.attr`` defined, the attribute in
     the module's or the class's own namespace, where the tracer patches it?"""

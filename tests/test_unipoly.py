@@ -13,14 +13,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from germinv import unipoly
-from germinv.errors import PrecisionExceededError, TowerDepthExceededError
+from germinv.errors import (PrecisionExceededError, TowerDepthExceededError,
+                            ZeroInputError)
 from germinv.numberfield import FieldContext, _binomial_irreducible
 from germinv.puiseux import _edge_roots
-from germinv.unipoly import (AlgebraicReal, cauchy_bound, coeff_sign,
-                             exact_quotient, integer_gcd, isolate_real_roots,
+from germinv.unipoly import (cauchy_bound, coeff_sign, exact_quotient,
+                             integer_gcd, isolate_real_roots,
                              primitive_integers, pseudo_remainder)
 
-from conftest import field_element
+from conftest import field_element, root_field
 
 _t = sympy.Symbol("t")
 
@@ -197,6 +198,31 @@ def test_sturm_count_matches_sympy():
         assert mine == ref
 
 
+def _ref_real_root_count_over_sqrt2(expr) -> int:
+    """Real roots of a polynomial in _t over Q(sqrt2): sympy's own Sturm
+    chain over QQ<sqrt(2)>, its leading coefficients' signs at -inf and
+    +inf."""
+    chain = sympy.sturm(sympy.Poly(expr, _t, extension=sympy.sqrt(2)))
+    at_inf = [int(sympy.sign(q.LC())) for q in chain]
+    at_minus_inf = [s * (-1) ** q.degree() for s, q in zip(at_inf, chain)]
+    return (unipoly._variations(at_minus_inf)
+            - unipoly._variations(at_inf))
+
+
+def test_edge_roots_scale_an_even_gap_in_the_chain():
+    # t^4 + sqrt2 t -+ 1 over Q(sqrt2): the chain runs E, E' = 4t^3 + sqrt2,
+    # then a member of degree 1, two below E'. The pseudo-remainder there
+    # carries lc^3, an odd power of a leading coefficient of either sign,
+    # and one more factor lc makes it a positive multiple of the signed
+    # remainder. With -1 the two real roots are not in Q(sqrt2), a give-up;
+    # with +1 there is no real root
+    K = sqrt2_ctx()
+    for s, count, want in ((-1, 2, "raise"), (1, 0, [])):
+        assert _ref_real_root_count_over_sqrt2(
+            _t**4 + sympy.sqrt(2) * _t + s) == count
+        assert _edge_outcome([[s], [0, 1], [], [], [1]], K) == want
+
+
 # t (3t - 1)(t^2 - 2)(t^2 - 3): the root 0 is the first bisection point, 1/3
 # lies inside a cell, and four roots are irrational
 _ROOT_ON_FIRST_SPLIT = _mul(_poly(0, 1), _poly(-1, 3), _poly(-2, 0, 1),
@@ -279,6 +305,24 @@ def test_isolate_real_roots_matches_sympy():
             if not mine.is_rational():
                 _, factors = to_sympy(mine.defining).factor_list()
                 assert all(f.degree() > 1 for f, _ in factors), p
+
+
+def test_isolation_trims_trailing_zeros_and_rejects_zero():
+    # isolation is the one maker of a real algebraic number, so it takes
+    # any coefficient list: trailing zeros are dropped, the zero polynomial
+    # raises, and a nonzero constant has no root
+    for u in ([-2, 0, 1, 0], [0, 1, 0, 0], _mul(_linear(1, 1), _T2_MINUS_2,
+                                                 _T2_MINUS_2) + [0]):
+        assert ([(r.lo, r.hi, r.defining) for r in isolate_real_roots(u)]
+                == [(r.lo, r.hi, r.defining)
+                    for r in isolate_real_roots(_trim(u))])
+    assert [r.defining for r in isolate_real_roots([-2, 0, 1, 0])] == [
+        _T2_MINUS_2] * 2
+    for zero in ([0, 0], [], [Fraction(0)]):
+        with pytest.raises(ZeroInputError):
+            isolate_real_roots(zero)
+    assert isolate_real_roots([5]) == []
+    assert isolate_real_roots([Fraction(-1, 3), 0, 0]) == []
 
 
 def test_isolation_evaluates_each_sturm_point_once(monkeypatch):
@@ -539,10 +583,11 @@ def test_integer_forms_match_fraction_references(u, x, y, coeffs):
     ints, s = primitive_integers(p)
     P, den = [c * s.numerator for c in ints], s.denominator   # p = P / den
     U = primitive_integers(u)[0]
-    for r in roots:
+    # two fresh isolations give each root twice, on the same cell
+    twins = [isolate_real_roots(u) for _ in range(2)] if roots else [[], []]
+    for r, a, b in zip(roots, *twins):
         assert r.is_root_of(U)
         width = Fraction(1, 2**20)
-        a, b = (AlgebraicReal(r.defining, r.lo, r.hi) for _ in range(2))
         want = _ref_eval_interval(p, b.lo, b.hi)
         while b.lo != b.hi and want[1] - want[0] > width:
             b.refine_step()
@@ -591,78 +636,15 @@ def test_isolation_is_ascending_with_one_root_each(u):
             assert any(x.is_rational() for x in xs)
 
 
-@settings(max_examples=60, deadline=None)
-@given(_isolation_inputs())
-@example(_ROOT_ON_FIRST_SPLIT)
-@example(_mul(_linear(1, 1), _linear(2, 3), _T2_MINUS_2, _T2_MINUS_2))
-def test_constructor_gives_isolations_form(u):
-    # an irrational number's defining polynomial has no rational root by
-    # construction: on an isolated cell, and on a wider interval around the
-    # same root alone, the constructor gives isolation's integer form P, or
-    # collapses exactly onto the rational root; a field made from u on the
-    # cell is the one opened on the isolated root
-    if len(u) < 2:
-        return
-    roots = isolate_real_roots(u)
-    for r in roots:
-        x = AlgebraicReal(u, r.lo, r.hi)
-        assert x._integer_defining == r._integer_defining
-        assert (x.lo, x.hi) == (r.lo, r.hi)
-        if not r.is_rational():
-            assert (FieldContext(u, r.lo, r.hi).irreducible
-                    == FieldContext.of_root(r).irreducible)
-    if not roots:
-        return
-    # refine until no two intervals meet, then widen each halfway to its
-    # neighbours
-    while any(x.hi >= y.lo for x, y in zip(roots, roots[1:])):
-        for x, y in zip(roots, roots[1:]):
-            if x.hi >= y.lo:
-                x.refine_step()
-                y.refine_step()
-    ends = ([roots[0].lo - 1]
-            + [(x.hi + y.lo) / 2 for x, y in zip(roots, roots[1:])]
-            + [roots[-1].hi + 1])
-    for r, lo, hi in zip(roots, ends, ends[1:]):
-        x = AlgebraicReal(u, lo, hi)
-        assert x._integer_defining == r._integer_defining
-        assert (x.lo, x.hi) == ((r.lo, r.hi) if r.is_rational() else (lo, hi))
-
-
-@pytest.mark.parametrize("u, lo, hi", [
-    (_T2_MINUS_2, Fraction(2), Fraction(3)),           # no root
-    (_poly(-1, 0, 1), Fraction(1), Fraction(2)),       # a root at an end only
-    (_T2_MINUS_2, Fraction(5, 4), Fraction(5, 4)),     # a point, no root
-    (_T2_MINUS_2, Fraction(-2), Fraction(2)),          # two roots
-    (_T2_MINUS_2, Fraction(2), Fraction(1)),           # lo above hi
-])
-def test_constructor_rejects_an_interval_without_exactly_one_root(u, lo, hi):
-    # the interval must hold one root inside, or be a rational root's point
-    with pytest.raises(ValueError):
-        AlgebraicReal(u, lo, hi)
-    with pytest.raises(ValueError):
-        FieldContext(u, lo, hi)
-
-
-def test_constructor_keeps_a_rational_root_at_an_end():
-    # (t - 1)(t^2 - 2) on [1, 2]: the end 1 is a root, sqrt2 the one inside
-    x = AlgebraicReal(_mul(_linear(1, 1), _T2_MINUS_2), Fraction(1),
-                      Fraction(2))
-    assert x.defining == _T2_MINUS_2 and (x.lo, x.hi) == (1, 2)
-    x = AlgebraicReal(_mul(_linear(1, 1), _T2_MINUS_2), Fraction(1),
-                      Fraction(1))
-    assert x.is_rational() and x.defining == _poly(-1, 1)
-
-
 def test_refine_step_collapses_onto_a_rational_root():
-    # t^2 - 1 on [0, 2] holds the root 1, the interval's midpoint: the
-    # constructor collapses onto it, refine_step keeps it, and every answer
-    # is exact
-    r = AlgebraicReal(_poly(-1, 0, 1), Fraction(0), Fraction(2))
-    assert r.is_rational() and (r.lo, r.hi) == (1, 1) and float(r) == 1.0
+    # isolation finds the root 1 of t^2 - 1 exactly inside its one-root
+    # cell (0, 2] and collapses onto it; refine_step keeps it, and every
+    # answer is exact
+    r = isolate_real_roots(_poly(-1, 0, 1))[1]
+    assert r.is_rational() and (r.lo, r.hi) == (1, 1)
     assert r.defining == _poly(-1, 1)
     r.refine_step()
-    assert (r.lo, r.hi, r.midpoint) == (1, 1, 1)
+    assert (r.lo, r.hi) == (1, 1)
     # p = (3t^2 + 1) / 2 and 5t - 4 at t = 1, with and without a width
     assert r.enclose([1, 0, 3], 2) == (2, 2)
     assert r.enclose([1, 0, 3], 2, Fraction(1, 10**9)) == (2, 2)
@@ -673,10 +655,10 @@ def test_refine_step_collapses_onto_a_rational_root():
 
 
 def test_field_element_reads_a_collapsed_generator_as_rational():
-    # Q(c) for c the root 1 of t^2 - 1 on [0, 2]: the context collapses
-    # onto c when it is made, its modulus is t - 1, and every element is
-    # reduced to a vector of length at most 1, visibly rational
-    K = FieldContext(_poly(-1, 0, 1), Fraction(0), Fraction(2))
+    # Q(c) for c the root 1 of t^2 - 1: isolation collapses onto c, the
+    # modulus is t - 1, and every element is reduced to a vector of length
+    # at most 1, visibly rational
+    K = root_field(_poly(-1, 0, 1), 1)
     assert K.is_rational() and K.irreducible and K.defining == _poly(-1, 1)
     c = K.generator()
     x = c * 3 + Fraction(1, 2)
@@ -688,13 +670,15 @@ def test_field_element_reads_a_collapsed_generator_as_rational():
 def test_algebraic_sqrt2():
     (r,) = [r for r in isolate_real_roots(_T2_MINUS_2) if r.lo > 0]
     r.refine_to(Fraction(1, 10**12))
-    assert abs(float(r) - 2**0.5) < 1e-11
-    assert FieldContext(r.defining, r.lo, r.hi).generator().sign() == 1
+    assert r.hi - r.lo <= Fraction(1, 10**12) and r.lo ** 2 < 2 < r.hi ** 2
+    c = FieldContext.of_root(r).generator()
+    assert c.sign() == 1 and float(c) == 2**0.5
 
 
 def test_refine_step_evaluates_the_left_end_once(monkeypatch):
     # p(lo) keeps its sign while lo moves, so k steps evaluate p at k
-    # midpoints and at lo once; the constructor's isolation comes before
+    # midpoints and at lo once; a context opened on the isolated sqrt2
+    # starts with no sign at lo
     calls = []
     signs_at = unipoly._signs_at
 
@@ -702,12 +686,13 @@ def test_refine_step_evaluates_the_left_end_once(monkeypatch):
         calls.append(Fraction(n, d))
         return signs_at(polys, n, d)
 
-    r = AlgebraicReal(_T2_MINUS_2, Fraction(1), Fraction(2))
+    r = root_field(_T2_MINUS_2, 1)
+    lo, width = r.lo, r.hi - r.lo
     monkeypatch.setattr(unipoly, "_signs_at", counted)
     for _ in range(20):
         r.refine_step()
-    assert len(calls) == 21 and calls.count(1) == 1
-    assert r.hi - r.lo == Fraction(1, 2**20)
+    assert len(calls) == 21 and calls.count(lo) == 1
+    assert r.hi - r.lo == width / 2**20
     assert r.lo ** 2 < 2 < r.hi ** 2
 
 
@@ -723,7 +708,7 @@ def test_cauchy_bound_contains_roots():
 
 
 def sqrt2_ctx() -> FieldContext:
-    return FieldContext(_T2_MINUS_2, Fraction(1), Fraction(2))
+    return root_field(_T2_MINUS_2, 1)
 
 
 def test_field_basic_arithmetic():
@@ -791,7 +776,7 @@ def test_field_division_and_str():
 
 
 def test_field_golden_ratio():
-    K = FieldContext(_poly(-1, -1, 1), Fraction(1), Fraction(2))
+    K = root_field(_poly(-1, -1, 1), 1)
     phi = K.generator()
     assert (phi * phi - phi - 1).is_zero()
     assert ((phi - 1) * phi - 1).is_zero()   # 1/phi = phi - 1
@@ -799,9 +784,9 @@ def test_field_golden_ratio():
 
 
 def test_field_reducible_modulus():
-    # m = (t^2 - 2)(t^2 - 3) on [1, 3/2] isolates sqrt2
+    # sqrt2, the third root of m = (t^2 - 2)(t^2 - 3)
     m = _mul(_T2_MINUS_2, _poly(-3, 0, 1))
-    K = FieldContext(m, Fraction(1), Fraction(3, 2))
+    K = root_field(m, 2)
     c = K.generator()
     assert (c * c - 2).is_zero()
     # gcd with m is t^2 - 3, which has no root in the interval
@@ -816,29 +801,30 @@ def test_field_reducible_modulus():
 
 
 def test_shrinking_the_modulus_forgets_its_old_forms():
-    # m = (t^2 - 2)(t^2 - 3) on [1, 3/2] isolates sqrt2; a refine step
-    # caches the sign of m at lo = 5/4, which t^2 - 2 does not have there
+    # sqrt2, the third root of m = (t^2 - 2)(t^2 - 3); a refine step caches
+    # the sign of m at lo, 0 < lo < sqrt2, which t^2 - 2 does not have there
     m = _mul(_T2_MINUS_2, _poly(-3, 0, 1))
-    K = FieldContext(m, Fraction(1), Fraction(3, 2))
+    K = root_field(m, 2)
     K.refine_step()
+    width = K.hi - K.lo
+    assert 0 < K.lo
     c = K.generator()
     (c * c - 3).inverse()
     assert K.defining == _T2_MINUS_2
-    # the sign at lo and the integer form are those of the new modulus
+    # the sign at lo and the integer form are those of the new modulus: a
+    # step on m's sign would keep the half without sqrt2
     for _ in range(2):
         K.refine_step()
-    assert K.lo ** 2 < 2 < K.hi ** 2 and (K.lo, K.hi) == (Fraction(11, 8),
-                                                          Fraction(23, 16))
+    assert K.lo ** 2 < 2 < K.hi ** 2 and K.hi - K.lo == width / 4
     assert abs(float(c) - 2**0.5) < 1e-12
     assert K.reduce_integers([0, 0, 1]) == ([2], 1)
 
 
 def test_field_reducible_cubic_modulus():
-    # m = (t - 1)(t^2 - 2) on [5/4, 3/2] isolates sqrt2; the constructor
-    # divides out the rational root's factor t - 1, so the modulus is
-    # t^2 - 2, certified, and zero in Q(c) is "all coefficients zero"
-    K = FieldContext(_mul(_linear(1, 1), _T2_MINUS_2), Fraction(5, 4),
-                     Fraction(3, 2))
+    # sqrt2, the third root of m = (t - 1)(t^2 - 2); isolation divides out
+    # the rational root's factor t - 1, so the modulus is t^2 - 2,
+    # certified, and zero in Q(c) is "all coefficients zero"
+    K = root_field(_mul(_linear(1, 1), _T2_MINUS_2), 2)
     assert K.defining == _T2_MINUS_2 and K.irreducible
     c = K.generator()
     assert (c * c - 2).vec == [] and (c * c - 2).is_zero()
@@ -847,12 +833,13 @@ def test_field_reducible_cubic_modulus():
     assert (c - 1).inverse() == c + 1
     assert K.defining == _T2_MINUS_2 and K.irreducible
     assert not (c * c - 3).is_zero()
-    assert FieldContext(_T2_MINUS_2, Fraction(1), Fraction(2)).irreducible
+    assert root_field(_T2_MINUS_2, 1).irreducible
 
 
 def test_field_context_trusts_isolation_only_where_checking_agrees():
-    # a context opened on a root from isolate_real_roots certifies the same
-    # moduli as one the constructor makes from the isolated interval
+    # a context opened on a root from isolate_real_roots has the root's
+    # defining polynomial as its modulus, and certifies it only where sympy
+    # finds it irreducible
     polys = [_mul(_linear(1, 1), _linear(2, 3), _T2_MINUS_2),
              _mul(_linear(7, -5), _poly(-2, -3, 0, 1)),
              _mul(_poly(-1, -1, 0, 1), _poly(-3, 0, 0, 0, 1))]
@@ -862,9 +849,9 @@ def test_field_context_trusts_isolation_only_where_checking_agrees():
             if r.is_rational():
                 continue
             trusted = FieldContext.of_root(r)
-            checked = FieldContext(p, r.lo, r.hi)
-            assert trusted.defining == checked.defining == r.defining
-            assert trusted.irreducible == checked.irreducible
+            assert trusted.defining == r.defining
+            if trusted.irreducible:
+                assert sympy.Poly(to_sympy(r.defining), _t).is_irreducible
             seen.add(trusted.irreducible)
     assert seen == {True, False}
 
@@ -903,7 +890,7 @@ def test_binomial_modulus_gets_the_syntactic_zero_test():
     assert field_element(K, m).is_zero()
     assert not field_element(K, [1] + m[2:]).is_zero()   # c^28 + 1
     m = _poly(-4, 0, 0, 0, 1)
-    K = FieldContext(m, Fraction(1), Fraction(3, 2))
+    K = root_field(m, 1)
     assert not K.irreducible
     c = K.generator()
     assert (c * c - 2).is_zero() and not (c * c + 2).is_zero()
@@ -926,9 +913,9 @@ def test_invert_matches_sympy():
     # t^3 - 2 and the quartic t^4 - 10 t^2 + 1 (sqrt2 + sqrt3), with vectors
     # of every length up to the modulus's and coefficients up to 10^30
     rng = random.Random(28)
-    for m, lo, hi in ((_poly(-1, -1, 1), 1, 2), (_poly(-2, 0, 0, 1), 1, 2),
-                      (_poly(1, 0, -10, 0, 1), 3, Fraction(7, 2))):
-        K = FieldContext(m, Fraction(lo), Fraction(hi))
+    for m, k in ((_poly(-1, -1, 1), 1), (_poly(-2, 0, 0, 1), 0),
+                 (_poly(1, 0, -10, 0, 1), 3)):
+        K = root_field(m, k)
         for _ in range(12):
             A = _trim(rng.randint(-10**30, 10**30) * rng.randint(0, 1)
                       for _ in range(rng.randint(1, len(m) - 1)))
@@ -940,7 +927,7 @@ def test_invert_matches_sympy():
     # a zero element, and an element zero at c that divides the reducible
     # modulus (t^2 - 2)(t^2 - 3), raise and leave the modulus as it is
     m = _mul(_T2_MINUS_2, _poly(-3, 0, 1))
-    K = FieldContext(m, Fraction(1), Fraction(3, 2))
+    K = root_field(m, 2)
     for A in ([], [-2, 0, 1], [0, -2, 0, 1]):
         with pytest.raises(ZeroDivisionError):
             K.invert(A, 1)

@@ -42,7 +42,7 @@ from typing import Iterable
 
 from .errors import BothZeroError, ZeroInputError
 from .unipoly import (exact_quotient, integer_gcd, integer_product,
-                      primitive_integers)
+                      primitive_integers, signed_sum)
 
 
 def _grlex_key(ij: tuple[int, int]) -> tuple[int, int]:
@@ -308,28 +308,13 @@ class BivarPoly:
     # -- printing ---------------------------------------------------------------------
 
     def to_string(self) -> str:
-        """Render in the input grammar, terms in ascending total degree."""
+        """Render in the input grammar, terms in ascending total degree; a
+        coefficient that prints as 1 or -1 is left off (``signed_sum``)."""
         terms = self.terms
-        if not terms:
-            return "0"
-        parts = []
-        for (i, j) in sorted(terms, key=lambda ij: (ij[0] + ij[1], -ij[0])):
-            c = terms[(i, j)]
-            mono = "*".join(
-                ([f"x^{i}" if i > 1 else "x"] if i else [])
-                + ([f"y^{j}" if j > 1 else "y"] if j else []))
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return signed_sum(
+            (terms[i, j], "*".join(f"{v}^{k}" if k > 1 else v
+                                   for v, k in (("x", i), ("y", j)) if k))
+            for i, j in sorted(terms, key=lambda ij: (ij[0] + ij[1], -ij[0])))
 
 
 # -- normalization over Q ----------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Parser and printer for polynomials in x and y with rational coefficients.
+"""Parser for polynomials in x and y with rational coefficients.
 
-Grammar (ASCII, whitespace insensitive):
+Grammar (ASCII, whitespace insensitive), as ``BivarPoly.to_string`` prints:
 
     expr    := ['+'|'-'] term (('+'|'-') term)*
     term    := factor ('*' factor)*

@@ -63,7 +63,7 @@ from .bivar import BivarPoly, _zz_prem
 from .errors import TowerDepthExceededError, UnitGermError, ZeroInputError
 from .numberfield import FieldContext, FieldElement, integer_powers
 from .unipoly import (_variations, integer_product, isolate_real_roots,
-                      poly_string)
+                      poly_string, signed_sum)
 
 _MAX_DEPTH = 64
 
@@ -158,20 +158,11 @@ class PuiseuxSeries:
         return self.terms[0] if self.terms else None
 
     def to_string(self, var: str = "s") -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for k, c in self.terms:
-            cs = str(c)
-            mono = var if k == 1 else f"{var}^{k}"
-            if cs == "1":
-                parts.append(mono)
-            elif cs == "-1":
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{cs}*{mono}")
-        out = " + ".join(parts).replace("+ -", "- ")
-        if not self.exact:
+        """``signed_sum`` of the terms, then `` + O(s^n)`` if truncated and
+        not 0."""
+        out = signed_sum((c, var if k == 1 else f"{var}^{k}")
+                         for k, c in self.terms)
+        if self.terms and not self.exact:
             out += f" + O({var}^{self.truncation})"
         return out
 

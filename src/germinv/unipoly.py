@@ -3,7 +3,9 @@ interval-refinable real algebraic numbers.
 
 A polynomial here is a list of its coefficients, lowest degree first, as
 ``bivar`` holds its integer polynomials: no class wraps it, and nothing here
-computes over coefficients other than rationals.
+computes over coefficients other than rationals. ``signed_sum`` is the
+package's one text format for polynomials and series: ``poly_string``,
+``BivarPoly.to_string`` and ``PuiseuxSeries.to_string`` hand it their terms.
 
 ``AlgebraicReal`` is germinv's one representation of a real algebraic number
 (an integer defining polynomial with no rational root, unless the number
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import PrecisionExceededError, ZeroInputError
 
@@ -61,26 +63,28 @@ def coeff_sign(x, max_bits: int = 256) -> int:
     return x.sign(max_bits)
 
 
+def signed_sum(terms: Iterable[tuple[object, str]]) -> str:
+    """The sum of (coefficient, monomial text) pairs, in the order given, as
+    text: each coefficient as ``str(c)``, left off a monomial when it prints
+    as 1 or -1, alone when the monomial is empty; a part that starts with
+    ``-`` joins as `` - ``, any other as `` + ``; no terms print as ``0``."""
+    parts = []
+    for c, mono in terms:
+        cs = str(c)
+        if mono:
+            cs = (cs[:-1] if cs in ("1", "-1") else f"{cs}*") + mono
+        parts.append(cs)
+    if not parts:
+        return "0"
+    return parts[0] + "".join(f" - {p[1:]}" if p[0] == "-" else f" + {p}"
+                              for p in parts[1:])
+
+
 def poly_string(cs: Sequence, var: str = "t") -> str:
     """The polynomial with coefficients cs, lowest degree first, as text:
     highest degree first, zero coefficients left out."""
-    parts = []
-    for k in range(len(cs) - 1, -1, -1):
-        c = cs[k]
-        if not c:
-            continue
-        if k == 0:
-            mono = str(c)
-        else:
-            head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-            mono = f"{head}{var}" + (f"^{k}" if k > 1 else "")
-        parts.append(mono)
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out
+    return signed_sum((cs[k], f"{var}^{k}" if k > 1 else var if k else "")
+                      for k in range(len(cs) - 1, -1, -1) if cs[k])
 
 
 # -- gcd and integer forms ----------------------------------------------------

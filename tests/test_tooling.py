@@ -126,24 +126,27 @@ def test_real_root_layer_keeps_integer_cells():
     assert sorts == []
 
 
-def _callers(callees: set) -> list[str]:
-    """``module.function`` or ``module.Class.method`` for each function in
-    the package that calls one of ``callees``, by its name or as an
-    attribute."""
-    found = []
+def _functions():
+    """(``module.function`` or ``module.Class.method``, node) for each
+    function of the package."""
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         owners = [(f"{path.stem}.{c.name}.", c.body) for c in tree.body
                   if isinstance(c, ast.ClassDef)] + [(f"{path.stem}.",
                                                       tree.body)]
         for prefix, body in owners:
-            found += [prefix + f.name for f in body
-                      if isinstance(f, ast.FunctionDef)
-                      and any(isinstance(n, ast.Call)
-                              and getattr(n.func, "id", getattr(
-                                  n.func, "attr", None)) in callees
-                              for n in ast.walk(f))]
-    return sorted(found)
+            yield from ((prefix + f.name, f) for f in body
+                        if isinstance(f, ast.FunctionDef))
+
+
+def _callers(callees: set) -> list[str]:
+    """The functions of the package (see ``_functions``) that call one of
+    ``callees``, by its name or as an attribute."""
+    return sorted(name for name, f in _functions()
+                  if any(isinstance(n, ast.Call)
+                         and getattr(n.func, "id", getattr(n.func, "attr",
+                                                           None)) in callees
+                         for n in ast.walk(f)))
 
 
 def test_real_algebraic_numbers_have_one_maker():
@@ -159,6 +162,18 @@ def test_real_algebraic_numbers_have_one_maker():
     assert _callers({"AlgebraicReal", "FieldContext"}) == []
     # the check sees a call where there is one
     assert "unipoly.isolate_real_roots" in _callers({"_sturm_isolate"})
+
+
+def test_polynomials_and_series_have_one_printer():
+    # one formatter prints every polynomial and series: one rule leaves off
+    # a coefficient that prints as 1 or -1, and one loop joins the signs
+    assert _callers({"signed_sum"}) == ["bivar.BivarPoly.to_string",
+                                        "puiseux.PuiseuxSeries.to_string",
+                                        "unipoly.poly_string"]
+    joins = sorted(name for name, f in _functions() for n in ast.walk(f)
+                   if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                   and (n.value in (" + ", " - ") or "+ -" in n.value))
+    assert set(joins) == {"unipoly.signed_sum"}
 
 
 def _resolves(target: str) -> bool:

@@ -12,14 +12,15 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from germinv import unipoly
+from germinv import BivarPoly, unipoly
 from germinv.errors import (PrecisionExceededError, TowerDepthExceededError,
                             ZeroInputError)
-from germinv.numberfield import FieldContext, _binomial_irreducible
+from germinv.numberfield import (FieldContext, FieldElement,
+                                 _binomial_irreducible)
 from germinv.puiseux import _edge_roots
 from germinv.unipoly import (cauchy_bound, coeff_sign, exact_quotient,
-                             integer_gcd, isolate_real_roots,
-                             primitive_integers, pseudo_remainder)
+                             integer_gcd, isolate_real_roots, poly_string,
+                             primitive_integers, pseudo_remainder, signed_sum)
 
 from conftest import field_element, root_field
 
@@ -953,3 +954,36 @@ def test_eval_interval_bounds():
             x = lo + (hi - lo) * Fraction(k, 7)
             assert blo <= _eval(p, x) <= bhi
 
+
+
+def test_signed_sum_prints_each_coefficient_by_its_text():
+    K = root_field(_T2_MINUS_2, 1)
+    assert signed_sum([]) == "0"
+    assert signed_sum([(Fraction(-3), "")]) == "-3"
+    # a coefficient that prints as 1 or -1 is left off a monomial
+    assert signed_sum([(1, "x"), (Fraction(-1), "y^2")]) == "x - y^2"
+    assert signed_sum([(-1, "x*y"), (2, "")]) == "-x*y + 2"
+    # an element of Q(c) equal to 1 prints as (1), and so keeps its text
+    assert signed_sum([(K.from_rational(1), "s")]) == "(1)*s"
+    assert signed_sum([(2, "x"), (Fraction(-3, 2), "x")]) == "2*x - 3/2*x"
+    # only a part that starts with "-" joins as a difference
+    assert (signed_sum([(1, "s"), (K.coefficient([-1], 2), "s^2")])
+            == "s + (-0.5)*s^2")
+    # over integer vectors, lowest degree first, an empty vector is zero
+    assert poly_string([[1], [], [1, 2]], "c") == "[1, 2]*c^2 + [1]"
+    assert poly_string([Fraction(-1), 0, 3]) == "3*t^2 - 1"
+    assert poly_string([0, 0]) == "0"
+
+
+def test_printing_a_q_c_polynomial_compares_no_elements(monkeypatch):
+    # the printers read a coefficient's text, not its value: over Q(c) a
+    # comparison with 1 would be a subtraction and a zero test
+    K = root_field(_T2_MINUS_2, 1)
+    p = BivarPoly.from_vectors(K, {(1, 0): [1], (0, 1): [0, 1],
+                                   (2, 0): [-1]}, 1)
+
+    def refuse(self, other):
+        raise AssertionError("an element was compared")
+
+    monkeypatch.setattr(FieldElement, "__eq__", refuse)
+    assert repr(p) == "BivarPoly((1)*x + (1.41421356)*y + (-1)*x^2)"

@@ -57,77 +57,52 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-def _add_symbolic_flags(p):
-    # the defaults are ExpansionConfig's own
-    config = ExpansionConfig()
-    p.add_argument("--order", type=int, default=config.order,
-                   help="series truncation order of the expanded branches "
-                        "(default %(default)s)")
-    p.add_argument("--max-bits", type=int, default=config.max_bits,
-                   dest="max_bits",
-                   help="interval refinement budget for algebraic signs "
-                        "(default %(default)s)")
-
-
-def _add_numeric_flags(p):
-    p.add_argument("--tmin", type=float, default=1e-4,
-                   help="smallest circle radius (default 1e-4)")
-    p.add_argument("--tmax", type=float, default=1e-1,
-                   help="largest circle radius (default 0.1)")
-    p.add_argument("--ladder", type=int, default=40,
-                   help="number of radii, geometric (default 40)")
-    p.add_argument("--grid", type=int, default=4096,
-                   help="angle grid size per circle (default 4096)")
-
-
-def _add_format_flag(p, choices):
-    p.add_argument("--format", choices=choices, default="text",
-                   help="output format (default text)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="germinv",
         description="Contact-invariant analysis of plane polynomial germs "
                     "f(x, y) vanishing at the origin.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("inv", help="invariant pair of one germ")
-    p.add_argument("germ", help="polynomial in x, y, e.g. 'x^3 + y^6'")
-    _add_symbolic_flags(p)
-    _add_format_flag(p, ("text", "json"))
-    p.set_defaults(func=cmd_inv)
-
-    p = sub.add_parser("compare",
-                       help="can two germs be contact equivalent?")
-    p.add_argument("f", help="first germ")
-    p.add_argument("g", help="second germ")
-    _add_symbolic_flags(p)
-    _add_format_flag(p, ("text", "json"))
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("branches",
-                       help="tangency half-branches and sign classes")
-    p.add_argument("germ")
-    _add_symbolic_flags(p)
-    _add_format_flag(p, ("text", "json"))
-    p.set_defaults(func=cmd_branches)
-
-    p = sub.add_parser("psi", help="min/max of f on small circles (numeric)")
-    p.add_argument("germ")
-    _add_numeric_flags(p)
-    _add_format_flag(p, ("text", "json", "csv"))
-    p.set_defaults(func=cmd_psi)
-
-    p = sub.add_parser("crosscheck",
-                       help="validate the exact analysis numerically")
-    p.add_argument("germ")
-    _add_symbolic_flags(p)
-    _add_numeric_flags(p)
-    p.add_argument("--floor", type=float, default=None,
-                   help="noise floor; default 1e-14 * max(1, coeff norm)")
-    _add_format_flag(p, ("text", "json", "csv"))
-    p.set_defaults(func=cmd_crosscheck)
+    config = ExpansionConfig()   # the defaults are ExpansionConfig's own
+    symbolic = [
+        ("--order", int, config.order,
+         "series truncation order of the expanded branches "
+         "(default %(default)s)"),
+        ("--max-bits", int, config.max_bits,
+         "interval refinement budget for algebraic signs "
+         "(default %(default)s)")]
+    numeric = [
+        ("--tmin", float, 1e-4, "smallest circle radius (default 1e-4)"),
+        ("--tmax", float, 1e-1, "largest circle radius (default 0.1)"),
+        ("--ladder", int, 40, "number of radii, geometric (default 40)"),
+        ("--grid", int, 4096, "angle grid size per circle (default 4096)")]
+    floor = [("--floor", float, None,
+              "noise floor; default 1e-14 * max(1, coeff norm)")]
+    germ = [("germ", None)]
+    # name, help, positionals, flags, formats, handler
+    table = [
+        ("inv", "invariant pair of one germ",
+         [("germ", "polynomial in x, y, e.g. 'x^3 + y^6'")], symbolic,
+         ("text", "json"), cmd_inv),
+        ("compare", "can two germs be contact equivalent?",
+         [("f", "first germ"), ("g", "second germ")], symbolic,
+         ("text", "json"), cmd_compare),
+        ("branches", "tangency half-branches and sign classes", germ,
+         symbolic, ("text", "json"), cmd_branches),
+        ("psi", "min/max of f on small circles (numeric)", germ, numeric,
+         ("text", "json", "csv"), cmd_psi),
+        ("crosscheck", "validate the exact analysis numerically", germ,
+         symbolic + numeric + floor, ("text", "json", "csv"), cmd_crosscheck),
+    ]
+    for name, text, positionals, flags, formats, handler in table:
+        p = sub.add_parser(name, help=text)
+        for dest, help_ in positionals:
+            p.add_argument(dest, help=help_)
+        for flag, kind, default, help_ in flags:
+            p.add_argument(flag, type=kind, default=default, help=help_)
+        p.add_argument("--format", choices=formats, default="text",
+                       help="output format (default text)")
+        p.set_defaults(func=handler)
     return ap
 
 
@@ -155,20 +130,17 @@ def _config(args) -> ExpansionConfig:
     return ExpansionConfig(order=args.order, max_bits=args.max_bits)
 
 
-def _header(args, extra: str = "") -> str:
+def _header(args) -> str:
     parts = [f"# germinv {args.command}"]
     if hasattr(args, "order"):
         parts.append(f"order={args.order} max-bits={args.max_bits}")
     if hasattr(args, "tmin"):
         parts.append(f"tmin={args.tmin!r} tmax={args.tmax!r} "
                      f"ladder={args.ladder} grid={args.grid}")
-    if extra:
-        parts.append(extra)
+    if hasattr(args, "floor"):
+        floor = "auto" if args.floor is None else repr(args.floor)
+        parts.append(f"floor={floor}")
     return "  ".join(parts)
-
-
-def _alphas_text(alphas) -> str:
-    return ", ".join(str(a) for a in alphas) if alphas else "none"
 
 
 def _germ_record(text: str, analysis) -> dict:
@@ -188,79 +160,71 @@ def _emit_json(out, record) -> None:
     out.write(json.dumps(record, indent=2) + "\n")
 
 
-def _print_classification(out, analysis) -> None:
-    cls = analysis.classification
-    v = analysis.invariant
-    print(f"half-branches: {len(analysis.restrictions)}", file=out)
-    print(f"K0 count: {cls.K0_count}", file=out)
-    print(f"K- alphas: {_alphas_text(cls.Kminus_alphas)}", file=out)
-    print(f"K+ alphas: {_alphas_text(cls.Kplus_alphas)}", file=out)
-    print(f"Inv = ({v.lo}, {v.hi})", file=out)
+def _print_table(out, sep: str, head, rows) -> None:
+    print(sep.join(head), file=out)
+    for row in rows:
+        print(sep.join(map(repr, row)), file=out)
 
 
 def cmd_inv(args, out) -> int:
     f = parse_poly(args.germ)
     analysis = analyze_germ(f, _config(args))
-    text = f.to_string()
+    rec = _germ_record(f.to_string(), analysis)
     if args.format == "json":
-        _emit_json(out, _germ_record(text, analysis))
+        _emit_json(out, rec)
         return EXIT_OK
     print(_header(args), file=out)
-    print(f"germ: {text}", file=out)
-    _print_classification(out, analysis)
+    print(f"germ: {rec['germ']}", file=out)
+    print(f"half-branches: {len(analysis.restrictions)}", file=out)
+    print(f"K0 count: {rec['K0_count']}", file=out)
+    for sign, key in (("-", "Kminus_alphas"), ("+", "Kplus_alphas")):
+        print(f"K{sign} alphas: {', '.join(rec[key]) or 'none'}", file=out)
+    print(f"Inv = ({rec['lo']}, {rec['hi']})", file=out)
     return EXIT_OK
 
 
 def cmd_compare(args, out) -> int:
-    f = parse_poly(args.f)
-    g = parse_poly(args.g)
+    f, g = parse_poly(args.f), parse_poly(args.g)
     config = _config(args)
-    af = analyze_germ(f, config)
-    ag = analyze_germ(g, config)
-    verdict = equivalent_possible(af.invariant, ag.invariant)
+    af, ag = analyze_germ(f, config), analyze_germ(g, config)
+    rec = {"f": _germ_record(f.to_string(), af),
+           "g": _germ_record(g.to_string(), ag),
+           "verdict": equivalent_possible(af.invariant, ag.invariant)}
     if args.format == "json":
-        _emit_json(out, {
-            "f": _germ_record(f.to_string(), af),
-            "g": _germ_record(g.to_string(), ag),
-            "verdict": verdict,
-        })
+        _emit_json(out, rec)
     else:
         print(_header(args), file=out)
-        print(f"f: {f.to_string()}", file=out)
-        print(f"Inv(f) = ({af.invariant.lo}, {af.invariant.hi})", file=out)
-        print(f"g: {g.to_string()}", file=out)
-        print(f"Inv(g) = ({ag.invariant.lo}, {ag.invariant.hi})", file=out)
-        print(f"verdict: {verdict}", file=out)
-    return EXIT_OK if verdict == "possible" else EXIT_EXCLUDED
+        for name in ("f", "g"):
+            print(f"{name}: {rec[name]['germ']}", file=out)
+            print(f"Inv({name}) = ({rec[name]['lo']}, {rec[name]['hi']})",
+                  file=out)
+        print(f"verdict: {rec['verdict']}", file=out)
+    return EXIT_OK if rec["verdict"] == "possible" else EXIT_EXCLUDED
 
 
 def cmd_branches(args, out) -> int:
     f = parse_poly(args.germ)
     analysis = analyze_germ(f, _config(args))
+    rows = [{
+        "chart": r.branch.chart,
+        "sigma": r.branch.sigma,
+        "e": r.branch.e,
+        "x": r.branch.x.to_string(),
+        "y": r.branch.y.to_string(),
+        "kind": r.kind,
+        "alpha": None if r.alpha is None else str(r.alpha),
+    } for r in analysis.restrictions]
+    rec = {"germ": f.to_string(), "branches": rows}
     if args.format == "json":
-        rows = []
-        for r in analysis.restrictions:
-            b = r.branch
-            rows.append({
-                "chart": b.chart,
-                "sigma": b.sigma,
-                "e": b.e,
-                "x": b.x.to_string(),
-                "y": b.y.to_string(),
-                "kind": r.kind,
-                "alpha": None if r.alpha is None else str(r.alpha),
-            })
-        _emit_json(out, {"germ": f.to_string(), "branches": rows})
+        _emit_json(out, rec)
         return EXIT_OK
     print(_header(args), file=out)
-    print(f"germ: {f.to_string()}", file=out)
-    print(f"half-branches: {len(analysis.restrictions)}", file=out)
-    for k, r in enumerate(analysis.restrictions):
-        b = r.branch
-        alpha = "-" if r.alpha is None else str(r.alpha)
-        print(f"[{k}] {b.chart} sigma={b.sigma:+d} e={b.e} {r.kind} "
-              f"alpha={alpha} | x = {b.x.to_string()} | y = {b.y.to_string()}",
-              file=out)
+    print(f"germ: {rec['germ']}", file=out)
+    print(f"half-branches: {len(rows)}", file=out)
+    for k, row in enumerate(rows):
+        print(f"[{k}] {row['chart']} sigma={row['sigma']:+d} e={row['e']} "
+              f"{row['kind']} alpha={row['alpha'] or '-'} | x = {row['x']} "
+              f"| y = {row['y']}", file=out)
     return EXIT_OK
 
 
@@ -271,30 +235,27 @@ def cmd_psi(args, out) -> int:
         raise ZeroInputError("the zero germ has no circle extrema to fit")
     ts = radius_ladder(args.tmin, args.tmax, args.ladder)
     extrema = ladder_extrema(f, ts, args.grid)
+    rec = {
+        "germ": f.to_string(),
+        "ts": ts,
+        "psi": [e.fmin for e in extrema],
+        "psibar": [e.fmax for e in extrema],
+    }
     if args.format == "json":
-        _emit_json(out, {
-            "germ": f.to_string(),
-            "ts": ts,
-            "psi": [e.fmin for e in extrema],
-            "psibar": [e.fmax for e in extrema],
-        })
-    elif args.format == "csv":
-        out.write("t,psi,psibar\n")
-        for e in extrema:
-            out.write(f"{e.t!r},{e.fmin!r},{e.fmax!r}\n")
-    else:
+        _emit_json(out, rec)
+        return EXIT_OK
+    sep = "," if args.format == "csv" else "  "
+    if args.format == "text":
         print(_header(args), file=out)
-        print(f"germ: {f.to_string()}", file=out)
-        print("t  psi  psibar", file=out)
-        for e in extrema:
-            print(f"{e.t!r}  {e.fmin!r}  {e.fmax!r}", file=out)
+        print(f"germ: {rec['germ']}", file=out)
+    _print_table(out, sep, ("t", "psi", "psibar"),
+                 zip(rec["ts"], rec["psi"], rec["psibar"]))
     return EXIT_OK
 
 
 def _fit_record(fit) -> dict:
-    exponent = fit.exponent if math.isfinite(fit.exponent) else None
     return {
-        "exponent": exponent,
+        "exponent": fit.exponent if math.isfinite(fit.exponent) else None,
         "sign": fit.sign,
         "r2": fit.r2,
         "samples_used": fit.samples_used,
@@ -302,22 +263,18 @@ def _fit_record(fit) -> dict:
     }
 
 
-def _prediction_record(pred) -> dict:
-    return {"sign": pred[0], "alpha": pred[1]}
-
-
-def _fit_text(fit) -> str:
-    if fit.all_below_floor:
+def _fit_text(fit: dict) -> str:
+    if fit["all_below_floor"]:
         return "all samples below floor"
-    exp = f"{fit.exponent!r}" if math.isfinite(fit.exponent) else "n/a"
-    return (f"fit exponent={exp} sign={fit.sign:+d} r2={fit.r2!r} "
-            f"n={fit.samples_used}")
+    exp = "n/a" if fit["exponent"] is None else repr(fit["exponent"])
+    return (f"fit exponent={exp} sign={fit['sign']:+d} r2={fit['r2']!r} "
+            f"n={fit['samples_used']}")
 
 
-def _prediction_text(pred) -> str:
-    if pred[0] == 0:
+def _prediction_text(pred: dict) -> str:
+    if pred["sign"] == 0:
         return "identically 0"
-    return f"sign={pred[0]:+d} alpha={pred[1]!r}"
+    return f"sign={pred['sign']:+d} alpha={pred['alpha']!r}"
 
 
 def cmd_crosscheck(args, out) -> int:
@@ -326,42 +283,43 @@ def cmd_crosscheck(args, out) -> int:
     analysis = analyze_germ(f, _config(args))
     report = crosscheck(f, analysis, tmin=args.tmin, tmax=args.tmax,
                         ladder=args.ladder, grid=args.grid, floor=args.floor)
+    if args.format == "csv":
+        _print_table(out, ",", ("t", "psi", "psibar", "path_id", "theta",
+                                "f_value"), report.csv_rows())
+        return EXIT_OK if report.passed else EXIT_CROSSCHECK
+    rec = {
+        "germ": f.to_string(),
+        "passed": report.passed,
+        "branch_count": report.branch_count,
+        "path_count": report.path_count,
+        "path_tmin": report.path_tmin,
+        "floor": report.floor,
+        "predicted_psi": dict(zip(("sign", "alpha"), report.predicted_psi)),
+        "predicted_psibar": dict(zip(("sign", "alpha"),
+                                     report.predicted_psibar)),
+        "fit_psi": _fit_record(report.fit_psi),
+        "fit_psibar": _fit_record(report.fit_psibar),
+        "failures": list(report.failures),
+    }
     if args.format == "json":
-        _emit_json(out, {
-            "germ": f.to_string(),
-            "passed": report.passed,
-            "branch_count": report.branch_count,
-            "path_count": report.path_count,
-            "path_tmin": report.path_tmin,
-            "floor": report.floor,
-            "predicted_psi": _prediction_record(report.predicted_psi),
-            "predicted_psibar": _prediction_record(report.predicted_psibar),
-            "fit_psi": _fit_record(report.fit_psi),
-            "fit_psibar": _fit_record(report.fit_psibar),
-            "failures": list(report.failures),
-        })
-    elif args.format == "csv":
-        out.write("t,psi,psibar,path_id,theta,f_value\n")
-        for t, psi, psibar, pid, theta, fv in report.csv_rows():
-            out.write(f"{t!r},{psi!r},{psibar!r},{pid},{theta!r},{fv!r}\n")
+        _emit_json(out, rec)
     else:
-        floor_flag = "auto" if args.floor is None else repr(args.floor)
-        print(_header(args, f"floor={floor_flag}"), file=out)
-        print(f"germ: {f.to_string()}", file=out)
-        print(f"half-branches: {report.branch_count}", file=out)
-        tracked = f"paths tracked: {report.path_count}"
-        if report.path_tmin is not None:
-            tracked += f" (down to t={report.path_tmin!r})"
+        print(_header(args), file=out)
+        print(f"germ: {rec['germ']}", file=out)
+        print(f"half-branches: {rec['branch_count']}", file=out)
+        tracked = f"paths tracked: {rec['path_count']}"
+        if rec["path_tmin"] is not None:
+            tracked += f" (down to t={rec['path_tmin']!r})"
         print(tracked, file=out)
-        print(f"floor: {report.floor!r}", file=out)
-        print(f"psi:    predicted {_prediction_text(report.predicted_psi)}; "
-              f"{_fit_text(report.fit_psi)}", file=out)
-        print(f"psibar: predicted {_prediction_text(report.predicted_psibar)};"
-              f" {_fit_text(report.fit_psibar)}", file=out)
-        for msg in report.failures:
+        print(f"floor: {rec['floor']!r}", file=out)
+        for name in ("psi", "psibar"):
+            print(f"{name + ':':8}predicted "
+                  f"{_prediction_text(rec['predicted_' + name])}; "
+                  f"{_fit_text(rec['fit_' + name])}", file=out)
+        for msg in rec["failures"]:
             print(f"FAIL: {msg}", file=out)
-        print(f"result: {'PASS' if report.passed else 'FAIL'}", file=out)
-    return EXIT_OK if report.passed else EXIT_CROSSCHECK
+        print(f"result: {'PASS' if rec['passed'] else 'FAIL'}", file=out)
+    return EXIT_OK if rec["passed"] else EXIT_CROSSCHECK
 
 
 def main(argv=None) -> int:
@@ -375,11 +333,8 @@ def main(argv=None) -> int:
         code = args.func(args, out)
         sys.stdout.write(out.getvalue())
         return code
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (CoefficientRangeError, NonVanishingGermError, UnitGermError,
-            ZeroInputError) as exc:
+    except (ParseError, CoefficientRangeError, NonVanishingGermError,
+            UnitGermError, ZeroInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except PathCountUnstableError as exc:

@@ -251,8 +251,7 @@ class HalfBranch:
             k += a
             if k < n_tail:
                 terms[self.shift + k] = c
-        return PuiseuxSeries(terms.items(), self.shift + max(n_tail, 1),
-                             False)
+        return PuiseuxSeries(terms.items(), self.truncation, False)
 
     @property
     def exact(self) -> bool:

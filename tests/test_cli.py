@@ -321,6 +321,46 @@ def test_usage_errors_are_argparse():
     assert exc.value.code == 0
 
 
+_SYMBOLIC = {"order": ExpansionConfig().order,
+             "max_bits": ExpansionConfig().max_bits}
+_NUMERIC = {"tmin": 1e-4, "tmax": 0.1, "ladder": 40, "grid": 4096}
+
+
+@pytest.mark.parametrize("argv, fields, formats", [
+    (["inv", "x^2"], {"germ": "x^2", **_SYMBOLIC}, {"text", "json"}),
+    (["compare", "x^2", "y^2"], {"f": "x^2", "g": "y^2", **_SYMBOLIC},
+     {"text", "json"}),
+    (["branches", "x^2"], {"germ": "x^2", **_SYMBOLIC}, {"text", "json"}),
+    (["psi", "x^2"], {"germ": "x^2", **_NUMERIC}, {"text", "json", "csv"}),
+    (["crosscheck", "x^2"],
+     {"germ": "x^2", **_SYMBOLIC, **_NUMERIC, "floor": None},
+     {"text", "json", "csv"}),
+])
+def test_subcommand_flag_sets(capsys, argv, fields, formats):
+    # each subcommand takes exactly its own flags, with these defaults
+    parser = cli.build_parser()
+    got = vars(parser.parse_args(argv))
+    assert got.pop("func") is getattr(cli, f"cmd_{argv[0]}")
+    assert got == {"command": argv[0], "format": "text", **fields}
+    for name, value in got.items():
+        assert type(value) is type(fields.get(name, "")), name
+    for fmt in ("text", "json", "csv", "xml"):
+        if fmt in formats:
+            assert parser.parse_args([*argv, "--format", fmt]).format == fmt
+        else:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([*argv, "--format", fmt])
+            assert exc.value.code == 2
+    # a flag of another subcommand is a usage error
+    for flag in ("--order", "--tmin", "--floor"):
+        if flag[2:] in fields:
+            continue
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*argv, flag, "3"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, germs, flags", [
     ("inv", ["-x^2+y^4"], []),
     ("inv", ["-x^2+y^4"], ["--format", "json"]),
